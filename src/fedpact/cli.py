@@ -92,10 +92,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         outcome = run_round(profile, menu, curve, config.population, round_mode, seed)
         outcome.to_json(out / f"round_seed{seed}.json")
         outcome.clients_to_csv(out / f"round_seed{seed}.csv")
-        mean_utility = outcome.realized_server_utility / len(outcome.clients)
+        mean_utility = outcome.realized_server_utility / len(outcome.client_type)
         print(
             f"seed {seed}: mode {round_mode}, participants "
-            f"{sum(1 for cl in outcome.clients if not cl.rejected)}/{config.population}, "
+            f"{outcome.participants}/{config.population}, "
             f"mean server utility {mean_utility:.6g}, ties {len(outcome.ties)}"
         )
     return EXIT_OK

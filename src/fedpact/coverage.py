@@ -25,11 +25,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .seeding import as_generator
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +67,10 @@ class PointCloud:
 
     @cached_property
     def _tree(self) -> cKDTree:
+        # imported here: scipy.spatial costs most of the package's import
+        # time, and only coverage measurement needs it
+        from scipy.spatial import cKDTree
+
         return cKDTree(self.points)
 
     def nearest_distances(self, queries: np.ndarray) -> np.ndarray:

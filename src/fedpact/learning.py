@@ -593,13 +593,13 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
             flat = _flat_item(menu, profile.betas)
             flat_items[c] = flat
 
-            # per-client signup under the two reward policies; the pass
+            # signup per type under the two reward policies; the pass
             # benchmark is the same in both so only incentives differ
+            flat_menu = ContractMenu((flat,))
             signups: dict[str, list[tuple[int, float, float, float, float] | None]] = {
                 "contract": [], "flat": [],
             }
-            for cid, type_idx in enumerate(draws):
-                theta = config.thetas[type_idx]
+            for type_idx, theta in enumerate(config.thetas):
                 choice = choose_contract(theta, menu, c)
                 if choice.rejected:
                     gate = float(config.benchmarks[type_idx])
@@ -610,14 +610,11 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
                     signups["contract"].append(
                         (choice.index, choice.effort, item.fee, item.reward, gate)
                     )
-                flat_utility = (theta * flat.reward) ** 2 / (2.0 * c) - flat.fee
-                if flat_utility < 0.0:
-                    signups["flat"].append(None)
-                else:
-                    flat_effort = min(1.0, theta * flat.reward / c)
-                    signups["flat"].append(
-                        (1, flat_effort, flat.fee, flat.reward, gate)
-                    )
+                flat_choice = choose_contract(theta, flat_menu, c)
+                signups["flat"].append(
+                    None if flat_choice.rejected
+                    else (1, flat_choice.effort, flat.fee, flat.reward, gate)
+                )
 
             for scheme in config.schemes:
                 policy = "flat" if scheme == "flat" else "contract"
@@ -628,7 +625,7 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
                 record_rows = scheme in ("contract", "flat")
 
                 for cid, type_idx in enumerate(draws):
-                    signup = signups[policy][cid]
+                    signup = signups[policy][type_idx]
                     if signup is None:
                         if record_rows:
                             client_rows.append(ClientRecord(

@@ -1,6 +1,8 @@
 """Population round: contract choice, success realization, ledger identities."""
+import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from fedpact.contracts import (
     TypeProfile,
     solve_optimal_menu,
 )
+from fedpact.seeding import child_rng
 from fedpact.simulation import (
+    SimulatedClient,
     aggregation_weights,
     choose_contract,
     realize_success,
@@ -77,7 +81,7 @@ class TestSamplePopulation:
         profile = TypeProfile.from_arrays([0.3, 0.7], [1.0, 0.0], 1.0)
         population = sample_population(profile, 100, seed=0)
         assert len(population) == 100
-        assert all(t.index == 1 for _, t in population)
+        assert all(profile.types[k].index == 1 for k in population)
 
     def test_single_client(self):
         profile = TypeProfile.from_arrays([0.5], [1.0], 1.0)
@@ -88,7 +92,7 @@ class TestSamplePopulation:
         thetas = np.linspace(0.1, 1.0, n_types)
         profile = TypeProfile.from_arrays(thetas, [1 / n_types] * n_types, 1.0)
         population = sample_population(profile, 100_000, seed=2)
-        counts = np.bincount([t.index - 1 for _, t in population], minlength=n_types)
+        counts = np.bincount(population, minlength=n_types)
         freqs = counts / 100_000
         assert np.all(np.abs(freqs - 0.1) < 0.01)
 
@@ -96,7 +100,7 @@ class TestSamplePopulation:
         profile = TypeProfile.from_arrays([0.3, 0.7], [0.4, 0.6], 1.0)
         a = sample_population(profile, 50, seed=3)
         b = sample_population(profile, 50, seed=3)
-        assert [t.index for _, t in a] == [t.index for _, t in b]
+        assert a.tolist() == b.tolist()
 
 
 class TestRealizeSuccess:
@@ -114,6 +118,15 @@ class TestRealizeSuccess:
     def test_effort_domain(self):
         with pytest.raises(ValueError):
             realize_success(0.5, 1.2, seed=0)
+        with pytest.raises(ValueError):
+            realize_success(np.array([0.5, 0.5]), np.array([0.2, -0.1]), seed=0)
+
+    def test_array_equals_scalar_calls(self):
+        rng = np.random.default_rng(16)
+        thetas, efforts = rng.uniform(0.0, 1.0, (2, 1000))
+        batch = realize_success(thetas, efforts, np.random.default_rng(17))
+        one = np.random.default_rng(17)
+        assert batch.tolist() == [realize_success(t, e, one) for t, e in zip(thetas, efforts)]
 
 
 class TestAggregationWeights:
@@ -259,3 +272,156 @@ class TestRunRound:
         assert outcome.rewards_paid == pytest.approx(50 * p * item.reward)
         assert outcome.fees_forfeited == pytest.approx(50 * (1 - p) * item.fee)
         assert outcome.fees_collected == pytest.approx(50 * item.fee)
+
+
+# ---------------------------------------------------------------------------
+# per-type engine against the per-client loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_weights(succeeded):
+    """Reward-share weights exactly as the per-client loop computed them."""
+    if not succeeded:
+        return {}
+    rewards = np.array([item.reward for _, item in succeeded])
+    total = float(rewards.sum())
+    if total <= 0.0 or np.all(rewards == rewards[0]):
+        w = 1.0 / len(succeeded)
+        return {cid: w for cid, _ in succeeded}
+    return {cid: float(item.reward) / total for cid, item in succeeded}
+
+
+def reference_round(profile, menu, curve, n, mode, seed):
+    """One choose_contract call and one uniform draw per client, totals by +=."""
+    c = profile.unit_cost
+    draws = child_rng(seed, 0).choice(len(profile), size=n, p=profile.betas)
+    success_rng = child_rng(seed, 1)
+    clients, ties = [], []
+    fees = rewards = forfeits = utility = 0.0
+    succeeded_items, expected_shares = [], []
+    for cid, k in enumerate(draws):
+        ctype = profile.types[k]
+        choice = choose_contract(ctype.theta, menu, c)
+        if choice.rejected:
+            clients.append(SimulatedClient(cid, ctype, None, 0.0, False, 0.0, False))
+            continue
+        item = menu[choice.index - 1]
+        if choice.tied:
+            ties.append(cid)
+        p = min(1.0, ctype.theta * choice.effort)
+        margin = curve(item.benchmark) - item.reward
+        if mode == "stochastic":
+            success = bool(success_rng.random() < p)
+            fees += item.fee
+            if success:
+                rewards += item.reward
+                utility += item.fee + margin
+                succeeded_items.append((cid, item))
+            else:
+                forfeits += item.fee
+                utility += item.fee
+        else:
+            success = False
+            fees += item.fee
+            rewards += p * item.reward
+            forfeits += (1.0 - p) * item.fee
+            utility += item.fee + p * margin
+            if p * item.reward > 0.0:
+                expected_shares.append((cid, p * item.reward))
+        clients.append(SimulatedClient(cid, ctype, item, choice.effort, success, p, choice.tied))
+    if mode == "stochastic":
+        weights = reference_weights(succeeded_items)
+    else:
+        total = math.fsum(share for _, share in expected_shares)
+        weights = {cid: share / total for cid, share in expected_shares} if total > 0.0 else {}
+    return clients, fees, rewards, forfeits, utility, weights, tuple(ties)
+
+
+def reference_files(clients, ledger, mode, tmp_path):
+    """The ledger JSON and per-client CSV as the per-client loop wrote them."""
+    fees, rewards, forfeits, utility, weights, ties = ledger
+    payload = {
+        "mode": mode,
+        "n_clients": len(clients),
+        "participants": sum(1 for cl in clients if not cl.rejected),
+        "successes": sum(1 for cl in clients if cl.succeeded),
+        "fees_collected": fees,
+        "rewards_paid": rewards,
+        "fees_forfeited": forfeits,
+        "realized_server_utility": utility,
+        "mean_server_utility_per_client": utility / len(clients),
+        "aggregation_weights": {str(k): v for k, v in weights.items()},
+        "ties": list(ties),
+    }
+    with open(tmp_path / "ref.json", "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["id", "type", "choice", "effort", "succeeded", "fee", "reward", "success_prob"]
+        )
+        for cl in clients:
+            writer.writerow([
+                cl.id,
+                cl.true_type.index,
+                cl.chosen_item.index if cl.chosen_item else "reject",
+                repr(cl.effort),
+                cl.succeeded,
+                repr(cl.chosen_item.fee) if cl.chosen_item else repr(0.0),
+                repr(cl.chosen_item.reward) if cl.chosen_item else repr(0.0),
+                repr(cl.success_prob),
+            ])
+    return (tmp_path / "ref.json").read_bytes(), (tmp_path / "ref.csv").read_bytes()
+
+
+def equivalence_cases():
+    profile = TypeProfile.from_arrays([0.5, 1.0], [0.5, 0.5], 1.0)
+    curve = RevenueCurve.from_table([0.3, 0.5], [1.0, 2.0])
+    tight = solve_optimal_menu(profile, curve, [0.3, 0.5])
+    cases = [
+        ("tight", profile, tight, curve, 500),
+        ("rebated", profile, rebated(tight), curve, 500),
+        ("bottom-rejects", profile,
+         ContractMenu(items=(ContractItem(1, 0.2, 0.5, 0.3), ContractItem(2, 0.3, 1.0, 0.5))),
+         curve, 500),
+        ("zero", TypeProfile.from_arrays([0.4, 0.8], [0.5, 0.5], 1.0),
+         ContractMenu(items=(ContractItem(1, 0.0, 0.0, 0.3), ContractItem(2, 0.0, 0.0, 0.6))),
+         RevenueCurve.from_table([0.3, 0.6], [1.0, 2.0]), 100),
+        ("single-client", profile, tight, curve, 1),
+    ]
+    rng = np.random.default_rng(2026)
+    for k in range(10):
+        random = random_profile(rng)
+        benchmarks = random_benchmarks(rng, len(random))
+        random_curve = random_increasing_convex_curve(rng, benchmarks)
+        menu = solve_optimal_menu(random, random_curve, benchmarks)
+        cases.append((f"random-{k}", random, menu if k % 2 else rebated(menu), random_curve, 400))
+    return cases
+
+
+class TestPerTypeEngine:
+    @pytest.mark.parametrize("mode", ["stochastic", "analytic"])
+    @pytest.mark.parametrize(
+        "case", [pytest.param(case, id=case[0]) for case in equivalence_cases()]
+    )
+    def test_matches_per_client_loop(self, case, mode, tmp_path):
+        _, profile, menu, curve, n = case
+        seed = 31
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the bottom-rejects menu is infeasible
+            outcome = run_round(profile, menu, curve, n, mode, seed)
+        clients, *ledger = reference_round(profile, menu, curve, n, mode, seed)
+        fees, rewards, forfeits, utility, weights, ties = ledger
+        assert outcome.fees_collected == fees
+        assert outcome.rewards_paid == rewards
+        assert outcome.fees_forfeited == forfeits
+        assert outcome.realized_server_utility == utility
+        assert outcome.aggregation_weights == weights
+        assert list(outcome.aggregation_weights) == list(weights)
+        assert outcome.ties == ties
+        assert outcome.clients == tuple(clients)
+        outcome.to_json(tmp_path / "round.json")
+        outcome.clients_to_csv(tmp_path / "round.csv")
+        ref_json, ref_csv = reference_files(clients, ledger, mode, tmp_path)
+        assert (tmp_path / "round.json").read_bytes() == ref_json
+        assert (tmp_path / "round.csv").read_bytes() == ref_csv

@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig
+from .config import MODES, ConfigError, ExperimentConfig
 from .contracts import ContractMenu, solve_optimal_menu, verify_feasibility
 from .learning import run_scheme_comparison
 from .simulation import run_round
@@ -86,15 +86,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     profile = config.build_profile()
     curve = config.build_curve()
     menu = solve_optimal_menu(profile, curve, config.benchmarks)
-    round_mode = "analytic" if config.mode == "analytic" else "stochastic"
     out = _out_dir(config)
     for seed in config.seeds:
-        outcome = run_round(profile, menu, curve, config.population, round_mode, seed)
+        outcome = run_round(profile, menu, curve, config.population, config.mode, seed)
         outcome.to_json(out / f"round_seed{seed}.json")
         outcome.clients_to_csv(out / f"round_seed{seed}.csv")
         mean_utility = outcome.realized_server_utility / len(outcome.client_type)
         print(
-            f"seed {seed}: mode {round_mode}, participants "
+            f"seed {seed}: mode {config.mode}, participants "
             f"{outcome.participants}/{config.population}, "
             f"mean server utility {mean_utility:.6g}, ties {len(outcome.ties)}"
         )
@@ -104,8 +103,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     """Run the three-scheme comparison and write CSV + JSON summaries."""
     config = _load_config(args)
-    if config.mode != "ml":
-        raise ConfigError("mode: compare requires mode='ml'")
     report = run_scheme_comparison(config)
     out = _out_dir(config)
     report.rounds_to_csv(out / "comparison.csv")
@@ -136,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed-override", dest="seed_override", type=int, default=None,
                        help="replace the config's seed list with this single seed")
-        p.add_argument("--mode", choices=("analytic", "ml"), default=None,
+        p.add_argument("--mode", choices=MODES, default=None,
                        help="override the config's mode")
 
     p_solve = sub.add_parser("solve", help="solve the optimal menu for a config")

@@ -29,6 +29,15 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
+def _reject_unknown_keys(payload: dict, known: dict, prefix: str = "") -> None:
+    """Every key of ``payload``, and of its profile, task and training
+    sections, must be one that ``known`` (a config's ``to_dict``) has."""
+    for key, value in payload.items():
+        _require(key in known, f"{prefix}{key}", f"unknown key, valid: {sorted(known)}")
+        if key in ("profile", "task", "training"):
+            _reject_unknown_keys(value, known[key], f"{key}.")
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """Synthetic classification task parameters."""
@@ -53,14 +62,12 @@ class TrainingSpec:
     n_points: int = 120
     learning_rate: float = 0.8
     batch_size: int = 32
-    hidden: tuple[int, ...] = ()
 
     def validate(self, path: str = "training") -> None:
         _require(self.max_epochs >= 1, f"{path}.max_epochs", "must be >= 1")
         _require(self.n_points >= 1, f"{path}.n_points", "must be >= 1")
         _require(self.learning_rate > 0, f"{path}.learning_rate", "must be positive")
         _require(self.batch_size >= 1, f"{path}.batch_size", "must be >= 1")
-        _require(len(self.hidden) <= 1, f"{path}.hidden", "at most one hidden layer")
 
 
 @dataclass(frozen=True)
@@ -176,7 +183,6 @@ class ExperimentConfig:
                 "n_points": self.training.n_points,
                 "learning_rate": self.training.learning_rate,
                 "batch_size": self.training.batch_size,
-                "hidden": list(self.training.hidden),
             },
         }
 
@@ -186,7 +192,7 @@ class ExperimentConfig:
             profile = payload["profile"]
             task = payload.get("task", {})
             training = payload.get("training", {})
-            return cls(
+            config = cls(
                 thetas=tuple(profile["thetas"]),
                 betas=tuple(profile["betas"]),
                 unit_cost=float(profile["c"]),
@@ -209,12 +215,13 @@ class ExperimentConfig:
                     n_points=int(training.get("n_points", 120)),
                     learning_rate=float(training.get("learning_rate", 0.8)),
                     batch_size=int(training.get("batch_size", 32)),
-                    hidden=tuple(training.get("hidden", ())),
                 ),
                 schema_version=int(payload.get("schema_version", SCHEMA_VERSION)),
             )
         except KeyError as exc:
             raise ConfigError(f"missing required field {exc.args[0]!r}") from exc
+        _reject_unknown_keys(payload, config.to_dict())
+        return config
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -228,11 +235,6 @@ class ExperimentConfig:
         if not isinstance(payload, dict):
             raise ConfigError(f"{path}: top level must be an object")
         return cls.from_dict(payload)
-
-    def to_json(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def with_overrides(
         self, seed: int | None = None, mode: str | None = None, out_dir: str | None = None

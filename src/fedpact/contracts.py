@@ -141,10 +141,10 @@ class ContractItem:
     benchmark: float
 
     def __post_init__(self) -> None:
-        if self.fee < 0.0:
-            raise ValueError(f"fee must be non-negative, got {self.fee}")
-        if self.reward < 0.0:
-            raise ValueError(f"reward must be non-negative, got {self.reward}")
+        if not (math.isfinite(self.fee) and self.fee >= 0.0):
+            raise ValueError(f"fee must be finite and non-negative, got {self.fee}")
+        if not (math.isfinite(self.reward) and self.reward >= 0.0):
+            raise ValueError(f"reward must be finite and non-negative, got {self.reward}")
         if not 0.0 <= self.benchmark <= 1.0:
             raise ValueError(f"benchmark must lie in [0, 1], got {self.benchmark}")
 
@@ -200,7 +200,7 @@ class ContractMenu:
 
     def to_json(self, path: str | Path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
     @classmethod
@@ -242,6 +242,8 @@ class RevenueCurve:
         order = np.argsort(benchmarks)
         ms = np.asarray(benchmarks, dtype=float)[order]
         gs = np.asarray(values, dtype=float)[order]
+        if not (np.all(np.isfinite(ms)) and np.all(np.isfinite(gs))):
+            raise ValueError("table benchmarks and values must be finite")
         if len(np.unique(ms)) != len(ms):
             raise ValueError("table benchmarks must be distinct")
         table = {float(m): float(g) for m, g in zip(ms, gs)}
@@ -269,6 +271,8 @@ class RevenueCurve:
         if len(ms) < 2:
             return
         gs = np.array([self(m) for m in ms])
+        if not np.all(np.isfinite(gs)):
+            raise ValueError(f"revenue curve not finite on {ms.tolist()}")
         first = np.diff(gs)
         if np.any(first <= 0.0):
             raise ValueError(f"revenue curve not increasing on {ms.tolist()}")
@@ -411,7 +415,7 @@ class FeasibilityReport:
 
     def to_json(self, path: str | Path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 

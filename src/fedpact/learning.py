@@ -14,8 +14,11 @@ Three schemes are compared on the same population:
 * ``fedavg``: identical rewards and efforts, uniform weights;
 * ``flat``: every client earns the beta-weighted average reward and pays
   the average fee (same budget on average, no screening), uniform
-  weights.  Pass benchmarks stay per type so only the incentive channel
-  differs.
+  weights.  Clients are gated as under ``contract`` so only the
+  incentive channel differs.
+
+Each scheme's round is a ``simulation.RoundOutcome``, the engine of
+``simulation.run_round``; a trained model's server test decides passes.
 """
 from __future__ import annotations
 
@@ -28,11 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .contracts import ContractItem, ContractMenu, solve_optimal_menu
 from .coverage import PointCloud, coverage_quality
 from .seeding import as_generator, child_rng
-from .simulation import choose_contract
+from .simulation import RoundOutcome, sample_population
 
 
 class ArchitectureMismatchError(ValueError):
@@ -56,25 +59,18 @@ class CalibrationError(ValueError):
 
 @dataclass(frozen=True)
 class ModelArch:
-    """Architecture tag: input dimension, optional single hidden width, classes."""
+    """Architecture tag of the linear softmax classifier: input dimension, classes."""
 
     input_dim: int
-    hidden: tuple[int, ...]
     n_classes: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden", tuple(self.hidden))
         if self.input_dim < 1 or self.n_classes < 2:
             raise ValueError("need input_dim >= 1 and n_classes >= 2")
-        if len(self.hidden) > 1:
-            raise ValueError("at most one hidden layer is supported")
 
     @property
     def parameter_count(self) -> int:
-        if not self.hidden:
-            return self.input_dim * self.n_classes + self.n_classes
-        h = self.hidden[0]
-        return self.input_dim * h + h + h * self.n_classes + self.n_classes
+        return self.input_dim * self.n_classes + self.n_classes
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,28 +98,10 @@ class ModelVector:
         rng = as_generator(seed)
         return cls(arch=arch, parameters=rng.normal(0.0, scale, arch.parameter_count))
 
-    def _unpack(self) -> tuple[np.ndarray, ...]:
-        d, k = self.arch.input_dim, self.arch.n_classes
-        p = self.parameters
-        if not self.arch.hidden:
-            w = p[: d * k].reshape(d, k)
-            b = p[d * k :]
-            return w, b
-        h = self.arch.hidden[0]
-        off = 0
-        w1 = p[off : off + d * h].reshape(d, h); off += d * h
-        b1 = p[off : off + h]; off += h
-        w2 = p[off : off + h * k].reshape(h, k); off += h * k
-        b2 = p[off :]
-        return w1, b1, w2, b2
-
     def logits(self, points: np.ndarray) -> np.ndarray:
-        x = np.asarray(points, dtype=float)
-        if not self.arch.hidden:
-            w, b = self._unpack()
-            return x @ w + b
-        w1, b1, w2, b2 = self._unpack()
-        return np.tanh(x @ w1 + b1) @ w2 + b2
+        d, k = self.arch.input_dim, self.arch.n_classes
+        w = self.parameters[: d * k].reshape(d, k)
+        return np.asarray(points, dtype=float) @ w + self.parameters[d * k :]
 
     def predict(self, points: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(points), axis=1)
@@ -204,7 +182,7 @@ class SyntheticTask:
 
     @property
     def arch(self) -> ModelArch:
-        return ModelArch(input_dim=self.dimension, hidden=(), n_classes=self.n_classes)
+        return ModelArch(input_dim=self.dimension, n_classes=self.n_classes)
 
 
 def server_test(model: ModelVector, task: SyntheticTask) -> float:
@@ -329,7 +307,7 @@ def local_train(
     onehot[np.arange(n), y] = 1.0
     rng = as_generator(seed)
     params = model.parameters.copy()
-    hidden = model.arch.hidden
+    d = model.arch.input_dim
 
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -337,29 +315,12 @@ def local_train(
             batch = order[start : start + batch_size]
             xb, yb = x[batch], onehot[batch]
             m = len(batch)
-            if not hidden:
-                d = model.arch.input_dim
-                w = params[: d * k].reshape(d, k)
-                b = params[d * k :]
-                logits = xb @ w + b
-                probs = _softmax(logits)
-                g = (probs - yb) / m
-                grad = np.concatenate([(xb.T @ g).ravel(), g.sum(axis=0)])
-            else:
-                d, h = model.arch.input_dim, hidden[0]
-                off = 0
-                w1 = params[off : off + d * h].reshape(d, h); off += d * h
-                b1 = params[off : off + h]; off += h
-                w2 = params[off : off + h * k].reshape(h, k); off += h * k
-                b2 = params[off :]
-                pre = xb @ w1 + b1
-                act = np.tanh(pre)
-                probs = _softmax(act @ w2 + b2)
-                g2 = (probs - yb) / m
-                g1 = (g2 @ w2.T) * (1.0 - act**2)
-                grad = np.concatenate(
-                    [(xb.T @ g1).ravel(), g1.sum(axis=0), (act.T @ g2).ravel(), g2.sum(axis=0)]
-                )
+            w = params[: d * k].reshape(d, k)
+            b = params[d * k :]
+            logits = xb @ w + b
+            probs = _softmax(logits)
+            g = (probs - yb) / m
+            grad = np.concatenate([(xb.T @ g).ravel(), g.sum(axis=0)])
             params -= learning_rate * grad
 
     return ModelVector(arch=model.arch, parameters=params)
@@ -460,11 +421,15 @@ class SchemeReport:
         return out
 
     def summary(self) -> dict:
+        orderings = self.orderings()
+        for entry in orderings["per_c"].values():
+            # a scheme without a finite accuracy has no mean, and JSON no NaN
+            entry["means"] = {s: None if math.isnan(v) else v for s, v in entry["means"].items()}
         return {
             "seeds": sorted({r.seed for r in self.rounds}),
             "c_values": list(self.c_values),
             "schemes": list(self.schemes),
-            "orderings": self.orderings(),
+            "orderings": orderings,
             "flat_items": {
                 _c_key(c): item.to_dict() for c, item in sorted(self.flat_items.items())
             },
@@ -506,7 +471,7 @@ class SchemeReport:
 
     def summary_to_json(self, path: str | Path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
+            json.dump(self.summary(), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 
@@ -517,8 +482,9 @@ def _c_key(c: float) -> str:
 def _flat_item(menu: ContractMenu, betas: np.ndarray) -> ContractItem:
     """Beta-weighted average fee and reward: same expected budget, no screening.
 
-    The benchmark field carries the average only for reporting; the flat
-    scheme gates every client on its own type's benchmark.
+    The benchmark field carries the average only for reporting; a flat
+    client is gated on the benchmark of its type's pick from the solved
+    menu (the lower item on a tie; its own benchmark if it rejects).
     """
     return ContractItem(
         index=1,
@@ -537,7 +503,7 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
     the aggregation weights.  Everything is deterministic per config.
     """
     if config.mode != "ml":
-        raise ValueError("scheme comparison needs mode='ml' (trains real models)")
+        raise ConfigError("mode: compare requires mode='ml' (trains real models)")
     curve = config.build_curve()
     task = SyntheticTask.generate(
         config.task.dimension, config.task.classes, config.task.seed,
@@ -549,10 +515,7 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
     flat_items: dict[float, ContractItem] = {}
 
     for seed in config.seeds:
-        population_rng = child_rng(seed, 10)
-        draws = population_rng.choice(
-            len(config.thetas), size=config.population, p=np.array(config.betas)
-        )
+        draws = sample_population(config.build_profile(), config.population, child_rng(seed, 10))
         datasets = {}
         for cid, type_idx in enumerate(draws):
             datasets[cid] = generate_client_dataset(
@@ -573,7 +536,7 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
                     init_model,
                     data.points,
                     data.labels,
-                    effort=epochs / train.max_epochs if train.max_epochs else 0.0,
+                    effort=epochs / train.max_epochs,
                     max_epochs=train.max_epochs,
                     seed=child_rng(seed, 40, cid),
                     learning_rate=train.learning_rate,
@@ -590,93 +553,62 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
         for c in config.c_values:
             profile = config.build_profile(unit_cost=c)
             menu = solve_optimal_menu(profile, curve, config.benchmarks)
-            flat = _flat_item(menu, profile.betas)
-            flat_items[c] = flat
+            flat = flat_items[c] = _flat_item(menu, profile.betas)
 
-            # signup per type under the two reward policies; the pass
-            # benchmark is the same in both so only incentives differ
-            flat_menu = ContractMenu((flat,))
-            signups: dict[str, list[tuple[int, float, float, float, float] | None]] = {
-                "contract": [], "flat": [],
+            # both policies gate a client on the item its type picks from
+            # the solved menu, so only incentives differ; compare reads no
+            # server utility, so the flat item's benchmark is never priced
+            signed = {
+                "contract": RoundOutcome.sign_up(profile, menu, curve, draws),
+                "flat": RoundOutcome.sign_up(profile, ContractMenu((flat,)), curve, draws),
             }
-            for type_idx, theta in enumerate(config.thetas):
-                choice = choose_contract(theta, menu, c)
-                if choice.rejected:
-                    gate = float(config.benchmarks[type_idx])
-                    signups["contract"].append(None)
-                else:
-                    item = menu[choice.index - 1]
-                    gate = item.benchmark
-                    signups["contract"].append(
-                        (choice.index, choice.effort, item.fee, item.reward, gate)
-                    )
-                flat_choice = choose_contract(theta, flat_menu, c)
-                signups["flat"].append(
-                    None if flat_choice.rejected
-                    else (1, flat_choice.effort, flat.fee, flat.reward, gate)
-                )
+            gates = [
+                bm if item is None else item.benchmark
+                for item, bm in zip(signed["contract"].type_item, config.benchmarks)
+            ]
 
             for scheme in config.schemes:
-                policy = "flat" if scheme == "flat" else "contract"
-                passers: list[tuple[int, ModelVector, float]] = []  # id, model, reward
-                participants = 0
-                total_fees = 0.0
-                total_rewards = 0.0
-                record_rows = scheme in ("contract", "flat")
-
-                for cid, type_idx in enumerate(draws):
-                    signup = signups[policy][type_idx]
-                    if signup is None:
-                        if record_rows:
-                            client_rows.append(ClientRecord(
-                                seed=seed, c=c, scheme=scheme, client_id=cid,
-                                type_index=int(type_idx) + 1,
-                                theta_target=config.thetas[type_idx],
-                                theta_measured=datasets[cid].measured_quality,
-                                chosen_index=None, effort=0.0, epochs=0,
-                                local_accuracy=float("nan"),
-                                server_accuracy=float("nan"), passed=False,
-                            ))
-                        continue
-                    index, effort, fee, reward, gate = signup
-                    participants += 1
-                    total_fees += fee
-                    model, local_acc, serv_acc, epochs = trained(cid, effort)
-                    passed = serv_acc >= gate
-                    if passed:
-                        total_rewards += reward
-                        passers.append((cid, model, reward))
-                    if record_rows:
-                        client_rows.append(ClientRecord(
-                            seed=seed, c=c, scheme=scheme, client_id=cid,
-                            type_index=int(type_idx) + 1,
-                            theta_target=config.thetas[type_idx],
-                            theta_measured=datasets[cid].measured_quality,
-                            chosen_index=index, effort=effort,
-                            epochs=epochs, local_accuracy=local_acc,
-                            server_accuracy=serv_acc, passed=passed,
-                        ))
-
+                signup = signed["flat" if scheme == "flat" else "contract"]
+                efforts = signup.type_effort.tolist()
+                ptypes = signup.participant_types.tolist()
+                results = {
+                    cid: trained(cid, efforts[t])
+                    for cid, t in zip(signup.participant_ids.tolist(), ptypes)
+                }
+                outcome = signup.with_passes(np.array(
+                    [results[cid][2] >= gates[t] for cid, t in zip(results, ptypes)], dtype=bool
+                ))
+                passers = np.flatnonzero(outcome.succeeded).tolist()
                 if passers:
-                    reward_arr = np.array([r for _, _, r in passers])
-                    if scheme == "contract" and reward_arr.sum() > 0 and not np.all(
-                        reward_arr == reward_arr[0]
-                    ):
-                        weights = reward_arr / reward_arr.sum()
-                    else:
-                        weights = np.full(len(passers), 1.0 / len(passers))
-                    global_model = aggregate(
-                        [(m, float(w)) for (_, m, _), w in zip(passers, weights)]
+                    weights = (
+                        dict.fromkeys(passers, 1.0 / len(passers)) if scheme == "fedavg"
+                        else outcome.aggregation_weights
                     )
+                    global_model = aggregate([(results[cid][0], w) for cid, w in weights.items()])
                     accuracy = server_test(global_model, task)
                 else:
                     accuracy = float("nan")
-
                 rounds.append(SchemeRound(
                     seed=seed, c=c, scheme=scheme, accuracy=accuracy,
-                    participants=participants, successes=len(passers),
-                    total_fees=total_fees, total_rewards=total_rewards,
+                    participants=outcome.participants, successes=outcome.successes,
+                    total_fees=outcome.fees_collected, total_rewards=outcome.rewards_paid,
                 ))
+                if scheme == "fedavg":
+                    continue  # its clients' rows are the contract scheme's
+                passed = outcome.succeeded.tolist()
+                for cid, t in enumerate(draws.tolist()):
+                    item = signup.type_item[t]
+                    _, local_acc, serv_acc, epochs = results.get(
+                        cid, (None, math.nan, math.nan, 0)
+                    )
+                    client_rows.append(ClientRecord(
+                        seed=seed, c=c, scheme=scheme, client_id=cid, type_index=t + 1,
+                        theta_target=config.thetas[t],
+                        theta_measured=datasets[cid].measured_quality,
+                        chosen_index=None if item is None else item.index,
+                        effort=efforts[t], epochs=epochs, local_accuracy=local_acc,
+                        server_accuracy=serv_acc, passed=passed[cid],
+                    ))
 
     return SchemeReport(
         rounds=tuple(rounds),

@@ -8,27 +8,30 @@ earn their item's reward; everyone who signed pays the registration fee,
 which is forfeited on failure.  Submitted models of passers are weighted
 by reward share.
 
-Two accounting modes share the ledger code: ``stochastic`` realizes
-Bernoulli successes from the seed, ``analytic`` books every client at
-its expected values, so the per-client mean converges to the server's
+The accounting modes are the config's words: ``ml`` realizes Bernoulli
+successes from the seed, ``analytic`` books every client at its
+expected values, so the per-client mean converges to the server's
 expected utility as the population grows.
 
 A client's choice, effort and pass probability depend only on its type,
-so the round chooses once per type and books clients as arrays indexed
-by their type; ``RoundOutcome`` stores those columns and builds
-per-client ``SimulatedClient`` records only when asked.
+so ``RoundOutcome.sign_up`` chooses once per type and books clients as
+arrays indexed by their type; the ledger is derived from those columns,
+and per-client ``SimulatedClient`` records are built only when asked.
+``learning.run_scheme_comparison`` settles its rounds with the same
+engine, deciding passes by a trained model's server test.
 """
 from __future__ import annotations
 
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from .config import MODES
 from .contracts import (
     ClientType,
     ContractItem,
@@ -174,41 +177,124 @@ class SimulatedClient:
 
 @dataclass(frozen=True, eq=False)
 class RoundOutcome:
-    """Ledger of one simulated round, with its clients stored as columns.
-
-    Stochastic mode books realized fees, rewards, and forfeits; analytic
-    mode books their expectations (succeeded flags stay False there, the
-    success probabilities carry the accounting).  Forfeited fees are a
-    subset of fees_collected, never double counted.
+    """One contracting round, stored as columns; the ledger is derived from them.
 
     A client's choice, effort, success probability and tie flag depend
     only on its type, so they are per-type columns (``type_*``, one entry
     per profile type) indexed by the per-client ``client_type``; only
     ``succeeded`` is a per-client value of its own.
+
+    ``mode='ml'`` books realized fees, rewards and forfeits from the
+    ``succeeded`` flags; ``mode='analytic'`` books their expectations
+    (succeeded flags stay False there, the success probabilities carry
+    the accounting).  Forfeited fees are a subset of fees_collected,
+    never double counted.  The ledger is computed on first access; only
+    ``realized_server_utility`` evaluates the revenue curve.
     """
 
     profile: TypeProfile
+    curve: RevenueCurve
     client_type: np.ndarray  # 0-based type index of each client
-    succeeded: np.ndarray  # bool per client
     type_item: tuple[ContractItem | None, ...]  # None for a rejecting type
     type_effort: np.ndarray
     type_success_prob: np.ndarray
     type_tied: np.ndarray
-    fees_collected: float
-    rewards_paid: float
-    fees_forfeited: float
-    realized_server_utility: float
-    aggregation_weights: dict[int, float]
     mode: str
+    succeeded: np.ndarray  # bool per client
+
+    @classmethod
+    def sign_up(
+        cls, profile: TypeProfile, menu: ContractMenu, curve: RevenueCurve, client_type: np.ndarray
+    ) -> "RoundOutcome":
+        """Each type picks from ``menu`` once; the round is booked at its
+        expected values (``analytic``) until ``with_passes`` realizes it."""
+        choices = [choose_contract(t.theta, menu, profile.unit_cost) for t in profile.types]
+        effort = np.array([ch.effort for ch in choices])
+        return cls(
+            profile=profile,
+            curve=curve,
+            client_type=client_type,
+            type_item=tuple(None if ch.rejected else menu[ch.index - 1] for ch in choices),
+            type_effort=effort,
+            type_success_prob=np.minimum(1.0, profile.thetas * effort),
+            type_tied=np.array([ch.tied for ch in choices]),
+            mode="analytic",
+            succeeded=np.zeros(len(client_type), dtype=bool),
+        )
+
+    def with_passes(self, passed: np.ndarray) -> "RoundOutcome":
+        """This round realized (``ml``): the participants' pass flags, in participant order."""
+        succeeded = np.zeros(len(self.client_type), dtype=bool)
+        succeeded[self.participant_ids] = passed
+        return replace(self, succeeded=succeeded, mode="ml")
+
+    @property
+    def participant_ids(self) -> np.ndarray:
+        """Ids of the clients whose type accepted an item, in client order."""
+        accepted = np.array([item is not None for item in self.type_item])
+        return np.flatnonzero(accepted[self.client_type])
+
+    @property
+    def participant_types(self) -> np.ndarray:
+        return self.client_type[self.participant_ids]
 
     @property
     def participants(self) -> int:
-        accepted = np.array([item is not None for item in self.type_item])
-        return int(np.count_nonzero(accepted[self.client_type]))
+        return len(self.participant_ids)
 
     @property
     def successes(self) -> int:
         return int(np.count_nonzero(self.succeeded))
+
+    def _participant_values(self, field: str) -> np.ndarray:
+        """Each participant's item ``field``, gathered from its type's item."""
+        values = [0.0 if it is None else getattr(it, field) for it in self.type_item]
+        return np.array(values)[self.participant_types]
+
+    @property
+    def _pass_weight(self) -> np.ndarray:
+        """Per participant: 1.0 or 0.0 as it passed, its pass probability in
+        analytic mode.  Adding a 0.0 term leaves a running total unchanged,
+        so a realized total is the sum over the passers (or failures) alone."""
+        if self.mode == "analytic":
+            return self.type_success_prob[self.participant_types]
+        return self.succeeded[self.participant_ids].astype(float)
+
+    @cached_property
+    def fees_collected(self) -> float:
+        return _running_total(self._participant_values("fee"))
+
+    @cached_property
+    def rewards_paid(self) -> float:
+        return _running_total(self._pass_weight * self._participant_values("reward"))
+
+    @cached_property
+    def fees_forfeited(self) -> float:
+        return _running_total((1.0 - self._pass_weight) * self._participant_values("fee"))
+
+    @cached_property
+    def realized_server_utility(self) -> float:
+        margin = [
+            0.0 if it is None else self.curve(it.benchmark) - it.reward for it in self.type_item
+        ]
+        return _running_total(
+            self._participant_values("fee")
+            + self._pass_weight * np.array(margin)[self.participant_types]
+        )
+
+    @cached_property
+    def aggregation_weights(self) -> dict[int, float]:
+        """Reward shares of the passers; expected-reward shares in analytic mode."""
+        share = self._pass_weight * self._participant_values("reward")
+        if self.mode != "analytic":
+            passed = self._pass_weight > 0.0
+            return _reward_shares(self.participant_ids[passed].tolist(), share[passed])
+        positive = share > 0.0
+        total = math.fsum(share[positive].tolist())
+        if total <= 0.0:
+            return {}
+        ids = self.participant_ids[positive].tolist()
+        return dict(zip(ids, (share[positive] / total).tolist()))
 
     @cached_property
     def ties(self) -> tuple[int, ...]:
@@ -255,7 +341,7 @@ class RoundOutcome:
 
     def to_json(self, path: str | Path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
     def clients_to_csv(self, path: str | Path) -> None:
@@ -306,18 +392,14 @@ def run_round(
 ) -> RoundOutcome:
     """Sample a population, let it contract, realize or expect outcomes, settle.
 
-    ``mode='stochastic'`` draws Bernoulli successes; ``mode='analytic'``
-    books expected fees/rewards/forfeits per client, in which case the
+    ``mode='ml'`` draws Bernoulli successes; ``mode='analytic'`` books
+    expected fees/rewards/forfeits per client, in which case the
     aggregation weights are expected-reward shares over clients with a
     positive expected reward.  Deterministic per (inputs, seed); an
     infeasible menu is simulated anyway but triggers a warning.
-
-    The contract choice is made once per type; clients then gather their
-    type's fee, reward, margin and success probability by indexing, and
-    the ledger totals add the per-client terms in client order.
     """
-    if mode not in ("analytic", "stochastic"):
-        raise ValueError(f"mode must be 'analytic' or 'stochastic', got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if n < 1:
         raise ValueError("population size must be >= 1")
     report = verify_feasibility(profile, menu)
@@ -326,57 +408,11 @@ def run_round(
             f"menu is infeasible for this profile: {report.violations()[:3]}",
             stacklevel=2,
         )
-    c = profile.unit_cost
     client_type = sample_population(profile, n, child_rng(seed, 0))
-
-    choices = [choose_contract(t.theta, menu, c) for t in profile.types]
-    items = tuple(None if ch.rejected else menu[ch.index - 1] for ch in choices)
-    thetas = profile.thetas
-    type_effort = np.array([ch.effort for ch in choices])
-    type_tied = np.array([ch.tied for ch in choices])
-    prob = np.minimum(1.0, thetas * type_effort)
-    fee = np.array([0.0 if it is None else it.fee for it in items])
-    reward = np.array([0.0 if it is None else it.reward for it in items])
-    margin = np.array([0.0 if it is None else curve(it.benchmark) - it.reward for it in items])
-
-    accepted = np.array([not ch.rejected for ch in choices])
-    participant = np.flatnonzero(accepted[client_type])  # client ids, in order
-    ptype = client_type[participant]
-    succeeded = np.zeros(n, dtype=bool)
-    fees = _running_total(fee[ptype])
-    if mode == "stochastic":
-        success = realize_success(thetas[ptype], type_effort[ptype], child_rng(seed, 1))
-        succeeded[participant] = success
-        won = ptype[success]
-        rewards = _running_total(reward[won])
-        forfeits = _running_total(fee[ptype[~success]])
-        utility = _running_total(np.where(success, (fee + margin)[ptype], fee[ptype]))
-        weights = _reward_shares(participant[success].tolist(), reward[won])
-    else:
-        share = (prob * reward)[ptype]
-        rewards = _running_total(share)
-        forfeits = _running_total(((1.0 - prob) * fee)[ptype])
-        utility = _running_total((fee + prob * margin)[ptype])
-        positive = share > 0.0
-        shares = share[positive]
-        total = math.fsum(shares.tolist())
-        weights = (
-            dict(zip(participant[positive].tolist(), (shares / total).tolist()))
-            if total > 0.0 else {}
-        )
-
-    return RoundOutcome(
-        profile=profile,
-        client_type=client_type,
-        succeeded=succeeded,
-        type_item=items,
-        type_effort=type_effort,
-        type_success_prob=prob,
-        type_tied=type_tied,
-        fees_collected=fees,
-        rewards_paid=rewards,
-        fees_forfeited=forfeits,
-        realized_server_utility=utility,
-        aggregation_weights=weights,
-        mode=mode,
+    outcome = RoundOutcome.sign_up(profile, menu, curve, client_type)
+    if mode == "analytic":
+        return outcome
+    ptype = outcome.participant_types
+    return outcome.with_passes(
+        realize_success(profile.thetas[ptype], outcome.type_effort[ptype], child_rng(seed, 1))
     )

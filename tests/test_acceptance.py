@@ -291,7 +291,7 @@ def test_criterion_9_cli_determinism(tmp_path, mnist_config_path):
         "benchmarks": [0.52, 0.58, 0.64],
         "task": {"dimension": 2, "classes": 2, "test_size": 400, "seed": 7},
         "training": {"max_epochs": 10, "n_points": 60, "learning_rate": 0.8,
-                     "batch_size": 16, "hidden": []},
+                     "batch_size": 16},
     }
 
     checked = []

@@ -74,6 +74,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="population"):
             ExperimentConfig.from_dict(payload)
 
+    @pytest.mark.parametrize("section, key", [
+        (None, "modes"), ("profile", "gamma"), ("task", "noise"), ("training", "hidden"),
+    ])
+    def test_unknown_key_rejected(self, section, key):
+        payload = base_payload(task={}, training={})
+        (payload if section is None else payload[section])[key] = [8]
+        path = key if section is None else f"{section}.{key}"
+        with pytest.raises(ConfigError, match=f"^{path}: unknown key"):
+            ExperimentConfig.from_dict(payload)
+
     def test_benchmark_count(self):
         with pytest.raises(ConfigError, match="benchmarks"):
             ExperimentConfig.from_dict(base_payload(benchmarks=[0.3]))
@@ -154,6 +164,25 @@ class TestCli:
         empty.write_text(json.dumps({"items": []}))
         assert main(["audit", str(empty), "--config", str(config)]) == 4
 
+    def test_audit_rejects_nan_fee(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, base_payload(out_dir=str(out)))
+        assert main(["solve", "--config", str(config)]) == 0
+        menu = json.loads((out / "menu.json").read_text())
+        menu["items"][0]["f"] = float("nan")
+        tampered = tmp_path / "nan_menu.json"
+        tampered.write_text(json.dumps(menu))
+        assert main(["audit", str(tampered), "--config", str(config)]) == 4
+        assert "fee must be finite" in capsys.readouterr().err
+        assert not (out / "audit.json").exists()
+
+    def test_solve_rejects_nan_table_value(self, tmp_path, capsys):
+        curve = {"kind": "table", "benchmarks": [0.3, 0.5], "values": [1.0, float("nan")]}
+        config = write_config(tmp_path, base_payload(curve=curve, out_dir=str(tmp_path / "out")))
+        assert main(["solve", "--config", str(config)]) == 4
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_deterministic_bytes(self, tmp_path):
         results = {}
         for run in ("a", "b"):
@@ -192,7 +221,7 @@ class TestCli:
             out_dir=str(tmp_path / "out"),
             task={"dimension": 2, "classes": 2, "test_size": 400, "seed": 7},
             training={"max_epochs": 10, "n_points": 50, "learning_rate": 0.8,
-                      "batch_size": 16, "hidden": []},
+                      "batch_size": 16},
         )
         config = write_config(tmp_path, payload)
         assert main(["compare", "--config", str(config)]) == 0

@@ -413,6 +413,12 @@ class TestTypesAndSerialization:
         with pytest.raises(ValueError):
             ContractItem(1, 0.1, 1.0, 1.5)
 
+    @pytest.mark.parametrize("fee, reward", [(float("nan"), 1.0), (0.1, float("nan")),
+                                             (float("inf"), 1.0), (0.1, float("inf"))])
+    def test_item_rejects_non_finite(self, fee, reward):
+        with pytest.raises(ValueError, match="finite"):
+            ContractItem(1, fee, reward, 0.5)
+
     def test_menu_json_roundtrip(self, canonical_profile, canonical_curve, canonical_benchmarks, tmp_path):
         menu = solve_optimal_menu(canonical_profile, canonical_curve, canonical_benchmarks)
         path = tmp_path / "menu.json"
@@ -444,6 +450,15 @@ class TestRevenueCurve:
     def test_table_must_be_convex(self):
         with pytest.raises(ValueError):
             RevenueCurve.from_table([0.1, 0.2, 0.3], [1.0, 2.0, 2.5])
+
+    @pytest.mark.parametrize("benchmarks, values", [
+        ([0.1, 0.2, 0.3], [1.0, float("nan"), 3.0]),
+        ([0.1], [float("nan")]),
+        ([0.1, float("inf")], [1.0, 2.0]),
+    ])
+    def test_table_rejects_non_finite(self, benchmarks, values):
+        with pytest.raises(ValueError, match="finite"):
+            RevenueCurve.from_table(benchmarks, values)
 
     def test_table_lookup_unknown(self):
         curve = RevenueCurve.from_table([0.1, 0.3], [1.0, 2.0])

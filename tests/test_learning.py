@@ -1,16 +1,22 @@
 """Synthetic task, coverage-calibrated data, local training, aggregation."""
 import json
+import math
 
 import numpy as np
 import pytest
 
-from fedpact.config import ExperimentConfig
+from fedpact.config import ConfigError, ExperimentConfig
+from fedpact.contracts import ContractMenu, solve_optimal_menu
 from fedpact.learning import (
     ArchitectureMismatchError,
     CalibrationError,
+    ClientRecord,
     ModelArch,
     ModelVector,
+    SchemeReport,
+    SchemeRound,
     SyntheticTask,
+    _flat_item,
     aggregate,
     generate_client_dataset,
     local_train,
@@ -19,6 +25,9 @@ from fedpact.learning import (
     server_test,
 )
 from fedpact.seeding import child_rng
+from fedpact.simulation import choose_contract
+
+from conftest import CONFIGS
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +53,7 @@ def tiny_ml_config(**overrides) -> ExperimentConfig:
         "out_dir": "out/tiny",
         "task": {"dimension": 2, "classes": 2, "test_size": 500, "seed": 7},
         "training": {"max_epochs": 12, "n_points": 60, "learning_rate": 0.8,
-                     "batch_size": 16, "hidden": []},
+                     "batch_size": 16},
     }
     payload.update(overrides)
     return ExperimentConfig.from_dict(payload)
@@ -52,21 +61,20 @@ def tiny_ml_config(**overrides) -> ExperimentConfig:
 
 class TestModelVector:
     def test_parameter_counts(self):
-        assert ModelArch(2, (), 2).parameter_count == 6
-        assert ModelArch(3, (8,), 4).parameter_count == 3 * 8 + 8 + 8 * 4 + 4
+        assert ModelArch(2, 2).parameter_count == 6
 
     def test_wrong_size_rejected(self):
         with pytest.raises(ArchitectureMismatchError):
-            ModelVector(ModelArch(2, (), 2), np.zeros(5))
+            ModelVector(ModelArch(2, 2), np.zeros(5))
 
     def test_random_deterministic(self):
-        arch = ModelArch(2, (), 3)
+        arch = ModelArch(2, 3)
         a = ModelVector.random(arch, 5)
         b = ModelVector.random(arch, 5)
         np.testing.assert_array_equal(a.parameters, b.parameters)
 
     def test_bytes_roundtrip(self):
-        arch = ModelArch(4, (6,), 3)
+        arch = ModelArch(4, 3)
         model = ModelVector.random(arch, 6)
         raw = model.to_bytes()
         assert len(raw) == 8 + 8 * arch.parameter_count
@@ -180,16 +188,6 @@ class TestLocalTrain:
         data = child_rng(12, 0).random((30, 2))
         assert local_train(model, data, task2d.label(data), 0.04, 12, seed=13) is model
 
-    def test_hidden_layer_trains(self, task2d):
-        arch = ModelArch(2, (8,), 2)
-        points = child_rng(14, 0).random((200, 2))
-        labels = task2d.label(points)
-        init = ModelVector.random(arch, 15)
-        trained = local_train(init, points, labels, 1.0, 50, seed=16)
-        assert model_accuracy(trained, points, labels) >= 0.9
-        again = local_train(init, points, labels, 1.0, 50, seed=16)
-        np.testing.assert_array_equal(trained.parameters, again.parameters)
-
     def test_dimension_mismatch(self, task2d):
         model = ModelVector.random(task2d.arch, 17)
         with pytest.raises(ArchitectureMismatchError):
@@ -208,7 +206,7 @@ class TestAggregate:
         np.testing.assert_allclose(out.parameters, model.parameters)
 
     def test_component_mean(self):
-        arch = ModelArch(1, (), 2)
+        arch = ModelArch(1, 2)
         m1 = ModelVector(arch, np.array([0.0, 0.0, 0.0, 0.0]))
         m2 = ModelVector(arch, np.array([2.0, 4.0, 2.0, 4.0]))
         out = aggregate([(m1, 0.5), (m2, 0.5)])
@@ -224,8 +222,8 @@ class TestAggregate:
             aggregate([])
 
     def test_architecture_mismatch(self):
-        a = ModelVector.zeros(ModelArch(2, (), 2))
-        b = ModelVector.zeros(ModelArch(3, (), 2))
+        a = ModelVector.zeros(ModelArch(2, 2))
+        b = ModelVector.zeros(ModelArch(3, 2))
         with pytest.raises(ArchitectureMismatchError):
             aggregate([(a, 0.5), (b, 0.5)])
 
@@ -265,7 +263,7 @@ class TestSchemeComparison:
 
     def test_requires_ml_mode(self):
         config = tiny_ml_config(mode="analytic")
-        with pytest.raises(ValueError, match="ml"):
+        with pytest.raises(ConfigError, match="ml"):
             run_scheme_comparison(config)
 
     def test_csv_outputs(self, tmp_path):
@@ -279,6 +277,18 @@ class TestSchemeComparison:
         assert clients_header.startswith("seed,c,scheme,client_id,type_index")
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert "orderings" in summary and "flat_items" in summary
+
+    def test_summary_writes_null_for_missing_means(self, tmp_path):
+        # nobody passes in the tiny population, so no scheme has an accuracy
+        report = run_scheme_comparison(tiny_ml_config())
+        report.summary_to_json(tmp_path / "summary.json")
+
+        def reject(token):
+            raise ValueError(f"invalid JSON token {token}")
+
+        summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+        means = summary["orderings"]["per_c"]["1.0"]["means"]
+        assert means == {"contract": None, "fedavg": None, "flat": None}
 
     def test_coverage_accuracy_link(self, task2d):
         # at equal effort, higher measured coverage should rank with higher
@@ -298,3 +308,165 @@ class TestSchemeComparison:
                 accuracies.append(server_test(model, task2d))
         rho = spearmanr(qualities, accuracies).statistic
         assert rho >= 0.5
+
+
+# ---------------------------------------------------------------------------
+# comparison rounds booked through RoundOutcome against the per-scheme loop
+# ---------------------------------------------------------------------------
+
+def reference_comparison(config: ExperimentConfig) -> SchemeReport:
+    """The per-scheme loop: signup tuples per type, ``+=`` totals per client,
+    and reward-share weights for ``contract`` written out by hand."""
+    curve = config.build_curve()
+    task = SyntheticTask.generate(
+        config.task.dimension, config.task.classes, config.task.seed, config.task.test_size
+    )
+    train = config.training
+    rounds, client_rows, flat_items = [], [], {}
+    for seed in config.seeds:
+        draws = child_rng(seed, 10).choice(
+            len(config.thetas), size=config.population, p=np.array(config.betas)
+        )
+        datasets = {
+            cid: generate_client_dataset(
+                task, target_theta=config.thetas[type_idx], n_points=train.n_points,
+                seed=int(child_rng(seed, 20, cid).integers(2**31)),
+            )
+            for cid, type_idx in enumerate(draws)
+        }
+        init_model = ModelVector.random(task.arch, child_rng(seed, 30))
+        model_cache = {}
+
+        def trained(cid, effort):
+            epochs = int(math.floor(effort * train.max_epochs + 0.5))
+            if (cid, epochs) not in model_cache:
+                data = datasets[cid]
+                model = local_train(
+                    init_model, data.points, data.labels,
+                    effort=epochs / train.max_epochs, max_epochs=train.max_epochs,
+                    seed=child_rng(seed, 40, cid), learning_rate=train.learning_rate,
+                    batch_size=train.batch_size,
+                )
+                model_cache[(cid, epochs)] = (
+                    model, model_accuracy(model, data.points, data.labels),
+                    server_test(model, task),
+                )
+            return (*model_cache[(cid, epochs)], epochs)
+
+        for c in config.c_values:
+            profile = config.build_profile(unit_cost=c)
+            menu = solve_optimal_menu(profile, curve, config.benchmarks)
+            flat = flat_items[c] = _flat_item(menu, profile.betas)
+            signups = {"contract": [], "flat": []}
+            for type_idx, theta in enumerate(config.thetas):
+                choice = choose_contract(theta, menu, c)
+                if choice.rejected:
+                    gate = float(config.benchmarks[type_idx])
+                    signups["contract"].append(None)
+                else:
+                    item = menu[choice.index - 1]
+                    gate = item.benchmark
+                    signups["contract"].append(
+                        (choice.index, choice.effort, item.fee, item.reward, gate)
+                    )
+                flat_choice = choose_contract(theta, ContractMenu((flat,)), c)
+                signups["flat"].append(
+                    None if flat_choice.rejected
+                    else (1, flat_choice.effort, flat.fee, flat.reward, gate)
+                )
+
+            for scheme in config.schemes:
+                policy = "flat" if scheme == "flat" else "contract"
+                passers, participants, total_fees, total_rewards = [], 0, 0.0, 0.0
+                for cid, type_idx in enumerate(draws):
+                    signup = signups[policy][type_idx]
+                    row = dict(
+                        seed=seed, c=c, scheme=scheme, client_id=cid,
+                        type_index=int(type_idx) + 1, theta_target=config.thetas[type_idx],
+                        theta_measured=datasets[cid].measured_quality,
+                    )
+                    if signup is None:
+                        if scheme != "fedavg":
+                            client_rows.append(ClientRecord(
+                                **row, chosen_index=None, effort=0.0, epochs=0,
+                                local_accuracy=float("nan"), server_accuracy=float("nan"),
+                                passed=False,
+                            ))
+                        continue
+                    index, effort, fee, reward, gate = signup
+                    participants += 1
+                    total_fees += fee
+                    model, local_acc, serv_acc, epochs = trained(cid, effort)
+                    passed = serv_acc >= gate
+                    if passed:
+                        total_rewards += reward
+                        passers.append((model, reward))
+                    if scheme != "fedavg":
+                        client_rows.append(ClientRecord(
+                            **row, chosen_index=index, effort=effort, epochs=epochs,
+                            local_accuracy=local_acc, server_accuracy=serv_acc, passed=passed,
+                        ))
+                accuracy = float("nan")
+                if passers:
+                    rewards = np.array([r for _, r in passers])
+                    if scheme == "contract" and rewards.sum() > 0 and not np.all(
+                        rewards == rewards[0]
+                    ):
+                        weights = rewards / rewards.sum()
+                    else:
+                        weights = np.full(len(passers), 1.0 / len(passers))
+                    global_model = aggregate(
+                        [(m, float(w)) for (m, _), w in zip(passers, weights)]
+                    )
+                    accuracy = server_test(global_model, task)
+                rounds.append(SchemeRound(
+                    seed=seed, c=c, scheme=scheme, accuracy=accuracy,
+                    participants=participants, successes=len(passers),
+                    total_fees=total_fees, total_rewards=total_rewards,
+                ))
+    return SchemeReport(
+        rounds=tuple(rounds), clients=tuple(client_rows), c_values=tuple(config.c_values),
+        schemes=tuple(config.schemes), flat_items=flat_items,
+    )
+
+
+def shipped_config(**overrides) -> ExperimentConfig:
+    payload = ExperimentConfig.from_json(CONFIGS / "synthetic_default.json").to_dict()
+    payload.update(overrides)
+    return ExperimentConfig.from_dict(payload)
+
+
+COMPARISON_CASES = {
+    "three-types-flat-rejects": lambda: tiny_ml_config(),
+    "table-curve": lambda: tiny_ml_config(
+        curve={"kind": "table", "benchmarks": [0.52, 0.58, 0.64], "values": [1.0, 1.5, 2.2]},
+        c_values=[0.5, 2.0],
+    ),
+    "single-type": lambda: tiny_ml_config(
+        profile={"thetas": [0.92], "betas": [1.0], "c": 1.0},
+        curve={"kind": "exponential", "a": 0.1, "b": 4.6},
+        benchmarks=[0.5],
+    ),
+    "fedavg-only": lambda: shipped_config(seeds=[5], schemes=["fedavg"]),
+    "shipped-seed-3": lambda: shipped_config(seeds=[3]),
+    "shipped-seed-8": lambda: shipped_config(seeds=[8]),
+}
+
+
+class TestComparisonEngine:
+    @pytest.mark.parametrize("case", list(COMPARISON_CASES))
+    def test_matches_per_scheme_loop(self, case, tmp_path):
+        config = COMPARISON_CASES[case]()
+        report = run_scheme_comparison(config)
+        reference = reference_comparison(config)
+        # repr compares floats bit for bit, NaN included, and tells a numpy
+        # scalar from a Python float
+        assert [repr(r) for r in report.rounds] == [repr(r) for r in reference.rounds]
+        assert [repr(r) for r in report.clients] == [repr(r) for r in reference.clients]
+        for name, rep in (("new", report), ("ref", reference)):
+            rep.rounds_to_csv(tmp_path / f"{name}_comparison.csv")
+            rep.clients_to_csv(tmp_path / f"{name}_clients.csv")
+            rep.summary_to_json(tmp_path / f"{name}_summary.json")
+        for output in ("comparison.csv", "clients.csv", "summary.json"):
+            new_bytes = (tmp_path / f"new_{output}").read_bytes()
+            assert new_bytes == (tmp_path / f"ref_{output}").read_bytes(), output

@@ -179,7 +179,7 @@ class TestRunRound:
         profile = TypeProfile.from_arrays([0.4, 0.8], [0.5, 0.5], 1.0)
         curve = RevenueCurve.from_table([0.3, 0.6], [1.0, 2.0])
         menu = ContractMenu(items=(ContractItem(1, 0.0, 0.0, 0.3), ContractItem(2, 0.0, 0.0, 0.6)))
-        outcome = run_round(profile, menu, curve, 100, "stochastic", seed=7)
+        outcome = run_round(profile, menu, curve, 100, "ml", seed=7)
         assert all(cl.chosen_item.index == 1 for cl in outcome.clients)
         assert all(cl.effort == 0.0 for cl in outcome.clients)
         assert not any(cl.succeeded for cl in outcome.clients)
@@ -196,7 +196,7 @@ class TestRunRound:
             benchmarks = random_benchmarks(rng, len(profile))
             curve = random_increasing_convex_curve(rng, benchmarks)
             menu = solve_optimal_menu(profile, curve, benchmarks)
-            outcome = run_round(profile, menu, curve, 500, "stochastic", seed=trial)
+            outcome = run_round(profile, menu, curve, 500, "ml", seed=trial)
             participants = [cl for cl in outcome.clients if not cl.rejected]
             succeeded = [cl for cl in outcome.clients if cl.succeeded]
             assert outcome.fees_collected == pytest.approx(
@@ -222,7 +222,7 @@ class TestRunRound:
 
     def test_truthful_selection_under_strict_menu(self, canonical_profile, canonical_curve, canonical_menu):
         menu = rebated(canonical_menu)
-        outcome = run_round(canonical_profile, menu, canonical_curve, 2000, "stochastic", seed=9)
+        outcome = run_round(canonical_profile, menu, canonical_curve, 2000, "ml", seed=9)
         assert outcome.ties == ()
         for cl in outcome.clients:
             assert cl.chosen_item.index == cl.true_type.index
@@ -237,23 +237,25 @@ class TestRunRound:
         assert set(outcome.ties) == {cl.id for cl in top}
 
     def test_deterministic_bit_for_bit(self, canonical_profile, canonical_curve, canonical_menu):
-        a = run_round(canonical_profile, canonical_menu, canonical_curve, 300, "stochastic", seed=11)
-        b = run_round(canonical_profile, canonical_menu, canonical_curve, 300, "stochastic", seed=11)
+        a = run_round(canonical_profile, canonical_menu, canonical_curve, 300, "ml", seed=11)
+        b = run_round(canonical_profile, canonical_menu, canonical_curve, 300, "ml", seed=11)
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
-        c = run_round(canonical_profile, canonical_menu, canonical_curve, 300, "stochastic", seed=12)
+        c = run_round(canonical_profile, canonical_menu, canonical_curve, 300, "ml", seed=12)
         assert json.dumps(a.to_dict(), sort_keys=True) != json.dumps(c.to_dict(), sort_keys=True)
 
     def test_infeasible_menu_warns(self, canonical_profile, canonical_curve):
         menu = ContractMenu(items=(ContractItem(1, 0.125, 1.0, 0.3), ContractItem(2, 2.625, 2.0, 0.5)))
         with pytest.warns(UserWarning, match="infeasible"):
-            run_round(canonical_profile, menu, canonical_curve, 10, "stochastic", seed=13)
+            run_round(canonical_profile, menu, canonical_curve, 10, "ml", seed=13)
 
     def test_bad_mode_rejected(self, canonical_profile, canonical_curve, canonical_menu):
         with pytest.raises(ValueError):
             run_round(canonical_profile, canonical_menu, canonical_curve, 10, "exact", seed=0)
+        with pytest.raises(ValueError, match="mode"):
+            run_round(canonical_profile, canonical_menu, canonical_curve, 10, "stochastic", seed=0)
 
     def test_outputs_written(self, canonical_profile, canonical_curve, canonical_menu, tmp_path):
-        outcome = run_round(canonical_profile, canonical_menu, canonical_curve, 50, "stochastic", seed=14)
+        outcome = run_round(canonical_profile, canonical_menu, canonical_curve, 50, "ml", seed=14)
         outcome.to_json(tmp_path / "round.json")
         outcome.clients_to_csv(tmp_path / "clients.csv")
         payload = json.loads((tmp_path / "round.json").read_text())
@@ -309,7 +311,7 @@ def reference_round(profile, menu, curve, n, mode, seed):
             ties.append(cid)
         p = min(1.0, ctype.theta * choice.effort)
         margin = curve(item.benchmark) - item.reward
-        if mode == "stochastic":
+        if mode == "ml":
             success = bool(success_rng.random() < p)
             fees += item.fee
             if success:
@@ -328,7 +330,7 @@ def reference_round(profile, menu, curve, n, mode, seed):
             if p * item.reward > 0.0:
                 expected_shares.append((cid, p * item.reward))
         clients.append(SimulatedClient(cid, ctype, item, choice.effort, success, p, choice.tied))
-    if mode == "stochastic":
+    if mode == "ml":
         weights = reference_weights(succeeded_items)
     else:
         total = math.fsum(share for _, share in expected_shares)
@@ -400,7 +402,8 @@ def equivalence_cases():
 
 
 class TestPerTypeEngine:
-    @pytest.mark.parametrize("mode", ["stochastic", "analytic"])
+    # "ml" realizes Bernoulli successes; the ids name the accounting
+    @pytest.mark.parametrize("mode", ["ml", "analytic"], ids=["stochastic", "analytic"])
     @pytest.mark.parametrize(
         "case", [pytest.param(case, id=case[0]) for case in equivalence_cases()]
     )

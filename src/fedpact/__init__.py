@@ -19,21 +19,13 @@ from .contracts import (
     RevenueCurve,
     TypeProfile,
     best_response_effort,
-    client_utility,
     client_utility_at_best_response,
-    enforce_monotonicity,
     grid_search_menu,
     server_expected_utility,
     solve_optimal_menu,
     verify_feasibility,
 )
-from .coverage import (
-    CoverageEstimate,
-    PointCloud,
-    classify_type,
-    coverage_quality,
-    estimate_coverage,
-)
+from .coverage import PointCloud, coverage_quality
 from .learning import (
     ArchitectureMismatchError,
     CalibrationError,
@@ -53,7 +45,6 @@ from .simulation import (
     ContractChoice,
     RoundOutcome,
     SimulatedClient,
-    aggregation_weights,
     choose_contract,
     realize_success,
     run_round,

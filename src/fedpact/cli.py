@@ -66,15 +66,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
     report.to_json(out / "audit.json")
     print(f"audit: {out / 'audit.json'}")
     print(f"feasible: {report.feasible}")
-    for entry in report.to_dict()["ir"]:
-        print(
-            f"  IR type {entry['index']}: slack {entry['slack']:.6g}"
-            f"{' (binding)' if entry['binding'] else ''}"
-        )
-    for entry in report.to_dict()["ic"]:
-        if entry["binding"] or entry["slack"] < -report.tolerance:
-            state = "binding" if entry["binding"] else "VIOLATED"
-            print(f"  IC {entry['i']} vs {entry['j']}: slack {entry['slack']:.6g} ({state})")
+    ir_binding, ic_binding = set(report.ir_binding), set(report.ic_binding)
+    for i, slack in enumerate(report.ir_slacks, start=1):
+        print(f"  IR type {i}: slack {slack:.6g}{' (binding)' if i in ir_binding else ''}")
+    for i, j, slack in report.ic_slacks:
+        if (i, j) in ic_binding or slack < -report.tolerance:
+            state = "binding" if (i, j) in ic_binding else "VIOLATED"
+            print(f"  IC {i} vs {j}: slack {slack:.6g} ({state})")
     if not report.feasible:
         return EXIT_INFEASIBLE
     return EXIT_OK

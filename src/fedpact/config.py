@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .contracts import RevenueCurve, TypeProfile
@@ -27,6 +27,33 @@ class ConfigError(ValueError):
 def _require(condition: bool, path: str, message: str) -> None:
     if not condition:
         raise ConfigError(f"{path}: {message}")
+
+
+def _section(payload: dict, key: str, default: dict | None = None) -> dict:
+    value = payload[key] if default is None else payload.get(key, default)
+    _require(isinstance(value, dict), key, f"must be an object, got {value!r}")
+    return value
+
+
+def _number(value, path: str, kind: type):
+    """``value`` as ``kind``: an int field needs a JSON integer, a float
+    field any JSON number; a bool or a string is neither."""
+    ok = isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
+    _require(ok, path, f"must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
+def _numbers(values, path: str, kind: type) -> tuple:
+    _require(isinstance(values, list), path, f"must be a list, got {values!r}")
+    return tuple(_number(v, f"{path}[{i}]", kind) for i, v in enumerate(values))
+
+
+def _spec(cls, section: dict, path: str):
+    """``cls`` from a config section; each field is typed like its default."""
+    return cls(**{
+        f.name: _number(section.get(f.name, f.default), f"{path}.{f.name}", type(f.default))
+        for f in fields(cls)
+    })
 
 
 def _reject_unknown_keys(payload: dict, known: dict, prefix: str = "") -> None:
@@ -189,34 +216,31 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         try:
-            profile = payload["profile"]
-            task = payload.get("task", {})
-            training = payload.get("training", {})
+            profile = _section(payload, "profile")
+            curve = _section(payload, "curve")
+            for key in ("a", "b"):
+                if key in curve:
+                    _number(curve[key], f"curve.{key}", float)
+            for key in ("benchmarks", "values"):
+                if key in curve:
+                    _numbers(curve[key], f"curve.{key}", float)
             config = cls(
-                thetas=tuple(profile["thetas"]),
-                betas=tuple(profile["betas"]),
-                unit_cost=float(profile["c"]),
-                curve=dict(payload["curve"]),
-                benchmarks=tuple(payload["benchmarks"]),
-                population=int(payload["population"]),
-                seeds=tuple(payload["seeds"]),
+                thetas=_numbers(profile["thetas"], "profile.thetas", float),
+                betas=_numbers(profile["betas"], "profile.betas", float),
+                unit_cost=_number(profile["c"], "profile.c", float),
+                curve=dict(curve),
+                benchmarks=_numbers(payload["benchmarks"], "benchmarks", float),
+                population=_number(payload["population"], "population", int),
+                seeds=_numbers(payload["seeds"], "seeds", int),
                 mode=payload.get("mode", "analytic"),
                 schemes=tuple(payload.get("schemes", SCHEMES)),
-                c_values=tuple(payload.get("c_values", ())),
+                c_values=_numbers(payload.get("c_values", []), "c_values", float),
                 out_dir=str(payload.get("out_dir", "out")),
-                task=TaskSpec(
-                    dimension=int(task.get("dimension", 2)),
-                    classes=int(task.get("classes", 2)),
-                    test_size=int(task.get("test_size", 2000)),
-                    seed=int(task.get("seed", 7)),
+                task=_spec(TaskSpec, _section(payload, "task", {}), "task"),
+                training=_spec(TrainingSpec, _section(payload, "training", {}), "training"),
+                schema_version=_number(
+                    payload.get("schema_version", SCHEMA_VERSION), "schema_version", int
                 ),
-                training=TrainingSpec(
-                    max_epochs=int(training.get("max_epochs", 50)),
-                    n_points=int(training.get("n_points", 120)),
-                    learning_rate=float(training.get("learning_rate", 0.8)),
-                    batch_size=int(training.get("batch_size", 32)),
-                ),
-                schema_version=int(payload.get("schema_version", SCHEMA_VERSION)),
             )
         except KeyError as exc:
             raise ConfigError(f"missing required field {exc.args[0]!r}") from exc

@@ -112,24 +112,6 @@ class TypeProfile:
     def betas(self) -> np.ndarray:
         return np.array([t.beta for t in self.types])
 
-    def to_dict(self) -> dict:
-        return {
-            "types": [
-                {"index": t.index, "theta": t.theta, "beta": t.beta} for t in self.types
-            ],
-            "c": self.unit_cost,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TypeProfile":
-        if "types" in payload:
-            return cls.from_arrays(
-                [t["theta"] for t in payload["types"]],
-                [t["beta"] for t in payload["types"]],
-                payload["c"],
-            )
-        return cls.from_arrays(payload["thetas"], payload["betas"], payload["c"])
-
 
 @dataclass(frozen=True)
 class ContractItem:
@@ -303,13 +285,6 @@ def best_response_effort(theta: float, reward: float, c: float) -> EffortRespons
         raise ValueError("theta and reward must be non-negative")
     raw = theta * reward / c
     return EffortResponse(effort=min(max(raw, 0.0), 1.0), raw=raw)
-
-
-def client_utility(theta: float, effort: float, item: ContractItem, c: float) -> float:
-    """theta*e*R - f - (c/2)e^2 at a given effort level."""
-    if not 0.0 <= effort <= 1.0:
-        raise ValueError(f"effort must lie in [0, 1], got {effort}")
-    return theta * effort * item.reward - item.fee - 0.5 * c * effort**2
 
 
 def client_utility_at_best_response(theta: float, item: ContractItem, c: float) -> float:
@@ -488,16 +463,12 @@ def solve_optimal_menu(
     profile: TypeProfile,
     curve: RevenueCurve,
     benchmarks: Sequence[float],
-    pool_non_monotone: bool = True,
 ) -> ContractMenu:
     """Closed-form optimal menu: R_i = G(M_i), fees from the binding recursion.
 
     The constraint reduction is only valid when the reward sequence ends
     up non-decreasing; if it does not (unsorted benchmarks), the rewards
     are pooled to monotonicity before the fee recursion runs.
-    ``pool_non_monotone=False`` asks for the raw pre-pooling menu, which
-    is well-formed only when the rewards are already monotone (the raw
-    fee recursion can go negative otherwise).
     """
     if len(benchmarks) != len(profile):
         raise MenuMismatchError(
@@ -506,40 +477,13 @@ def solve_optimal_menu(
     curve.check_increasing_convex(benchmarks)
     thetas = profile.thetas
     rewards = np.array([curve(m) for m in benchmarks], dtype=float)
-    if pool_non_monotone and np.any(np.diff(rewards) < 0.0):
+    if np.any(np.diff(rewards) < 0.0):
         rewards = _pooled_rewards(profile.betas, rewards)
     fees = _fees_from_rewards(thetas, rewards, profile.unit_cost)
     return ContractMenu(
         items=tuple(
             ContractItem(index=i + 1, fee=float(f), reward=float(r), benchmark=float(m))
             for i, (f, r, m) in enumerate(zip(fees, rewards, benchmarks))
-        )
-    )
-
-
-def enforce_monotonicity(profile: TypeProfile, menu: ContractMenu) -> ContractMenu:
-    """Pool adjacent reward violations to restore a non-decreasing sequence.
-
-    Beta-weighted pool-adjacent-violators on the rewards, then fees are
-    rebuilt by the binding recursion over the pooled rewards.  Menus that
-    are already monotone are returned unchanged, so the map is idempotent.
-    """
-    if len(menu) != len(profile):
-        raise MenuMismatchError(f"menu has {len(menu)} items for {len(profile)} types")
-    rewards = menu.rewards
-    if np.all(np.diff(rewards) >= 0.0):
-        return menu
-    pooled = _pooled_rewards(profile.betas, rewards)
-    fees = _fees_from_rewards(profile.thetas, pooled, profile.unit_cost)
-    return ContractMenu(
-        items=tuple(
-            ContractItem(
-                index=item.index,
-                fee=float(f),
-                reward=float(r),
-                benchmark=item.benchmark,
-            )
-            for item, f, r in zip(menu, fees, pooled)
         )
     )
 

@@ -20,11 +20,9 @@ instead of O(samples * points * steps).
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -80,69 +78,6 @@ class PointCloud:
         dist, _ = self._tree.query(np.asarray(queries, dtype=float), k=1)
         return np.atleast_1d(dist)
 
-    def to_csv(self, path: str | Path) -> None:
-        """One point per row, header x1..xd."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{k + 1}" for k in range(self.dimension)])
-            for row in self.points:
-                writer.writerow([repr(float(v)) for v in row])
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "PointCloud":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            dimension = len(header)
-            rows = [[float(v) for v in row] for row in reader if row]
-        return cls(dimension=dimension, points=np.array(rows, dtype=float))
-
-
-@dataclass(frozen=True)
-class CoverageEstimate:
-    """Monte Carlo estimate of the radius coverage mu(A, eps)."""
-
-    value: float
-    standard_error: float
-    sample_count: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"value must lie in [0, 1], got {self.value}")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be positive")
-
-
-def estimate_coverage(
-    cloud: PointCloud,
-    epsilon: float,
-    samples: int,
-    seed: int | np.random.Generator,
-) -> CoverageEstimate:
-    """Estimate the measure of [0,1]^d strictly within ``epsilon`` of the cloud.
-
-    Draws ``samples`` uniform points and counts the fraction whose
-    nearest-point distance is strictly below ``epsilon`` (open balls).
-    Deterministic for a fixed seed; adding points to the cloud can only
-    move samples closer, so the estimate is monotone under supersets at
-    matched seeds.
-    """
-    diameter = math.sqrt(cloud.dimension)
-    if not 0.0 <= epsilon <= diameter:
-        raise ValueError(
-            f"epsilon must lie in [0, sqrt(d)] = [0, {diameter:.6g}], got {epsilon}"
-        )
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    if cloud.is_empty:
-        return CoverageEstimate(0.0, 0.0, samples)
-    rng = as_generator(seed)
-    draws = rng.random((samples, cloud.dimension))
-    dist = cloud.nearest_distances(draws)
-    value = float(np.count_nonzero(dist < epsilon)) / samples
-    stderr = math.sqrt(value * (1.0 - value) / samples)
-    return CoverageEstimate(value, stderr, samples)
-
 
 def coverage_quality(
     cloud: PointCloud,
@@ -172,17 +107,3 @@ def coverage_quality(
     mu = hits / samples
     theta = float(np.trapezoid(mu, radii) / diameter)
     return min(max(theta, 0.0), 1.0)
-
-
-def classify_type(theta: float, type_count: int) -> int:
-    """Bucket a quality value into one of ``type_count`` contract types.
-
-    Type i covers [ (i-1)/I, i/I ]; the shared endpoints are assigned to
-    the higher bucket, except theta = 1 which maps to type I, so the map
-    is total and weakly monotone on [0, 1].
-    """
-    if type_count < 1:
-        raise ValueError("type_count must be positive")
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    return min(type_count, int(math.floor(theta * type_count)) + 1)

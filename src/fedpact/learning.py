@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,17 +104,6 @@ class ModelVector:
 
     def predict(self, points: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(points), axis=1)
-
-    def to_bytes(self) -> bytes:
-        """Length-prefixed little-endian float64 dump (debugging format)."""
-        payload = self.parameters.astype("<f8").tobytes()
-        return struct.pack("<Q", self.parameters.size) + payload
-
-    @classmethod
-    def from_bytes(cls, arch: ModelArch, raw: bytes) -> "ModelVector":
-        (count,) = struct.unpack_from("<Q", raw, 0)
-        params = np.frombuffer(raw, dtype="<f8", count=count, offset=8)
-        return cls(arch=arch, parameters=params.astype(np.float64))
 
 
 def model_accuracy(model: ModelVector, points: np.ndarray, labels: np.ndarray) -> float:

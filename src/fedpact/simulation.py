@@ -58,7 +58,6 @@ class ContractChoice:
 
     index: int | None
     effort: float
-    utility: float
     tied: bool
     tie_indices: tuple[int, ...]
 
@@ -85,15 +84,12 @@ def choose_contract(
         i + 1 for i, u in enumerate(utilities) if best - u <= tie_tolerance
     )
     if best < 0.0:
-        return ContractChoice(
-            index=None, effort=0.0, utility=0.0, tied=False, tie_indices=()
-        )
+        return ContractChoice(index=None, effort=0.0, tied=False, tie_indices=())
     index = tied_indices[0]
     effort = best_response_effort(theta, menu[index - 1].reward, c).effort
     return ContractChoice(
         index=index,
         effort=effort,
-        utility=utilities[index - 1],
         tied=len(tied_indices) > 1,
         tie_indices=tied_indices if len(tied_indices) > 1 else (),
     )
@@ -129,23 +125,14 @@ def realize_success(
     return bool(success) if success.ndim == 0 else success
 
 
-def aggregation_weights(
-    succeeded: list[tuple[int, ContractItem]],
-) -> dict[int, float]:
-    """Reward-share weights over the passing clients.
+def _reward_shares(ids: list[int], rewards: np.ndarray) -> dict[int, float]:
+    """Reward-share weights over the passers' parallel id and reward columns.
 
     Each weight is the client's reward over the total reward paid this
     round.  Equal rewards short-circuit to exactly 1/k so the weights are
     bit-identical to a uniform scheme; an all-zero reward total falls
-    back to uniform as well.  Empty input gives an empty map.
+    back to uniform as well.  No passers give an empty map.
     """
-    return _reward_shares(
-        [cid for cid, _ in succeeded], np.array([item.reward for _, item in succeeded])
-    )
-
-
-def _reward_shares(ids: list[int], rewards: np.ndarray) -> dict[int, float]:
-    """``aggregation_weights`` over parallel id and reward columns."""
     if not ids:
         return {}
     total = float(rewards.sum())

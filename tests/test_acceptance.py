@@ -54,7 +54,7 @@ def solved_instances():
         profile = random_profile(rng)          # I in 2..10, c in [0.1, 10]
         benchmarks = random_benchmarks(rng, len(profile))
         curve = random_increasing_convex_curve(rng, benchmarks)
-        menu = solve_optimal_menu(profile, curve, benchmarks, pool_non_monotone=False)
+        menu = solve_optimal_menu(profile, curve, benchmarks)
         instances.append((profile, menu))
     elapsed = time.time() - start
     assert elapsed < 10.0, f"solving 1000 instances took {elapsed:.1f}s"

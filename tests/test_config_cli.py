@@ -84,6 +84,37 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{path}: unknown key"):
             ExperimentConfig.from_dict(payload)
 
+    @pytest.mark.parametrize("section", ["profile", "task", "training", "curve"])
+    def test_section_must_be_object(self, section, tmp_path, capsys):
+        payload = base_payload(**{section: [1]})
+        with pytest.raises(ConfigError, match=f"^{section}: must be an object"):
+            ExperimentConfig.from_dict(payload)
+        assert main(["simulate", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert f"config error: {section}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", [
+        ("population", 2.7), ("population", True), ("population", "50"),
+        ("seeds", [7.9]), ("seeds", [True]), ("seeds", 3), ("schema_version", 1.0),
+        ("task.dimension", 2.5), ("task.classes", 3.0), ("task.test_size", True),
+        ("task.seed", "7"), ("training.max_epochs", 5.5), ("training.n_points", True),
+        ("training.batch_size", 8.0), ("training.learning_rate", "0.8"),
+        ("profile.c", "1"), ("profile.c", True), ("profile.thetas", [0.5, "1"]),
+        ("benchmarks", [0.3, True]), ("c_values", ["1"]), ("curve.values", [1.0, "2"]),
+    ])
+    def test_number_fields_typed(self, path, value, tmp_path, capsys):
+        payload = base_payload(task={}, training={})
+        *section, key = path.split(".")
+        (payload[section[0]] if section else payload)[key] = value
+        config = write_config(tmp_path, payload)
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert f"config error: {path}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_accepted_as_number(self):
+        payload = base_payload(profile={"thetas": [0.5, 1], "betas": [0.5, 0.5], "c": 1})
+        config = ExperimentConfig.from_dict(payload)
+        assert config.thetas == (0.5, 1.0) and config.unit_cost == 1.0
+
     def test_benchmark_count(self):
         with pytest.raises(ConfigError, match="benchmarks"):
             ExperimentConfig.from_dict(base_payload(benchmarks=[0.3]))
@@ -156,6 +187,32 @@ class TestCli:
         audit = json.loads((out / "audit.json").read_text())
         slack = {(e["i"], e["j"]): e["slack"] for e in audit["ic"]}
         assert slack[(2, 1)] == pytest.approx(-1.0)
+
+    def test_audit_stdout(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, base_payload(out_dir=str(out)))
+        assert main(["solve", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["audit", str(out / "menu.json"), "--config", str(config)]) == 0
+        assert capsys.readouterr().out == (
+            f"audit: {out / 'audit.json'}\n"
+            "feasible: True\n"
+            "  IR type 1: slack 0 (binding)\n"
+            "  IR type 2: slack 0.375\n"
+            "  IC 2 vs 1: slack 0 (binding)\n"
+        )
+        menu = json.loads((out / "menu.json").read_text())
+        menu["items"][1]["f"] += 1.0
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(menu))
+        assert main(["audit", str(tampered), "--config", str(config)]) == 3
+        assert capsys.readouterr().out == (
+            f"audit: {out / 'audit.json'}\n"
+            "feasible: False\n"
+            "  IR type 1: slack 0 (binding)\n"
+            "  IR type 2: slack -0.625\n"
+            "  IC 2 vs 1: slack -1 (VIOLATED)\n"
+        )
 
     def test_audit_length_mismatch(self, tmp_path):
         out = tmp_path / "out"

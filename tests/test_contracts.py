@@ -23,9 +23,7 @@ from fedpact.contracts import (
     RevenueCurve,
     TypeProfile,
     best_response_effort,
-    client_utility,
     client_utility_at_best_response,
-    enforce_monotonicity,
     grid_search_menu,
     server_expected_utility,
     solve_optimal_menu,
@@ -68,17 +66,15 @@ class TestEffortAndUtilities:
             best_response_effort(0.5, 1.0, 0.0)
 
     def test_zero_effort_pays_the_fee(self):
-        assert client_utility(0.7, 0.0, item(1, 2.0, 5.0), 1.0) == -2.0
+        # zero reward, zero best-response effort: the fee is all that is left
+        assert client_utility_at_best_response(0.7, item(1, 2.0, 0.0), 1.0) == -2.0
 
     def test_utility_balances_to_zero(self):
-        assert client_utility(0.5, 0.5, item(1, 0.125, 1.0), 1.0) == pytest.approx(0.0)
+        # fee at the bottom type's IR bound (theta R)^2 / 2c
+        assert client_utility_at_best_response(0.8, item(1, 0.32, 1.0), 1.0) == pytest.approx(0.0)
 
     def test_utility_top(self):
-        assert client_utility(1.0, 1.0, item(1, 0.0, 1.0), 1.0) == pytest.approx(0.5)
-
-    def test_effort_out_of_range(self):
-        with pytest.raises(ValueError):
-            client_utility(0.5, 1.2, item(1, 0.0, 1.0), 1.0)
+        assert client_utility_at_best_response(1.0, item(1, 0.0, 1.0), 1.0) == pytest.approx(0.5)
 
     def test_envelope_bottom_binds(self):
         assert client_utility_at_best_response(0.5, item(1, 0.125, 1.0), 1.0) == pytest.approx(0.0)
@@ -241,7 +237,7 @@ class TestMonotonicityLemmas:
             profile = random_profile(rng)
             benchmarks = random_benchmarks(rng, len(profile))
             curve = random_increasing_convex_curve(rng, benchmarks)
-            menu = solve_optimal_menu(profile, curve, benchmarks, pool_non_monotone=False)
+            menu = solve_optimal_menu(profile, curve, benchmarks)
             report = verify_feasibility(profile, menu)
             for i in range(2, len(profile) + 1):
                 assert abs(report.ic_slack(i, i - 1)) <= 1e-9
@@ -264,61 +260,58 @@ class TestMonotonicityLemmas:
 
 
 class TestPooling:
+    """``solve_optimal_menu`` pools non-monotone rewards (unsorted benchmarks
+    on a table curve) to their beta-weighted average and rebuilds the fees."""
+
     def test_identity_on_monotone(self, canonical_profile, canonical_curve, canonical_benchmarks):
         menu = solve_optimal_menu(canonical_profile, canonical_curve, canonical_benchmarks)
-        assert enforce_monotonicity(canonical_profile, menu) is menu
+        assert menu.rewards.tolist() == [canonical_curve(m) for m in canonical_benchmarks]
 
     def test_pool_single_violation(self):
         profile = TypeProfile.from_arrays([0.4, 0.8], [0.5, 0.5], 1.0)
-        menu = ContractMenu(items=(item(1, 0.1, 2.0, 0.3), item(2, 0.2, 1.0, 0.5)))
-        pooled = enforce_monotonicity(profile, menu)
+        curve = RevenueCurve.from_table([0.3, 0.5], [1.0, 2.0])
+        pooled = solve_optimal_menu(profile, curve, [0.5, 0.3])
         np.testing.assert_allclose(pooled.rewards, [1.5, 1.5])
+        assert pooled.benchmarks.tolist() == [0.5, 0.3]
 
     def test_pool_decreasing_run(self):
         profile = TypeProfile.from_arrays([0.2, 0.5, 0.8], [1 / 3, 1 / 3, 1 / 3], 1.0)
-        menu = ContractMenu(
-            items=(item(1, 0.0, 1.0, 0.2), item(2, 0.0, 3.0, 0.4), item(3, 0.0, 2.0, 0.6))
-        )
-        pooled = enforce_monotonicity(profile, menu)
+        curve = RevenueCurve.from_table([0.2, 0.4, 0.6], [1.0, 2.0, 3.0])
+        pooled = solve_optimal_menu(profile, curve, [0.2, 0.6, 0.4])
         np.testing.assert_allclose(pooled.rewards, [1.0, 2.5, 2.5])
 
     def test_beta_weighted_pooling(self):
         profile = TypeProfile.from_arrays([0.4, 0.8], [0.8, 0.2], 1.0)
-        menu = ContractMenu(items=(item(1, 0.1, 2.0, 0.3), item(2, 0.2, 1.0, 0.5)))
-        pooled = enforce_monotonicity(profile, menu)
+        curve = RevenueCurve.from_table([0.3, 0.5], [1.0, 2.0])
+        pooled = solve_optimal_menu(profile, curve, [0.5, 0.3])
         np.testing.assert_allclose(pooled.rewards, [1.8, 1.8])
 
     def test_cascading_pool(self):
         # pooling the tail run drags it below the head, forcing a re-pool
         profile = TypeProfile.from_arrays([0.2, 0.5, 0.8], [1 / 3, 1 / 3, 1 / 3], 1.0)
-        menu = ContractMenu(
-            items=(item(1, 0.0, 3.0, 0.2), item(2, 0.0, 4.0, 0.4), item(3, 0.0, 1.0, 0.6))
-        )
-        pooled = enforce_monotonicity(profile, menu)
+        curve = RevenueCurve.from_table([0.1, 0.7, 0.9], [1.0, 3.0, 4.0])
+        pooled = solve_optimal_menu(profile, curve, [0.7, 0.9, 0.1])
         # (4, 1) pools to 2.5 < 3, so all three pool to 8/3
         np.testing.assert_allclose(pooled.rewards, np.full(3, 8.0 / 3.0))
 
     def test_idempotent(self):
+        # the solver pools only on a decrease, and a pooled sequence has
+        # none left, so pooling never fires twice
         rng = np.random.default_rng(26)
         for _ in range(30):
             profile = random_profile(rng, n=4)
-            rewards = rng.uniform(0.1, 3.0, 4)
-            fees = np.abs(rng.uniform(0, 1, 4))
-            menu = ContractMenu(
-                items=tuple(item(i + 1, float(f), float(r)) for i, (f, r) in enumerate(zip(fees, rewards)))
+            benchmarks = random_benchmarks(rng, 4)
+            curve = random_increasing_convex_curve(rng, benchmarks)
+            menu = solve_optimal_menu(profile, curve, rng.permutation(benchmarks))
+            assert np.all(np.diff(menu.rewards) >= 0)
+            np.testing.assert_allclose(
+                menu.fees, fee_recursion(profile.thetas, menu.rewards, profile.unit_cost)
             )
-            once = enforce_monotonicity(profile, menu)
-            twice = enforce_monotonicity(profile, once)
-            np.testing.assert_array_equal(once.rewards, twice.rewards)
-            np.testing.assert_array_equal(once.fees, twice.fees)
-            assert np.all(np.diff(once.rewards) >= 0)
 
     def test_pooled_menu_fees_rebuilt_and_feasible(self):
         profile = TypeProfile.from_arrays([0.2, 0.5, 0.8], [1 / 3, 1 / 3, 1 / 3], 1.0)
-        menu = ContractMenu(
-            items=(item(1, 0.0, 1.0, 0.2), item(2, 0.0, 3.0, 0.4), item(3, 0.0, 2.0, 0.6))
-        )
-        pooled = enforce_monotonicity(profile, menu)
+        curve = RevenueCurve.from_table([0.2, 0.4, 0.6], [1.0, 2.0, 3.0])
+        pooled = solve_optimal_menu(profile, curve, [0.2, 0.6, 0.4])
         expected_fees = fee_recursion(profile.thetas, pooled.rewards, 1.0)
         np.testing.assert_allclose(pooled.fees, expected_fees)
         assert verify_feasibility(profile, pooled).feasible
@@ -429,11 +422,6 @@ class TestTypesAndSerialization:
         np.testing.assert_array_equal(back.fees, menu.fees)
         np.testing.assert_array_equal(back.rewards, menu.rewards)
         np.testing.assert_array_equal(back.benchmarks, menu.benchmarks)
-
-    def test_profile_dict_roundtrip(self, canonical_profile):
-        back = TypeProfile.from_dict(canonical_profile.to_dict())
-        np.testing.assert_array_equal(back.thetas, canonical_profile.thetas)
-        assert back.unit_cost == canonical_profile.unit_cost
 
 
 class TestRevenueCurve:

@@ -5,77 +5,15 @@ Closed-form values used below (one point in [0, 1]):
                  int_0^0.5 2e de + int_0.5^1 1 de = 0.25 + 0.5 = 0.75
   point at 0.0:  mu(eps) = min(eps, 1),  quality = int_0^1 e de = 0.5
 """
-import math
 
 import numpy as np
 import pytest
 
-from fedpact.coverage import (
-    CoverageEstimate,
-    PointCloud,
-    classify_type,
-    coverage_quality,
-    estimate_coverage,
-)
+from fedpact.coverage import PointCloud, coverage_quality
 
 
 def cloud1d(*xs: float) -> PointCloud:
     return PointCloud(1, [[x] for x in xs])
-
-
-class TestEstimateCoverage:
-    def test_empty_cloud_is_zero(self):
-        empty = PointCloud(2, [])
-        est = estimate_coverage(empty, 0.5, 100, seed=0)
-        assert est.value == 0.0
-        assert est.standard_error == 0.0
-
-    def test_midpoint_quarter_radius(self):
-        est = estimate_coverage(cloud1d(0.5), 0.25, 100_000, seed=1)
-        assert abs(est.value - 0.5) <= 3 * est.standard_error
-
-    def test_midpoint_full_radius_exact(self):
-        est = estimate_coverage(cloud1d(0.5), 1.0, 100_000, seed=2)
-        assert est.value == 1.0
-
-    def test_epsilon_domain(self):
-        with pytest.raises(ValueError):
-            estimate_coverage(cloud1d(0.5), -0.1, 10, seed=0)
-        with pytest.raises(ValueError):
-            estimate_coverage(cloud1d(0.5), 1.5, 10, seed=0)
-        # sqrt(d) itself is allowed
-        estimate_coverage(PointCloud(4, [[0.5] * 4]), 2.0, 10, seed=0)
-
-    def test_standard_error_formula(self):
-        est = estimate_coverage(cloud1d(0.3), 0.2, 5000, seed=3)
-        expected = math.sqrt(est.value * (1 - est.value) / 5000)
-        assert est.standard_error == pytest.approx(expected, abs=0)
-        assert est.sample_count == 5000
-
-    def test_monotone_under_supersets(self):
-        rng = np.random.default_rng(4)
-        base = rng.random((5, 3))
-        extra = rng.random((15, 3))
-        small = PointCloud(3, base)
-        large = PointCloud(3, np.vstack([base, extra]))
-        for eps in (0.1, 0.3, 0.8):
-            v_small = estimate_coverage(small, eps, 3000, seed=11).value
-            v_large = estimate_coverage(large, eps, 3000, seed=11).value
-            assert v_large >= v_small
-
-    def test_deterministic_per_seed(self):
-        a = estimate_coverage(cloud1d(0.4, 0.9), 0.2, 2000, seed=5)
-        b = estimate_coverage(cloud1d(0.4, 0.9), 0.2, 2000, seed=5)
-        assert a == b
-
-    def test_bounds_random_clouds(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            d = int(rng.integers(1, 4))
-            cloud = PointCloud(d, rng.random((int(rng.integers(1, 8)), d)))
-            eps = float(rng.uniform(0, math.sqrt(d)))
-            v = estimate_coverage(cloud, eps, 500, seed=7).value
-            assert 0.0 <= v <= 1.0
 
 
 class TestCoverageQuality:
@@ -108,32 +46,16 @@ class TestCoverageQuality:
         with pytest.raises(ValueError):
             coverage_quality(cloud1d(0.5), 1, 100, seed=0)
 
+    def test_deterministic_per_seed(self):
+        a = coverage_quality(cloud1d(0.4, 0.9), 16, 2000, seed=5)
+        b = coverage_quality(cloud1d(0.4, 0.9), 16, 2000, seed=5)
+        assert a == b
+
     def test_in_unit_interval(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
             cloud = PointCloud(2, rng.random((3, 2)))
             assert 0.0 <= coverage_quality(cloud, 16, 500, seed=14) <= 1.0
-
-
-class TestClassifyType:
-    @pytest.mark.parametrize(
-        "theta,count,expected",
-        [(0.0, 10, 1), (1.0, 10, 10), (0.35, 10, 4), (0.3, 10, 4), (0.999, 10, 10),
-         (0.0, 1, 1), (1.0, 1, 1), (0.5, 2, 2)],
-    )
-    def test_examples(self, theta, count, expected):
-        assert classify_type(theta, count) == expected
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            classify_type(-0.01, 10)
-        with pytest.raises(ValueError):
-            classify_type(1.01, 10)
-
-    def test_total_and_monotone(self):
-        values = [classify_type(t, 7) for t in np.linspace(0, 1, 200)]
-        assert all(1 <= v <= 7 for v in values)
-        assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 class TestPointCloud:
@@ -148,19 +70,3 @@ class TestPointCloud:
             PointCloud(3, [[0.1, 0.2]])
         with pytest.raises(ValueError):
             PointCloud(0, [])
-
-    def test_csv_roundtrip(self, tmp_path):
-        cloud = PointCloud(3, np.random.default_rng(15).random((6, 3)))
-        path = tmp_path / "cloud.csv"
-        cloud.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "x1,x2,x3"
-        back = PointCloud.from_csv(path)
-        assert back.dimension == 3
-        np.testing.assert_array_equal(back.points, cloud.points)
-
-    def test_coverage_estimate_validation(self):
-        with pytest.raises(ValueError):
-            CoverageEstimate(1.5, 0.0, 10)
-        with pytest.raises(ValueError):
-            CoverageEstimate(0.5, 0.0, 0)

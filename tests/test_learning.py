@@ -73,14 +73,6 @@ class TestModelVector:
         b = ModelVector.random(arch, 5)
         np.testing.assert_array_equal(a.parameters, b.parameters)
 
-    def test_bytes_roundtrip(self):
-        arch = ModelArch(4, 3)
-        model = ModelVector.random(arch, 6)
-        raw = model.to_bytes()
-        assert len(raw) == 8 + 8 * arch.parameter_count
-        back = ModelVector.from_bytes(arch, raw)
-        np.testing.assert_array_equal(back.parameters, model.parameters)
-
     def test_predict_shape(self, task2d):
         model = ModelVector.zeros(task2d.arch)
         points = np.random.default_rng(0).random((17, 2))

@@ -15,9 +15,10 @@ from fedpact.contracts import (
     solve_optimal_menu,
 )
 from fedpact.seeding import child_rng
+from fedpact.contracts import client_utility_at_best_response
 from fedpact.simulation import (
+    RoundOutcome,
     SimulatedClient,
-    aggregation_weights,
     choose_contract,
     realize_success,
     run_round,
@@ -46,7 +47,7 @@ class TestChooseContract:
         choice = choose_contract(0.5, canonical_menu, 1.0)
         assert choice.index == 1
         assert choice.effort == pytest.approx(0.5)
-        assert choice.utility == pytest.approx(0.0)
+        assert client_utility_at_best_response(0.5, canonical_menu[0], 1.0) == pytest.approx(0.0)
         assert not choice.tied
 
     def test_top_type_indifferent_breaks_low(self, canonical_menu):
@@ -57,7 +58,7 @@ class TestChooseContract:
         assert choice.tie_indices == (1, 2)
         assert choice.index == 1
         assert choice.effort == pytest.approx(1.0)
-        assert choice.utility == pytest.approx(0.375)
+        assert client_utility_at_best_response(1.0, canonical_menu[0], 1.0) == pytest.approx(0.375)
 
     def test_low_quality_rejects(self, canonical_menu):
         choice = choose_contract(0.1, canonical_menu, 1.0)
@@ -68,7 +69,7 @@ class TestChooseContract:
         menu = ContractMenu(items=(ContractItem(1, 0.0, 0.0, 0.5),))
         choice = choose_contract(0.5, menu, 1.0)
         assert choice.index == 1
-        assert choice.utility == 0.0
+        assert client_utility_at_best_response(0.5, menu[0], 1.0) == 0.0
 
     def test_effort_clamped(self, canonical_menu):
         choice = choose_contract(1.0, rebated(canonical_menu), 0.4)
@@ -129,28 +130,40 @@ class TestRealizeSuccess:
         assert batch.tolist() == [realize_success(t, e, one) for t, e in zip(thetas, efforts)]
 
 
+def passer_weights(profile, menu, client_type, passed):
+    """``aggregation_weights`` of a round whose participants pass as ``passed``."""
+    curve = RevenueCurve.exponential(1.0, 1.0)
+    outcome = RoundOutcome.sign_up(profile, menu, curve, np.array(client_type))
+    return outcome.with_passes(np.array(passed)).aggregation_weights
+
+
 class TestAggregationWeights:
+    single = TypeProfile.from_arrays([0.5], [1.0], 1.0)
+
     def test_single_success(self):
-        weights = aggregation_weights([(7, ContractItem(1, 0.0, 5.0, 0.5))])
+        menu = ContractMenu(items=(ContractItem(1, 0.0, 5.0, 0.5),))
+        weights = passer_weights(self.single, menu, [0] * 8, [False] * 7 + [True])
         assert weights == {7: 1.0}
 
-    def test_reward_shares(self):
-        items = [(1, ContractItem(1, 0, 1.0, 0.5)), (2, ContractItem(2, 0, 2.0, 0.5)),
-                 (3, ContractItem(3, 0, 2.0, 0.5))]
-        weights = aggregation_weights(items)
+    def test_reward_shares(self, canonical_profile, canonical_menu):
+        # rebated so the top type strictly prefers item 2: rewards 1, 2, 2
+        menu = rebated(canonical_menu)
+        weights = passer_weights(canonical_profile, menu, [0, 0, 1, 1], [False, True, True, True])
         assert weights == pytest.approx({1: 0.2, 2: 0.4, 3: 0.4})
 
-    def test_empty(self):
-        assert aggregation_weights([]) == {}
+    def test_empty(self, canonical_profile, canonical_menu):
+        assert passer_weights(canonical_profile, canonical_menu, [0, 1, 1], [False] * 3) == {}
 
     def test_equal_rewards_exactly_uniform(self):
-        items = [(i, ContractItem(i, 0, 0.7, 0.5)) for i in range(3)]
-        weights = aggregation_weights(items)
+        menu = ContractMenu(items=(ContractItem(1, 0.0, 0.7, 0.5),))
+        weights = passer_weights(self.single, menu, [0, 0, 0], [True] * 3)
+        assert list(weights) == [0, 1, 2]
         assert all(w == 1.0 / 3.0 for w in weights.values())
 
     def test_zero_total_falls_back_uniform(self):
-        items = [(i, ContractItem(i, 0, 0.0, 0.5)) for i in range(4)]
-        weights = aggregation_weights(items)
+        menu = ContractMenu(items=(ContractItem(1, 0.0, 0.0, 0.5),))
+        weights = passer_weights(self.single, menu, [0] * 4, [True] * 4)
+        assert list(weights) == [0, 1, 2, 3]
         assert all(w == 0.25 for w in weights.values())
         assert sum(weights.values()) == pytest.approx(1.0)
 

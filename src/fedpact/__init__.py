@@ -19,10 +19,11 @@ from .contracts import (
     RevenueCurve,
     TypeProfile,
     best_response_effort,
-    client_utility_at_best_response,
+    envelope_utilities,
     grid_search_menu,
     server_expected_utility,
     solve_optimal_menu,
+    utility_tolerance,
     verify_feasibility,
 )
 from .coverage import PointCloud, coverage_quality
@@ -44,7 +45,6 @@ from .learning import (
 from .simulation import (
     ContractChoice,
     RoundOutcome,
-    SimulatedClient,
     choose_contract,
     realize_success,
     run_round,

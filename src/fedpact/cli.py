@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import MODES, ConfigError, ExperimentConfig
 from .contracts import ContractMenu, solve_optimal_menu, verify_feasibility
 from .learning import run_scheme_comparison
@@ -67,12 +69,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
     print(f"audit: {out / 'audit.json'}")
     print(f"feasible: {report.feasible}")
     ir_binding, ic_binding = set(report.ir_binding), set(report.ic_binding)
-    for i, slack in enumerate(report.ir_slacks, start=1):
+    for i, slack in enumerate(report.ir_slacks.tolist(), start=1):
         print(f"  IR type {i}: slack {slack:.6g}{' (binding)' if i in ir_binding else ''}")
-    for i, j, slack in report.ic_slacks:
-        if (i, j) in ic_binding or slack < -report.tolerance:
-            state = "binding" if (i, j) in ic_binding else "VIOLATED"
-            print(f"  IC {i} vs {j}: slack {slack:.6g} ({state})")
+    shown = report.ic_slacks <= report.tolerance  # binding or violated
+    np.fill_diagonal(shown, False)
+    for i, j in zip(*np.nonzero(shown)):
+        state = "binding" if (i + 1, j + 1) in ic_binding else "VIOLATED"
+        print(f"  IC {i + 1} vs {j + 1}: slack {report.ic_slacks[i, j]:.6g} ({state})")
     if not report.feasible:
         return EXIT_INFEASIBLE
     return EXIT_OK

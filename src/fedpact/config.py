@@ -18,6 +18,7 @@ from .contracts import RevenueCurve, TypeProfile
 SCHEMA_VERSION = 1
 MODES = ("analytic", "ml")
 SCHEMES = ("contract", "fedavg", "flat")
+CURVE_KEYS = {"exponential": ("kind", "a", "b"), "table": ("kind", "benchmarks", "values")}
 
 
 class ConfigError(ValueError):
@@ -58,7 +59,8 @@ def _spec(cls, section: dict, path: str):
 
 def _reject_unknown_keys(payload: dict, known: dict, prefix: str = "") -> None:
     """Every key of ``payload``, and of its profile, task and training
-    sections, must be one that ``known`` (a config's ``to_dict``) has."""
+    sections, must be one that ``known`` (a config's ``to_dict``) has.
+    The curve's keys depend on its kind and are checked by ``validate``."""
     for key, value in payload.items():
         _require(key in known, f"{prefix}{key}", f"unknown key, valid: {sorted(known)}")
         if key in ("profile", "task", "training"):
@@ -153,6 +155,11 @@ class ExperimentConfig:
             _require(s in SCHEMES, "schemes", f"unknown scheme {s!r}, valid: {SCHEMES}")
         _require(all(c > 0.0 for c in self.c_values), "c_values", "must be positive")
         kind = self.curve.get("kind")
+        _require(isinstance(kind, str) and kind in CURVE_KEYS, "curve.kind",
+                 f"must be 'exponential' or 'table', got {kind!r}")
+        for key in self.curve:
+            _require(key in CURVE_KEYS[kind], f"curve.{key}",
+                     f"unknown key, valid for kind {kind!r}: {sorted(CURVE_KEYS[kind])}")
         if kind == "exponential":
             _require(float(self.curve.get("a", 0)) > 0, "curve.a", "must be positive")
             _require(float(self.curve.get("b", 0)) > 0, "curve.b", "must be positive")
@@ -161,8 +168,6 @@ class ExperimentConfig:
             vals = self.curve.get("values", [])
             _require(len(bm) == len(vals) and len(bm) >= 1, "curve",
                      "table needs matching benchmarks and values")
-        else:
-            raise ConfigError(f"curve.kind: must be 'exponential' or 'table', got {kind!r}")
         self.task.validate()
         self.training.validate()
 
@@ -224,6 +229,9 @@ class ExperimentConfig:
             for key in ("benchmarks", "values"):
                 if key in curve:
                     _numbers(curve[key], f"curve.{key}", float)
+            schemes = payload.get("schemes", list(SCHEMES))
+            _require(isinstance(schemes, list) and all(isinstance(v, str) for v in schemes),
+                     "schemes", f"must be a list of strings, got {schemes!r}")
             config = cls(
                 thetas=_numbers(profile["thetas"], "profile.thetas", float),
                 betas=_numbers(profile["betas"], "profile.betas", float),
@@ -233,7 +241,7 @@ class ExperimentConfig:
                 population=_number(payload["population"], "population", int),
                 seeds=_numbers(payload["seeds"], "seeds", int),
                 mode=payload.get("mode", "analytic"),
-                schemes=tuple(payload.get("schemes", SCHEMES)),
+                schemes=tuple(schemes),
                 c_values=_numbers(payload.get("c_values", []), "c_values", float),
                 out_dir=str(payload.get("out_dir", "out")),
                 task=_spec(TaskSpec, _section(payload, "task", {}), "task"),

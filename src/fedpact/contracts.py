@@ -28,9 +28,11 @@ If the resulting rewards are not non-decreasing (possible when the
 benchmarks are not sorted), adjacent violating runs are pooled to their
 beta-weighted average and the fees are rebuilt by the same recursion.
 
-``verify_feasibility`` checks IR and all ordered IC pairs by exhaustive
-enumeration, and ``grid_search_menu`` provides an independent
-brute-force optimality oracle for small instances.
+``envelope_utilities`` is the one definition of the type-by-item utility
+table: ``verify_feasibility`` reads IR and every ordered IC pair from it,
+and ``simulation.choose_contract`` a type's row.  ``grid_search_menu``
+provides an independent brute-force optimality oracle for small
+instances.
 """
 from __future__ import annotations
 
@@ -287,11 +289,32 @@ def best_response_effort(theta: float, reward: float, c: float) -> EffortRespons
     return EffortResponse(effort=min(max(raw, 0.0), 1.0), raw=raw)
 
 
-def client_utility_at_best_response(theta: float, item: ContractItem, c: float) -> float:
-    """Envelope utility (theta*R)^2/(2c) - f at the raw (unclamped) best response."""
+def envelope_utilities(thetas: Sequence[float], menu: ContractMenu, c: float) -> np.ndarray:
+    """Type-by-item envelope utilities u[i, j] = (theta_i R_j)^2 / (2c) - f_j
+    at the raw (unclamped) best response.
+
+    Squared with libm ``pow``, as the scalar ``x ** 2`` is; an array ``** 2``
+    multiplies instead and can differ in the last bit.
+    """
     if c <= 0.0:
         raise ValueError(f"unit cost must be positive, got {c}")
-    return (theta * item.reward) ** 2 / (2.0 * c) - item.fee
+    reach = np.multiply.outer(np.asarray(thetas, dtype=float), menu.rewards)
+    return np.float_power(reach, 2.0) / (2.0 * c) - menu.fees
+
+
+def utility_tolerance(
+    thetas: Sequence[float], menu: ContractMenu, c: float, tol: float = DEFAULT_TOLERANCE
+) -> float:
+    """``tol`` in the units of ``envelope_utilities``: tol * max(1, scale).
+
+    ``scale`` is the largest operand the utility subtraction cancels, the
+    largest fee or (theta_max R_max)^2 / (2c).  Revenue in k-fold units
+    scales both by k^2, and the tolerance with them, so feasibility and tie
+    decisions do not depend on the units; at unit scale it is ``tol``.
+    """
+    top = float(np.max(thetas)) * float(np.max(menu.rewards))
+    scale = max(float(np.max(menu.fees)), top**2 / (2.0 * c))
+    return tol * max(1.0, scale)
 
 
 def server_expected_utility(
@@ -325,67 +348,63 @@ def server_expected_utility(
 # feasibility
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityReport:
     """IR and pairwise IC slacks for a menu against a type profile.
 
     Slack conventions (envelope utilities, raw best response):
-      IR slack of type i:        u_i(i)
-      IC slack of pair (i, j):   u_i(i) - u_i(j)
+      IR slack of type i:        ir_slacks[i - 1] = u_i(i)
+      IC slack of pair (i, j):   ic_slacks[i - 1, j - 1] = u_i(i) - u_i(j)
+    The diagonal of ``ic_slacks`` is zero and is not a constraint.
     Feasible iff every slack >= -tolerance; a constraint binds when its
-    slack lies within tolerance of zero.
+    slack lies within tolerance of zero.  Pairs are listed in row-major
+    (i, j) order.
     """
 
-    ir_slacks: tuple[float, ...]
-    ic_slacks: tuple[tuple[int, int, float], ...]
+    ir_slacks: np.ndarray  # (I,)
+    ic_slacks: np.ndarray  # (I, I)
     tolerance: float
 
     @property
     def feasible(self) -> bool:
-        ok_ir = all(s >= -self.tolerance for s in self.ir_slacks)
-        ok_ic = all(s >= -self.tolerance for _, _, s in self.ic_slacks)
-        return ok_ir and ok_ic
+        return bool(
+            np.all(self.ir_slacks >= -self.tolerance)
+            and np.all(self.ic_slacks >= -self.tolerance)
+        )
 
     @property
     def ir_binding(self) -> tuple[int, ...]:
         """1-based type indices whose IR constraint binds."""
-        return tuple(
-            i + 1 for i, s in enumerate(self.ir_slacks) if abs(s) <= self.tolerance
-        )
+        return tuple((np.flatnonzero(np.abs(self.ir_slacks) <= self.tolerance) + 1).tolist())
 
     @property
     def ic_binding(self) -> tuple[tuple[int, int], ...]:
         """(i, j) pairs (1-based) whose IC constraint binds."""
-        return tuple((i, j) for i, j, s in self.ic_slacks if abs(s) <= self.tolerance)
+        binding = np.abs(self.ic_slacks) <= self.tolerance
+        np.fill_diagonal(binding, False)
+        return _pairs(binding)
 
     def ic_slack(self, i: int, j: int) -> float:
-        for a, b, s in self.ic_slacks:
-            if (a, b) == (i, j):
-                return s
-        raise KeyError(f"no IC pair ({i}, {j})")
+        n = len(self.ir_slacks)
+        if i == j or not (1 <= i <= n and 1 <= j <= n):
+            raise KeyError(f"no IC pair ({i}, {j})")
+        return float(self.ic_slacks[i - 1, j - 1])
 
     def violations(self) -> list[str]:
-        out = []
-        for i, s in enumerate(self.ir_slacks):
-            if s < -self.tolerance:
-                out.append(f"IR type {i + 1}: slack {s:.6g}")
-        for i, j, s in self.ic_slacks:
-            if s < -self.tolerance:
-                out.append(f"IC type {i} vs item {j}: slack {s:.6g}")
+        out = [
+            f"IR type {i + 1}: slack {float(self.ir_slacks[i]):.6g}"
+            for i in np.flatnonzero(self.ir_slacks < -self.tolerance).tolist()
+        ]
+        for i, j in _pairs(self.ic_slacks < -self.tolerance):
+            out.append(f"IC type {i} vs item {j}: slack {self.ic_slack(i, j):.6g}")
         return out
 
     def to_dict(self) -> dict:
         return {
             "feasible": self.feasible,
             "tolerance": self.tolerance,
-            "ir": [
-                {"index": i + 1, "slack": s, "binding": abs(s) <= self.tolerance}
-                for i, s in enumerate(self.ir_slacks)
-            ],
-            "ic": [
-                {"i": i, "j": j, "slack": s, "binding": abs(s) <= self.tolerance}
-                for i, j, s in self.ic_slacks
-            ],
+            "ir": self.ir_slacks.tolist(),
+            "ic": self.ic_slacks.tolist(),
         }
 
     def to_json(self, path: str | Path) -> None:
@@ -394,28 +413,32 @@ class FeasibilityReport:
             fh.write("\n")
 
 
+def _pairs(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """1-based (i, j) of the true entries of ``mask``, in row-major order."""
+    rows, cols = np.nonzero(mask)
+    return tuple(zip((rows + 1).tolist(), (cols + 1).tolist()))
+
+
 def verify_feasibility(
     profile: TypeProfile,
     menu: ContractMenu,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> FeasibilityReport:
-    """Check IR for every type and IC for every ordered pair of types."""
+    """Check IR for every type and IC for every ordered pair of types.
+
+    ``tolerance`` is scaled to the menu's utilities by ``utility_tolerance``;
+    the report carries the effective value.
+    """
     if len(menu) != len(profile):
         raise MenuMismatchError(f"menu has {len(menu)} items for {len(profile)} types")
-    c = profile.unit_cost
-    own = [
-        client_utility_at_best_response(t.theta, item, c)
-        for t, item in zip(profile.types, menu)
-    ]
-    ir = tuple(own)
-    ic = []
-    for i, ctype in enumerate(profile.types):
-        for j, item in enumerate(menu):
-            if i == j:
-                continue
-            other = client_utility_at_best_response(ctype.theta, item, c)
-            ic.append((i + 1, j + 1, own[i] - other))
-    return FeasibilityReport(ir_slacks=ir, ic_slacks=tuple(ic), tolerance=tolerance)
+    thetas, c = profile.thetas, profile.unit_cost
+    utilities = envelope_utilities(thetas, menu, c)
+    own = utilities.diagonal().copy()
+    return FeasibilityReport(
+        ir_slacks=own,
+        ic_slacks=own[:, None] - utilities,
+        tolerance=utility_tolerance(thetas, menu, c, tolerance),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +574,13 @@ def grid_search_menu(
     ``verify_feasibility`` at the same tolerance, and returns the best by
     objective (ties broken to the lexicographically smallest
     (f_1..f_I, R_1..R_I) tuple).  The search never consults the closed
-    form.  The innermost fee axis is resolved by exact dominance (the
-    objective is strictly increasing in each fee when every beta is
-    positive), which returns the same optimum as full enumeration; with
-    any zero beta it falls back to plain enumeration of that axis.
-    ``n_feasible`` counts feasible candidates actually examined (one per
-    reward column in dominance mode).  Practical for I <= 3.
+    form.  The last type's fee axis is resolved by exact dominance, which
+    returns the same optimum as full enumeration: with a positive last beta
+    the objective rises with that fee, so the largest grid fee within its
+    upper bound wins; with a zero last beta it ignores the fee, so the
+    tie-break takes the smallest grid fee within its lower bound.
+    ``n_feasible`` counts feasible candidates actually examined, one per
+    reward column.  Practical for I <= 3.
     """
     n = len(profile)
     if n > 3:
@@ -576,7 +600,7 @@ def grid_search_menu(
     last_fee_axis = fee_axes[last]
     fee_lo = last_fee_axis[0]
     fee_step = last_fee_axis[1] - last_fee_axis[0]
-    dominance_ok = bool(np.all(betas > 0.0))
+    fee_rises = bool(betas[last] > 0.0)
 
     def objective_term(i: int, fee: float, reward: float) -> float:
         return betas[i] * (fee + thetas[i] ** 2 * reward * (revenues[i] - reward) / c)
@@ -641,47 +665,36 @@ def grid_search_menu(
             )
             lb = np.maximum(lb, lb_j)
 
-        if dominance_ok:
-            n_evaluated += len(rL) * len(last_fee_axis)
-            # largest grid fee not exceeding the upper bound; step down once
-            # if float rounding pushed the snapped value over the bound
-            idx = np.floor((ub - fee_lo) / fee_step).astype(int)
-            idx = np.clip(idx, 0, len(last_fee_axis) - 1)
-            over = last_fee_axis[idx] > ub
-            idx = np.where(over, np.maximum(idx - 1, 0), idx)
-            fL = last_fee_axis[idx]
-            feasible = (fL <= ub) & (fL >= lb)
-            if not np.any(feasible):
-                continue
-            n_feasible += int(np.count_nonzero(feasible))
-            obj = fixed_obj + betas[last] * (
-                fL + thetas[last] ** 2 * rL * (revenues[last] - rL) / c
-            )
-            obj = np.where(feasible, obj, -math.inf)
-            chunk_best = float(np.max(obj))
-            if chunk_best == -math.inf:
-                continue
-            mask = obj == chunk_best
-            cand_keys = sorted(
-                (*fees, float(fL[k]), *rewards, float(rL[k]))
-                for k in np.flatnonzero(mask)
-            )
-            key = cand_keys[0]
-            if chunk_best > best_obj or (chunk_best == best_obj and (best_key is None or key < best_key)):
-                best_obj = chunk_best
-                best_key = key
+        n_evaluated += len(rL) * len(last_fee_axis)
+        # the one grid fee per reward column dominance keeps: the largest
+        # within ub when the objective rises with the fee, else the smallest
+        # within lb; step once if float rounding snapped it across its bound
+        top = len(last_fee_axis) - 1
+        if fee_rises:
+            idx = np.clip(np.floor((ub - fee_lo) / fee_step), 0, top).astype(int)
+            idx = np.where(last_fee_axis[idx] > ub, np.maximum(idx - 1, 0), idx)
         else:
-            for fee_last in last_fee_axis:
-                for k, r_last in enumerate(rL):
-                    n_evaluated += 1
-                    if fee_last > ub[k] or fee_last < lb[k]:
-                        continue
-                    n_feasible += 1
-                    obj = fixed_obj + objective_term(last, fee_last, float(r_last))
-                    key = (*fees, float(fee_last), *rewards, float(r_last))
-                    if obj > best_obj or (obj == best_obj and (best_key is None or key < best_key)):
-                        best_obj = obj
-                        best_key = key
+            idx = np.clip(np.ceil((lb - fee_lo) / fee_step), 0, top).astype(int)
+            idx = np.where(last_fee_axis[idx] < lb, np.minimum(idx + 1, top), idx)
+        fL = last_fee_axis[idx]
+        feasible = (fL <= ub) & (fL >= lb)
+        if not np.any(feasible):
+            continue
+        n_feasible += int(np.count_nonzero(feasible))
+        obj = fixed_obj + betas[last] * (
+            fL + thetas[last] ** 2 * rL * (revenues[last] - rL) / c
+        )
+        obj = np.where(feasible, obj, -math.inf)
+        chunk_best = float(np.max(obj))
+        mask = obj == chunk_best
+        cand_keys = sorted(
+            (*fees, float(fL[k]), *rewards, float(rL[k]))
+            for k in np.flatnonzero(mask)
+        )
+        key = cand_keys[0]
+        if chunk_best > best_obj or (chunk_best == best_obj and (best_key is None or key < best_key)):
+            best_obj = chunk_best
+            best_key = key
 
     if best_key is None:
         return GridSearchResult(menu=None, objective=None, n_feasible=0, n_evaluated=n_evaluated)

@@ -15,8 +15,7 @@ expected utility as the population grows.
 
 A client's choice, effort and pass probability depend only on its type,
 so ``RoundOutcome.sign_up`` chooses once per type and books clients as
-arrays indexed by their type; the ledger is derived from those columns,
-and per-client ``SimulatedClient`` records are built only when asked.
+arrays indexed by their type; the ledger is derived from those columns.
 ``learning.run_scheme_comparison`` settles its rounds with the same
 engine, deciding passes by a trained model's server test.
 """
@@ -33,18 +32,17 @@ import numpy as np
 
 from .config import MODES
 from .contracts import (
-    ClientType,
+    DEFAULT_TOLERANCE,
     ContractItem,
     ContractMenu,
     RevenueCurve,
     TypeProfile,
     best_response_effort,
-    client_utility_at_best_response,
+    envelope_utilities,
+    utility_tolerance,
     verify_feasibility,
 )
 from .seeding import as_generator, child_rng
-
-TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,19 +68,19 @@ def choose_contract(
     theta: float,
     menu: ContractMenu,
     c: float,
-    tie_tolerance: float = TIE_TOLERANCE,
+    tie_tolerance: float = DEFAULT_TOLERANCE,
 ) -> ContractChoice:
     """Best item by envelope utility; reject when the maximum is negative.
 
     A maximum of exactly zero is accepted (participation at the outside
-    option's value).  Ties within ``tie_tolerance`` of the maximum are
-    broken to the lowest index and flagged.
+    option's value).  Ties within ``tie_tolerance`` of the maximum, scaled
+    to the menu's utilities by ``utility_tolerance``, are broken to the
+    lowest index and flagged.
     """
-    utilities = [client_utility_at_best_response(theta, item, c) for item in menu]
-    best = max(utilities)
-    tied_indices = tuple(
-        i + 1 for i, u in enumerate(utilities) if best - u <= tie_tolerance
-    )
+    utilities = envelope_utilities((theta,), menu, c)[0]
+    best = utilities.max()
+    tol = utility_tolerance((theta,), menu, c, tie_tolerance)
+    tied_indices = tuple((np.flatnonzero(best - utilities <= tol) + 1).tolist())
     if best < 0.0:
         return ContractChoice(index=None, effort=0.0, tied=False, tie_indices=())
     index = tied_indices[0]
@@ -139,27 +137,6 @@ def _reward_shares(ids: list[int], rewards: np.ndarray) -> dict[int, float]:
     if total <= 0.0 or np.all(rewards == rewards[0]):
         return dict.fromkeys(ids, 1.0 / len(ids))
     return dict(zip(ids, (rewards / total).tolist()))
-
-
-@dataclass(frozen=True)
-class SimulatedClient:
-    """One client's round: type, menu choice, effort, and realized outcome."""
-
-    id: int
-    true_type: ClientType
-    chosen_item: ContractItem | None
-    effort: float
-    succeeded: bool
-    success_prob: float
-    tied: bool
-
-    def __post_init__(self) -> None:
-        if self.chosen_item is None and (self.effort != 0.0 or self.succeeded):
-            raise ValueError("a rejecting client has zero effort and no success")
-
-    @property
-    def rejected(self) -> bool:
-        return self.chosen_item is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,28 +264,6 @@ class RoundOutcome:
     def ties(self) -> tuple[int, ...]:
         """Ids of the participants that chose between tied items."""
         return tuple(np.flatnonzero(self.type_tied[self.client_type]).tolist())
-
-    @cached_property
-    def clients(self) -> tuple[SimulatedClient, ...]:
-        """One record per client, built from the columns on first access."""
-        types, items = self.profile.types, self.type_item
-        efforts = self.type_effort.tolist()
-        probs = self.type_success_prob.tolist()
-        tied = self.type_tied.tolist()
-        return tuple(
-            SimulatedClient(
-                id=cid,
-                true_type=types[t],
-                chosen_item=items[t],
-                effort=efforts[t],
-                succeeded=success,
-                success_prob=probs[t],
-                tied=tied[t],
-            )
-            for cid, (t, success) in enumerate(
-                zip(self.client_type.tolist(), self.succeeded.tolist())
-            )
-        )
 
     def to_dict(self) -> dict:
         n = len(self.client_type)

@@ -19,7 +19,6 @@ from fedpact.contracts import (
     GridSpec,
     RevenueCurve,
     TypeProfile,
-    client_utility_at_best_response,
     grid_search_menu,
     server_expected_utility,
     solve_optimal_menu,
@@ -178,21 +177,22 @@ def test_criterion_5_truthful_selection(mnist_config_path):
     start = time.time()
     outcome = run_round(profile, menu, curve, 10_000, "analytic", seed=7)
     tie_count = 0
-    for client in outcome.clients:
-        i = client.true_type.index
-        if not client.tied:
-            assert client.chosen_item.index == i, (
-                f"non-tied client of type {i} chose {client.chosen_item.index}"
-            )
+    tied_ids = set()
+    for cid, t in enumerate(outcome.client_type.tolist()):
+        ctype, chosen = profile.types[t], outcome.type_item[t]
+        i = ctype.index
+        if not outcome.type_tied[t]:
+            assert chosen.index == i, f"non-tied client of type {i} chose {chosen.index}"
         else:
             tie_count += 1
-            choice = choose_contract(client.true_type.theta, menu, profile.unit_cost)
+            tied_ids.add(cid)
+            choice = choose_contract(ctype.theta, menu, profile.unit_cost)
             assert choice.tie_indices == (i - 1, i), (
                 f"type {i} tied on {choice.tie_indices}, not its adjacent boundary"
             )
     elapsed = time.time() - start
     assert elapsed < 5.0
-    assert set(outcome.ties) == {cl.id for cl in outcome.clients if cl.tied}
+    assert set(outcome.ties) == tied_ids
     print(
         f"\n[PASS] criterion 5: 10000 clients truthful off ties; {tie_count} ties, "
         f"all at adjacent tight-IC boundaries, logged ({elapsed:.1f}s)"
@@ -225,7 +225,7 @@ def test_criterion_6_expected_utility_convergence(mnist_settings):
     for name, profile, curve, benchmarks in instances:
         menu = rebated(solve_optimal_menu(profile, curve, benchmarks))
         outcome = run_round(profile, menu, curve, 10_000, "analytic", seed=2024)
-        mean = outcome.realized_server_utility / len(outcome.clients)
+        mean = outcome.realized_server_utility / len(outcome.client_type)
         expected = server_expected_utility(profile, menu, curve, clamp_effort=True)
         assert mean == pytest.approx(expected, rel=0.01), name
     elapsed = time.time() - start

@@ -84,6 +84,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{path}: unknown key"):
             ExperimentConfig.from_dict(payload)
 
+    @pytest.mark.parametrize("curve, key", [
+        ({"kind": "table", "benchmarks": [0.3, 0.5], "values": [1.0, 2.0], "a": 7, "bogus": 1},
+         "a"),
+        ({"kind": "table", "benchmarks": [0.3, 0.5], "values": [1.0, 2.0], "bogus": 1}, "bogus"),
+        ({"kind": "exponential", "a": 0.5, "b": 2.0, "values": [1.0, 2.0]}, "values"),
+    ])
+    def test_unknown_curve_key_rejected(self, curve, key, tmp_path, capsys):
+        # a curve's keys are those of its kind; the others were loaded and ignored
+        payload = base_payload(curve=curve, out_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError, match=f"^curve.{key}: unknown key"):
+            ExperimentConfig.from_dict(payload)
+        assert main(["solve", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert f"config error: curve.{key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schemes", [5, "contract", ["contract", 3], {"contract": 1}])
+    def test_schemes_must_be_list_of_strings(self, schemes, tmp_path, capsys):
+        # 5 was a TypeError traceback (exit 1), "contract" was split into letters
+        config = write_config(tmp_path, base_payload(schemes=schemes, out_dir=str(tmp_path / "out")))
+        assert main(["solve", "--config", str(config)]) == 2
+        assert "config error: schemes: must be a list of strings" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section", ["profile", "task", "training", "curve"])
     def test_section_must_be_object(self, section, tmp_path, capsys):
         payload = base_payload(**{section: [1]})
@@ -185,8 +206,7 @@ class TestCli:
         tampered.write_text(json.dumps(menu))
         assert main(["audit", str(tampered), "--config", str(config)]) == 3
         audit = json.loads((out / "audit.json").read_text())
-        slack = {(e["i"], e["j"]): e["slack"] for e in audit["ic"]}
-        assert slack[(2, 1)] == pytest.approx(-1.0)
+        assert audit["ic"][1][0] == pytest.approx(-1.0)  # IC slack of type 2 vs item 1
 
     def test_audit_stdout(self, tmp_path, capsys):
         out = tmp_path / "out"

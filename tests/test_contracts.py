@@ -12,6 +12,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedpact.contracts import (
     ClientType,
@@ -23,12 +25,13 @@ from fedpact.contracts import (
     RevenueCurve,
     TypeProfile,
     best_response_effort,
-    client_utility_at_best_response,
+    envelope_utilities,
     grid_search_menu,
     server_expected_utility,
     solve_optimal_menu,
     verify_feasibility,
 )
+from fedpact.simulation import choose_contract
 from conftest import (
     fee_recursion,
     random_benchmarks,
@@ -40,6 +43,11 @@ from conftest import (
 
 def item(i, fee, reward, benchmark=0.5):
     return ContractItem(index=i, fee=fee, reward=reward, benchmark=benchmark)
+
+
+def utility(theta, it, c):
+    """The one entry of the envelope-utility matrix of a one-type, one-item menu."""
+    return envelope_utilities([theta], ContractMenu(items=(it,)), c)[0, 0]
 
 
 class TestEffortAndUtilities:
@@ -67,23 +75,23 @@ class TestEffortAndUtilities:
 
     def test_zero_effort_pays_the_fee(self):
         # zero reward, zero best-response effort: the fee is all that is left
-        assert client_utility_at_best_response(0.7, item(1, 2.0, 0.0), 1.0) == -2.0
+        assert utility(0.7, item(1, 2.0, 0.0), 1.0) == -2.0
 
     def test_utility_balances_to_zero(self):
         # fee at the bottom type's IR bound (theta R)^2 / 2c
-        assert client_utility_at_best_response(0.8, item(1, 0.32, 1.0), 1.0) == pytest.approx(0.0)
+        assert utility(0.8, item(1, 0.32, 1.0), 1.0) == pytest.approx(0.0)
 
     def test_utility_top(self):
-        assert client_utility_at_best_response(1.0, item(1, 0.0, 1.0), 1.0) == pytest.approx(0.5)
+        assert utility(1.0, item(1, 0.0, 1.0), 1.0) == pytest.approx(0.5)
 
     def test_envelope_bottom_binds(self):
-        assert client_utility_at_best_response(0.5, item(1, 0.125, 1.0), 1.0) == pytest.approx(0.0)
+        assert utility(0.5, item(1, 0.125, 1.0), 1.0) == pytest.approx(0.0)
 
     def test_envelope_top_own(self):
-        assert client_utility_at_best_response(1.0, item(2, 1.625, 2.0), 1.0) == pytest.approx(0.375)
+        assert utility(1.0, item(2, 1.625, 2.0), 1.0) == pytest.approx(0.375)
 
     def test_envelope_top_downward_equal(self):
-        assert client_utility_at_best_response(1.0, item(1, 0.125, 1.0), 1.0) == pytest.approx(0.375)
+        assert utility(1.0, item(1, 0.125, 1.0), 1.0) == pytest.approx(0.375)
 
 
 class TestServerUtility:
@@ -187,7 +195,7 @@ class TestFeasibility:
         report = verify_feasibility(canonical_profile, menu)
         assert report.feasible
         assert all(s == 0.0 for s in report.ir_slacks)
-        assert all(s == 0.0 for _, _, s in report.ic_slacks)
+        assert np.all(report.ic_slacks == 0.0)
 
     def test_length_mismatch(self, canonical_profile):
         with pytest.raises(MenuMismatchError):
@@ -199,9 +207,74 @@ class TestFeasibility:
         path = tmp_path / "report.json"
         report.to_json(path)
         payload = json.loads(path.read_text())
+        assert set(payload) == {"feasible", "tolerance", "ir", "ic"}
         assert payload["feasible"] is True
-        assert payload["ir"][0]["binding"] is True
-        assert {e["i"] for e in payload["ic"]} == {1, 2}
+        assert abs(payload["ir"][0]) <= payload["tolerance"]  # IR binds at type 1
+        assert [len(row) for row in payload["ic"]] == [2, 2]
+        assert payload["ic"][0][0] == payload["ic"][1][1] == 0.0
+
+
+def scalar_slacks(profile, menu):
+    """IR and IC slacks one pair at a time, by the scalar envelope expression."""
+    c = profile.unit_cost
+
+    def u(theta, it):
+        return (theta * it.reward) ** 2 / (2.0 * c) - it.fee
+
+    own = [u(t.theta, it) for t, it in zip(profile.types, menu)]
+    ic = [[own[i] - u(t.theta, it) for it in menu] for i, t in enumerate(profile.types)]
+    return own, ic
+
+
+class TestUtilityMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 10, 300])
+    @pytest.mark.parametrize("kind", ["solved", "random"])
+    def test_slacks_bit_identical_to_scalar(self, n, kind):
+        rng = np.random.default_rng(n)
+        thetas = np.sort(rng.uniform(0.05, 1.0, n))
+        profile = TypeProfile.from_arrays(thetas, rng.dirichlet(np.ones(n)), rng.uniform(0.1, 10.0))
+        if kind == "solved":
+            benchmarks = np.sort(rng.uniform(0.0, 1.0, n))
+            curve = RevenueCurve.exponential(rng.uniform(0.1, 2.0), rng.uniform(0.2, 3.0))
+            menu = solve_optimal_menu(profile, curve, benchmarks)
+        else:
+            fees, rewards = rng.uniform(0.0, 3.0, (2, n))
+            menu = ContractMenu(
+                items=tuple(item(i + 1, float(f), float(r)) for i, (f, r) in enumerate(zip(fees, rewards)))
+            )
+        report = verify_feasibility(profile, menu)
+        own, ic = scalar_slacks(profile, menu)
+        assert report.ir_slacks.tolist() == own
+        assert report.ic_slacks.tolist() == ic
+        assert all(report.ic_slacks[i, i] == 0.0 for i in range(n))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), k=st.floats(1.0, 1e6))
+    def test_decisions_independent_of_revenue_units(self, data, k):
+        # G -> kG scales every fee and utility by k^2; the solved menu stays
+        # feasible with the same binding pattern and the same ties.  Gaps keep
+        # every non-binding slack above the unit-scale tolerance.
+        n = data.draw(st.integers(2, 8))
+        gap = st.floats(0.02, 0.1)
+        thetas = np.cumsum([data.draw(st.floats(0.05, 0.3))] + [data.draw(gap) for _ in range(n - 1)])
+        betas = np.array([data.draw(st.floats(0.1, 1.0)) for _ in range(n)])
+        profile = TypeProfile.from_arrays(thetas, betas / betas.sum(), data.draw(st.floats(0.1, 10.0)))
+        benchmarks = np.cumsum(
+            [data.draw(st.floats(0.05, 0.3))] + [data.draw(st.floats(0.02, 0.08)) for _ in range(n - 1)]
+        )
+        a, b = data.draw(st.floats(0.1, 2.0)), data.draw(st.floats(0.2, 3.0))
+        decisions = []
+        for scale in (1.0, k):
+            menu = solve_optimal_menu(profile, RevenueCurve.exponential(scale * a, b), benchmarks)
+            report = verify_feasibility(profile, menu)
+            assert report.feasible, (scale, report.violations())
+            choices = [choose_contract(t.theta, menu, profile.unit_cost) for t in profile.types]
+            decisions.append((
+                report.ir_binding,
+                report.ic_binding,
+                [(ch.index, ch.tie_indices) for ch in choices],
+            ))
+        assert decisions[0] == decisions[1]
 
 
 class TestMonotonicityLemmas:
@@ -224,10 +297,7 @@ class TestMonotonicityLemmas:
             benchmarks = random_benchmarks(rng, len(profile))
             curve = random_increasing_convex_curve(rng, benchmarks)
             menu = solve_optimal_menu(profile, curve, benchmarks)
-            utilities = [
-                client_utility_at_best_response(t.theta, it, profile.unit_cost)
-                for t, it in zip(profile.types, menu)
-            ]
+            utilities = envelope_utilities(profile.thetas, menu, profile.unit_cost).diagonal()
             assert abs(utilities[0]) <= 1e-9          # IR binds at the bottom
             assert all(b >= a - 1e-9 for a, b in zip(utilities, utilities[1:]))
 
@@ -355,21 +425,37 @@ class TestGridSearch:
         assert result.menu is None and result.objective is None
         assert result.n_feasible == 0
 
-    def test_matches_plain_enumeration(self, canonical_profile, canonical_curve, canonical_benchmarks):
+    # The zero-beta instances offset the last reward axis, so the cheapest
+    # feasible column of the last fee holds several grid fees and snapping
+    # to the wrong end of it changes the winner.
+    @pytest.mark.parametrize("thetas, betas, fee_steps, reward_steps, last_rewards", [
+        pytest.param([0.5, 1.0], [0.5, 0.5], 9, 9, (0.0, 2.5), id="canonical"),
+        pytest.param([0.5, 1.0], [1.0, 0.0], 17, 5, (0.15, 2.65), id="I2-last-beta-zero"),
+        pytest.param([0.5, 1.0], [0.0, 1.0], 17, 5, (0.15, 2.65), id="I2-first-beta-zero"),
+        pytest.param([0.4, 0.7, 1.0], [0.5, 0.5, 0.0], 5, 5, (0.15, 2.65), id="I3-last-beta-zero"),
+        pytest.param([0.4, 0.7, 1.0], [0.0, 0.5, 0.5], 5, 5, (0.15, 2.65), id="I3-first-beta-zero"),
+    ])
+    def test_matches_plain_enumeration(self, thetas, betas, fee_steps, reward_steps, last_rewards):
         # independent re-enumeration on a coarse grid must agree with the
-        # dominance-accelerated search
-        grid = GridSpec(fee_ranges=[(0.0, 2.0)] * 2, reward_ranges=[(0.0, 2.5)] * 2,
-                        fee_steps=9, reward_steps=9)
-        result = grid_search_menu(canonical_profile, canonical_curve, canonical_benchmarks, grid)
+        # dominance-accelerated search, whichever way a zero beta snaps the fee
+        n = len(thetas)
+        profile = TypeProfile.from_arrays(thetas, betas, 1.0)
+        benchmarks = [0.3, 0.5, 0.7][:n]
+        curve = RevenueCurve.from_table(benchmarks, [1.0, 2.0, 3.5][:n])
+        grid = GridSpec(fee_ranges=[(0.0, 2.0)] * n,
+                        reward_ranges=[(0.0, 2.5)] * (n - 1) + [last_rewards],
+                        fee_steps=fee_steps, reward_steps=reward_steps)
+        result = grid_search_menu(profile, curve, benchmarks, grid)
 
         best = None
-        axes = [grid.fee_axis(0), grid.fee_axis(1), grid.reward_axis(0), grid.reward_axis(1)]
-        for f1, f2, r1, r2 in itertools.product(*axes):
-            menu = ContractMenu(items=(item(1, f1, r1, 0.3), item(2, f2, r2, 0.5)))
-            if not verify_feasibility(canonical_profile, menu).feasible:
+        axes = [grid.fee_axis(i) for i in range(n)] + [grid.reward_axis(i) for i in range(n)]
+        for key in itertools.product(*axes):
+            menu = ContractMenu(
+                items=tuple(item(i + 1, key[i], key[n + i], benchmarks[i]) for i in range(n))
+            )
+            if not verify_feasibility(profile, menu).feasible:
                 continue
-            obj = server_expected_utility(canonical_profile, menu, canonical_curve)
-            key = (f1, f2, r1, r2)
+            obj = server_expected_utility(profile, menu, curve)
             if best is None or obj > best[0] or (obj == best[0] and key < best[1]):
                 best = (obj, key)
         assert result.found

@@ -3,22 +3,23 @@ import csv
 import json
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from fedpact.contracts import (
+    ClientType,
     ContractItem,
     ContractMenu,
     RevenueCurve,
     TypeProfile,
+    envelope_utilities,
     solve_optimal_menu,
 )
 from fedpact.seeding import child_rng
-from fedpact.contracts import client_utility_at_best_response
 from fedpact.simulation import (
     RoundOutcome,
-    SimulatedClient,
     choose_contract,
     realize_success,
     run_round,
@@ -47,7 +48,7 @@ class TestChooseContract:
         choice = choose_contract(0.5, canonical_menu, 1.0)
         assert choice.index == 1
         assert choice.effort == pytest.approx(0.5)
-        assert client_utility_at_best_response(0.5, canonical_menu[0], 1.0) == pytest.approx(0.0)
+        assert envelope_utilities([0.5], canonical_menu, 1.0)[0, 0] == pytest.approx(0.0)
         assert not choice.tied
 
     def test_top_type_indifferent_breaks_low(self, canonical_menu):
@@ -58,7 +59,7 @@ class TestChooseContract:
         assert choice.tie_indices == (1, 2)
         assert choice.index == 1
         assert choice.effort == pytest.approx(1.0)
-        assert client_utility_at_best_response(1.0, canonical_menu[0], 1.0) == pytest.approx(0.375)
+        assert envelope_utilities([1.0], canonical_menu, 1.0)[0, 0] == pytest.approx(0.375)
 
     def test_low_quality_rejects(self, canonical_menu):
         choice = choose_contract(0.1, canonical_menu, 1.0)
@@ -69,7 +70,7 @@ class TestChooseContract:
         menu = ContractMenu(items=(ContractItem(1, 0.0, 0.0, 0.5),))
         choice = choose_contract(0.5, menu, 1.0)
         assert choice.index == 1
-        assert client_utility_at_best_response(0.5, menu[0], 1.0) == 0.0
+        assert envelope_utilities([0.5], menu, 1.0)[0, 0] == 0.0
 
     def test_effort_clamped(self, canonical_menu):
         choice = choose_contract(1.0, rebated(canonical_menu), 0.4)
@@ -184,7 +185,7 @@ class TestRunRound:
 
         menu = rebated(canonical_menu)
         outcome = run_round(canonical_profile, menu, canonical_curve, 10_000, "analytic", seed=6)
-        mean = outcome.realized_server_utility / len(outcome.clients)
+        mean = outcome.realized_server_utility / len(outcome.client_type)
         expected = server_expected_utility(canonical_profile, menu, canonical_curve, clamp_effort=True)
         assert mean == pytest.approx(expected, rel=0.01)
 
@@ -193,9 +194,10 @@ class TestRunRound:
         curve = RevenueCurve.from_table([0.3, 0.6], [1.0, 2.0])
         menu = ContractMenu(items=(ContractItem(1, 0.0, 0.0, 0.3), ContractItem(2, 0.0, 0.0, 0.6)))
         outcome = run_round(profile, menu, curve, 100, "ml", seed=7)
-        assert all(cl.chosen_item.index == 1 for cl in outcome.clients)
-        assert all(cl.effort == 0.0 for cl in outcome.clients)
-        assert not any(cl.succeeded for cl in outcome.clients)
+        types = outcome.client_type.tolist()
+        assert all(outcome.type_item[t].index == 1 for t in types)
+        assert all(outcome.type_effort[t] == 0.0 for t in types)
+        assert not any(outcome.succeeded)
         assert outcome.fees_collected == 0.0
         assert outcome.rewards_paid == 0.0
         assert outcome.fees_forfeited == 0.0
@@ -210,20 +212,23 @@ class TestRunRound:
             curve = random_increasing_convex_curve(rng, benchmarks)
             menu = solve_optimal_menu(profile, curve, benchmarks)
             outcome = run_round(profile, menu, curve, 500, "ml", seed=trial)
-            participants = [cl for cl in outcome.clients if not cl.rejected]
-            succeeded = [cl for cl in outcome.clients if cl.succeeded]
+            # each client's chosen item (None on rejection) and pass flag
+            clients = [
+                (outcome.type_item[t], passed)
+                for t, passed in zip(outcome.client_type.tolist(), outcome.succeeded.tolist())
+            ]
+            participants = [(it, passed) for it, passed in clients if it is not None]
+            succeeded = [it for it, passed in clients if passed]
             assert outcome.fees_collected == pytest.approx(
-                sum(cl.chosen_item.fee for cl in participants)
+                sum(it.fee for it, _ in participants)
             )
             assert outcome.rewards_paid == pytest.approx(
-                sum(cl.chosen_item.reward for cl in succeeded)
+                sum(it.reward for it in succeeded)
             )
             assert outcome.fees_forfeited == pytest.approx(
-                sum(cl.chosen_item.fee for cl in participants if not cl.succeeded)
+                sum(it.fee for it, passed in participants if not passed)
             )
-            margin = sum(
-                curve(cl.chosen_item.benchmark) - cl.chosen_item.reward for cl in succeeded
-            )
+            margin = sum(curve(it.benchmark) - it.reward for it in succeeded)
             assert outcome.realized_server_utility == pytest.approx(
                 outcome.fees_collected + margin
             )
@@ -237,17 +242,18 @@ class TestRunRound:
         menu = rebated(canonical_menu)
         outcome = run_round(canonical_profile, menu, canonical_curve, 2000, "ml", seed=9)
         assert outcome.ties == ()
-        for cl in outcome.clients:
-            assert cl.chosen_item.index == cl.true_type.index
+        for t in outcome.client_type.tolist():
+            assert outcome.type_item[t].index == canonical_profile.types[t].index
 
     def test_ties_logged_on_tight_menu(self, canonical_profile, canonical_curve, canonical_menu):
         outcome = run_round(canonical_profile, canonical_menu, canonical_curve, 2000, "analytic", seed=10)
-        top = [cl for cl in outcome.clients if cl.true_type.index == 2]
-        bottom = [cl for cl in outcome.clients if cl.true_type.index == 1]
-        assert all(cl.tied for cl in top)
-        assert all(not cl.tied for cl in bottom)
-        assert all(cl.chosen_item.index == 1 for cl in bottom)
-        assert set(outcome.ties) == {cl.id for cl in top}
+        types = outcome.client_type.tolist()
+        top = [cid for cid, t in enumerate(types) if canonical_profile.types[t].index == 2]
+        bottom = [cid for cid, t in enumerate(types) if canonical_profile.types[t].index == 1]
+        assert all(outcome.type_tied[types[cid]] for cid in top)
+        assert all(not outcome.type_tied[types[cid]] for cid in bottom)
+        assert all(outcome.type_item[types[cid]].index == 1 for cid in bottom)
+        assert set(outcome.ties) == set(top)
 
     def test_deterministic_bit_for_bit(self, canonical_profile, canonical_curve, canonical_menu):
         a = run_round(canonical_profile, canonical_menu, canonical_curve, 300, "ml", seed=11)
@@ -305,6 +311,19 @@ def reference_weights(succeeded):
     return {cid: float(item.reward) / total for cid, item in succeeded}
 
 
+@dataclass(frozen=True)
+class ReferenceClient:
+    """One client's round as the per-client loop recorded it."""
+
+    id: int
+    true_type: ClientType
+    chosen_item: ContractItem | None
+    effort: float
+    succeeded: bool
+    success_prob: float
+    tied: bool
+
+
 def reference_round(profile, menu, curve, n, mode, seed):
     """One choose_contract call and one uniform draw per client, totals by +=."""
     c = profile.unit_cost
@@ -317,7 +336,7 @@ def reference_round(profile, menu, curve, n, mode, seed):
         ctype = profile.types[k]
         choice = choose_contract(ctype.theta, menu, c)
         if choice.rejected:
-            clients.append(SimulatedClient(cid, ctype, None, 0.0, False, 0.0, False))
+            clients.append(ReferenceClient(cid, ctype, None, 0.0, False, 0.0, False))
             continue
         item = menu[choice.index - 1]
         if choice.tied:
@@ -342,7 +361,7 @@ def reference_round(profile, menu, curve, n, mode, seed):
             utility += item.fee + p * margin
             if p * item.reward > 0.0:
                 expected_shares.append((cid, p * item.reward))
-        clients.append(SimulatedClient(cid, ctype, item, choice.effort, success, p, choice.tied))
+        clients.append(ReferenceClient(cid, ctype, item, choice.effort, success, p, choice.tied))
     if mode == "ml":
         weights = reference_weights(succeeded_items)
     else:
@@ -357,7 +376,7 @@ def reference_files(clients, ledger, mode, tmp_path):
     payload = {
         "mode": mode,
         "n_clients": len(clients),
-        "participants": sum(1 for cl in clients if not cl.rejected),
+        "participants": sum(1 for cl in clients if cl.chosen_item is not None),
         "successes": sum(1 for cl in clients if cl.succeeded),
         "fees_collected": fees,
         "rewards_paid": rewards,
@@ -435,7 +454,6 @@ class TestPerTypeEngine:
         assert outcome.aggregation_weights == weights
         assert list(outcome.aggregation_weights) == list(weights)
         assert outcome.ties == ties
-        assert outcome.clients == tuple(clients)
         outcome.to_json(tmp_path / "round.json")
         outcome.clients_to_csv(tmp_path / "round.csv")
         ref_json, ref_csv = reference_files(clients, ledger, mode, tmp_path)

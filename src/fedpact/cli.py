@@ -93,10 +93,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         outcome.to_json(out / f"round_seed{seed}.json")
         outcome.clients_to_csv(out / f"round_seed{seed}.csv")
         mean_utility = outcome.realized_server_utility / len(outcome.client_type)
+        ties = np.count_nonzero(outcome.type_tied[outcome.client_type])
         print(
             f"seed {seed}: mode {config.mode}, participants "
             f"{outcome.participants}/{config.population}, "
-            f"mean server utility {mean_utility:.6g}, ties {len(outcome.ties)}"
+            f"mean server utility {mean_utility:.6g}, ties {ties}"
         )
     return EXIT_OK
 

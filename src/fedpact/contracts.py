@@ -321,14 +321,11 @@ def server_expected_utility(
     profile: TypeProfile,
     menu: ContractMenu,
     curve: RevenueCurve,
-    clamp_effort: bool = False,
 ) -> float:
     """Expected server utility sum_i beta_i * (f_i + theta_i * e_i * (G(M_i) - R_i)).
 
-    With ``clamp_effort=False`` the raw best response theta*R/c is used,
-    matching the reduced objective the optimal menu maximizes; with
-    ``clamp_effort=True`` efforts are clamped to [0, 1] as a simulated
-    round realizes them.
+    At the raw best response e_i = theta_i R_i / c, unclamped: the reduced
+    objective the optimal menu maximizes.
     """
     if len(menu) != len(profile):
         raise MenuMismatchError(
@@ -337,8 +334,7 @@ def server_expected_utility(
     c = profile.unit_cost
     total = 0.0
     for ctype, item in zip(profile.types, menu):
-        response = best_response_effort(ctype.theta, item.reward, c)
-        e = response.effort if clamp_effort else response.raw
+        e = best_response_effort(ctype.theta, item.reward, c).raw
         revenue = curve(item.benchmark)
         total += ctype.beta * (item.fee + ctype.theta * e * (revenue - item.reward))
     return total

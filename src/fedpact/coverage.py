@@ -11,12 +11,11 @@ much of that space the dataset "covers" is measured in two steps:
   a scalar in [0, 1] that serves as the client's hidden quality type.
 
 The radius coverage is estimated by Monte Carlo (exact union-of-balls
-volume is intractable beyond d = 3) and the integral by a composite
-trapezoid rule.  One common sample set is shared across all radii of a
-quality evaluation: each sample's nearest-point distance is computed
-once and thresholded per radius, which makes the per-sample coverage
-indicator exactly monotone in the radius and costs O(samples * points)
-instead of O(samples * points * steps).
+volume is intractable beyond d = 3), and on those samples the integral
+is exact.  A sample at nearest-point distance r is covered for every
+eps > r; since r <= sqrt(d) on the unit cube, it contributes
+sqrt(d) - r to the integral, so theta = 1 - mean(r) / sqrt(d).  Each
+sample's nearest distance comes from one KD-tree query.
 """
 from __future__ import annotations
 
@@ -81,29 +80,18 @@ class PointCloud:
 
 def coverage_quality(
     cloud: PointCloud,
-    radius_steps: int,
     samples: int,
     seed: int | np.random.Generator,
 ) -> float:
     """Normalized integral of the radius coverage over eps in [0, sqrt(d)].
 
-    Composite trapezoid over ``radius_steps`` equally spaced radii, with a
-    single shared sample set (size ``samples``) thresholded per radius.
-    Returns a value in [0, 1]; 0 for the empty cloud.
+    Exact on ``samples`` uniform draws from the unit cube:
+    1 - mean nearest-point distance / sqrt(d).  Returns a value in
+    [0, 1]; 0 for the empty cloud.
     """
-    if radius_steps < 2:
-        raise ValueError("radius_steps must be >= 2")
     if samples < 1:
         raise ValueError("samples must be positive")
     if cloud.is_empty:
         return 0.0
-    diameter = math.sqrt(cloud.dimension)
-    radii = np.linspace(0.0, diameter, radius_steps)
-    rng = as_generator(seed)
-    draws = rng.random((samples, cloud.dimension))
-    dist = np.sort(cloud.nearest_distances(draws))
-    # count of samples with distance strictly below each radius
-    hits = np.searchsorted(dist, radii, side="left")
-    mu = hits / samples
-    theta = float(np.trapezoid(mu, radii) / diameter)
-    return min(max(theta, 0.0), 1.0)
+    draws = as_generator(seed).random((samples, cloud.dimension))
+    return 1.0 - float(np.mean(cloud.nearest_distances(draws))) / math.sqrt(cloud.dimension)

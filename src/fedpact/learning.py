@@ -196,15 +196,16 @@ class ClientDataset:
         return self.cloud.points
 
 
+CALIBRATION_TOLERANCE = 0.02  # largest accepted |measured - target| quality
+QUALITY_SAMPLES = 4000  # Monte Carlo draws per coverage_quality evaluation
+MAX_BISECTIONS = 40
+
+
 def generate_client_dataset(
     task: SyntheticTask,
     target_theta: float,
     n_points: int,
     seed: int,
-    tolerance: float = 0.02,
-    radius_steps: int = 24,
-    quality_samples: int = 4000,
-    max_iterations: int = 40,
 ) -> ClientDataset:
     """Sample client data whose coverage quality approximates ``target_theta``.
 
@@ -223,19 +224,19 @@ def generate_client_dataset(
 
     def quality(side: float) -> float:
         cloud = PointCloud(task.dimension, unit_draws * side)
-        return coverage_quality(cloud, radius_steps, quality_samples, quality_seed)
+        return coverage_quality(cloud, QUALITY_SAMPLES, quality_seed)
 
     lo, hi = 1e-3, 1.0
     q_hi = quality(hi)
-    if target_theta > q_hi + tolerance:
+    if target_theta > q_hi + CALIBRATION_TOLERANCE:
         raise CalibrationError(target_theta, q_hi)
     q_lo = quality(lo)
-    if target_theta < q_lo - tolerance:
+    if target_theta < q_lo - CALIBRATION_TOLERANCE:
         raise CalibrationError(target_theta, q_lo)
 
     best_side, best_q = (hi, q_hi) if abs(q_hi - target_theta) < abs(q_lo - target_theta) else (lo, q_lo)
-    for _ in range(max_iterations):
-        if abs(best_q - target_theta) <= 0.25 * tolerance:
+    for _ in range(MAX_BISECTIONS):
+        if abs(best_q - target_theta) <= 0.25 * CALIBRATION_TOLERANCE:
             break
         mid = 0.5 * (lo + hi)
         q_mid = quality(mid)
@@ -245,7 +246,7 @@ def generate_client_dataset(
             lo = mid
         else:
             hi = mid
-    if abs(best_q - target_theta) > tolerance:
+    if abs(best_q - target_theta) > CALIBRATION_TOLERANCE:
         raise CalibrationError(target_theta, best_q)
 
     points = unit_draws * best_side

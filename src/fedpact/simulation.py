@@ -260,11 +260,6 @@ class RoundOutcome:
         ids = self.participant_ids[positive].tolist()
         return dict(zip(ids, (share[positive] / total).tolist()))
 
-    @cached_property
-    def ties(self) -> tuple[int, ...]:
-        """Ids of the participants that chose between tied items."""
-        return tuple(np.flatnonzero(self.type_tied[self.client_type]).tolist())
-
     def to_dict(self) -> dict:
         n = len(self.client_type)
         return {
@@ -278,7 +273,7 @@ class RoundOutcome:
             "realized_server_utility": self.realized_server_utility,
             "mean_server_utility_per_client": self.realized_server_utility / n,
             "aggregation_weights": {str(k): v for k, v in self.aggregation_weights.items()},
-            "ties": list(self.ties),
+            "tied_types": (np.flatnonzero(self.type_tied) + 1).tolist(),
         }
 
     def to_json(self, path: str | Path) -> None:

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,14 @@ from fedpact.contracts import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CONFIGS = Path(__file__).parent.parent / "configs"
+SRC = Path(__file__).parent.parent / "src"
+
+
+def src_env() -> dict[str, str]:
+    """This environment with ``src`` first on PYTHONPATH, for CLI subprocesses."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")
@@ -55,6 +64,16 @@ def fee_recursion(thetas: np.ndarray, rewards: np.ndarray, c: float) -> np.ndarr
     for i in range(1, len(rewards)):
         fees[i] = fees[i - 1] + thetas[i] ** 2 * (rewards[i] ** 2 - rewards[i - 1] ** 2) / (2.0 * c)
     return fees
+
+
+def clamped_expected_utility(profile: TypeProfile, menu: ContractMenu, curve: RevenueCurve) -> float:
+    """Expected server utility at the efforts a simulated round realizes:
+    sum_i beta_i (f_i + theta_i e_i (G(M_i) - R_i)), e_i = min(theta_i R_i / c, 1)."""
+    c = profile.unit_cost
+    return sum(
+        t.beta * (it.fee + t.theta * min(t.theta * it.reward / c, 1.0) * (curve(it.benchmark) - it.reward))
+        for t, it in zip(profile.types, menu)
+    )
 
 
 def random_profile(rng: np.random.Generator, n: int | None = None) -> TypeProfile:

@@ -9,6 +9,7 @@ import pytest
 
 from fedpact.cli import main
 from fedpact.config import ConfigError, ExperimentConfig
+from conftest import src_env
 
 
 def base_payload(**overrides) -> dict:
@@ -312,7 +313,7 @@ class TestCli:
         config = write_config(tmp_path, base_payload(out_dir=str(tmp_path / "out")))
         proc = subprocess.run(
             [sys.executable, "-m", "fedpact", "solve", "--config", str(config)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env(),
         )
         assert proc.returncode == 0
         assert "feasible: True" in proc.stdout

@@ -33,6 +33,7 @@ from fedpact.contracts import (
 )
 from fedpact.simulation import choose_contract
 from conftest import (
+    clamped_expected_utility,
     fee_recursion,
     random_benchmarks,
     random_feasible_menu,
@@ -125,7 +126,7 @@ class TestServerUtility:
         curve = RevenueCurve.from_table([0.5], [2.0])
         menu = ContractMenu(items=(item(1, 0.0, 1.0),))
         raw = server_expected_utility(profile, menu, curve)       # e = 2
-        clamped = server_expected_utility(profile, menu, curve, clamp_effort=True)
+        clamped = clamped_expected_utility(profile, menu, curve)
         assert raw == pytest.approx(2.0)
         assert clamped == pytest.approx(1.0)
 

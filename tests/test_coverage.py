@@ -5,6 +5,7 @@ Closed-form values used below (one point in [0, 1]):
                  int_0^0.5 2e de + int_0.5^1 1 de = 0.25 + 0.5 = 0.75
   point at 0.0:  mu(eps) = min(eps, 1),  quality = int_0^1 e de = 0.5
 """
+import math
 
 import numpy as np
 import pytest
@@ -16,21 +17,33 @@ def cloud1d(*xs: float) -> PointCloud:
     return PointCloud(1, [[x] for x in xs])
 
 
+def reference_quality(cloud: PointCloud, samples: int, seed: int, steps: int = 200_001) -> float:
+    """Brute-force nearest distances on the same draws, then a fine trapezoid
+    of the empirical radius coverage mu(eps) over [0, sqrt(d)]."""
+    diameter = math.sqrt(cloud.dimension)
+    draws = np.random.default_rng(seed).random((samples, cloud.dimension))
+    gaps = draws[:, None, :] - cloud.points[None, :, :]
+    dist = np.sort(np.sqrt((gaps**2).sum(axis=2).min(axis=1)))
+    radii = np.linspace(0.0, diameter, steps)
+    mu = np.searchsorted(dist, radii, side="left") / samples  # share strictly within eps
+    return float(np.trapezoid(mu, radii)) / diameter
+
+
 class TestCoverageQuality:
     def test_empty_cloud(self):
-        assert coverage_quality(PointCloud(2, []), 16, 100, seed=0) == 0.0
+        assert coverage_quality(PointCloud(2, []), 100, seed=0) == 0.0
 
     def test_midpoint_oracle(self):
-        theta = coverage_quality(cloud1d(0.5), 64, 100_000, seed=8)
+        theta = coverage_quality(cloud1d(0.5), 100_000, seed=8)
         assert theta == pytest.approx(0.75, abs=0.01)
 
     def test_endpoint_oracle(self):
-        theta = coverage_quality(cloud1d(0.0), 64, 100_000, seed=9)
+        theta = coverage_quality(cloud1d(0.0), 100_000, seed=9)
         assert theta == pytest.approx(0.5, abs=0.01)
 
     def test_dense_grid_near_one(self):
         grid = cloud1d(*np.linspace(0, 1, 1000))
-        assert coverage_quality(grid, 64, 20_000, seed=10) >= 0.99
+        assert coverage_quality(grid, 20_000, seed=10) >= 0.99
 
     def test_monotone_under_supersets(self):
         rng = np.random.default_rng(11)
@@ -38,24 +51,31 @@ class TestCoverageQuality:
         extra = rng.random((10, 2))
         small = PointCloud(2, base)
         large = PointCloud(2, np.vstack([base, extra]))
-        q_small = coverage_quality(small, 32, 4000, seed=12)
-        q_large = coverage_quality(large, 32, 4000, seed=12)
+        q_small = coverage_quality(small, 4000, seed=12)
+        q_large = coverage_quality(large, 4000, seed=12)
         assert q_large >= q_small
 
-    def test_requires_two_steps(self):
-        with pytest.raises(ValueError):
-            coverage_quality(cloud1d(0.5), 1, 100, seed=0)
-
     def test_deterministic_per_seed(self):
-        a = coverage_quality(cloud1d(0.4, 0.9), 16, 2000, seed=5)
-        b = coverage_quality(cloud1d(0.4, 0.9), 16, 2000, seed=5)
+        a = coverage_quality(cloud1d(0.4, 0.9), 2000, seed=5)
+        b = coverage_quality(cloud1d(0.4, 0.9), 2000, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    @pytest.mark.parametrize("case", range(4))
+    def test_exact_radius_integral(self, dimension, case):
+        rng = np.random.default_rng(100 * dimension + case)
+        n = int(rng.integers(1, 41))
+        side = rng.uniform(0.05, 1.0)
+        cloud = PointCloud(dimension, rng.random((n, dimension)) * side)
+        seed = int(rng.integers(2**31))
+        exact = coverage_quality(cloud, 3000, seed)
+        assert exact == pytest.approx(reference_quality(cloud, 3000, seed), abs=1e-6)
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
             cloud = PointCloud(2, rng.random((3, 2)))
-            assert 0.0 <= coverage_quality(cloud, 16, 500, seed=14) <= 1.0
+            assert 0.0 <= coverage_quality(cloud, 500, seed=14) <= 1.0
 
 
 class TestPointCloud:

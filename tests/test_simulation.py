@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedpact.contracts import (
     ClientType,
@@ -16,6 +18,7 @@ from fedpact.contracts import (
     TypeProfile,
     envelope_utilities,
     solve_optimal_menu,
+    utility_tolerance,
 )
 from fedpact.seeding import child_rng
 from fedpact.simulation import (
@@ -25,7 +28,12 @@ from fedpact.simulation import (
     run_round,
     sample_population,
 )
-from conftest import random_benchmarks, random_increasing_convex_curve, random_profile
+from conftest import (
+    clamped_expected_utility,
+    random_benchmarks,
+    random_increasing_convex_curve,
+    random_profile,
+)
 
 
 def rebated(menu: ContractMenu, delta: float = 1e-6) -> ContractMenu:
@@ -181,12 +189,10 @@ class TestRunRound:
         assert outcome.realized_server_utility == pytest.approx(expected)
 
     def test_analytic_converges_to_expected_utility(self, canonical_profile, canonical_curve, canonical_menu):
-        from fedpact.contracts import server_expected_utility
-
         menu = rebated(canonical_menu)
         outcome = run_round(canonical_profile, menu, canonical_curve, 10_000, "analytic", seed=6)
         mean = outcome.realized_server_utility / len(outcome.client_type)
-        expected = server_expected_utility(canonical_profile, menu, canonical_curve, clamp_effort=True)
+        expected = clamped_expected_utility(canonical_profile, menu, canonical_curve)
         assert mean == pytest.approx(expected, rel=0.01)
 
     def test_zero_menu_round(self):
@@ -241,9 +247,26 @@ class TestRunRound:
     def test_truthful_selection_under_strict_menu(self, canonical_profile, canonical_curve, canonical_menu):
         menu = rebated(canonical_menu)
         outcome = run_round(canonical_profile, menu, canonical_curve, 2000, "ml", seed=9)
-        assert outcome.ties == ()
+        assert not outcome.type_tied[outcome.client_type].any()
         for t in outcome.client_type.tolist():
             assert outcome.type_item[t].index == canonical_profile.types[t].index
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_truthful_selection_for_any_profile(self, seed):
+        # any profile (I in 2..10, random betas and cost) and its solved menu
+        # with fees rebated by more than the utility tolerance: every type
+        # takes its own item strictly, so no tie is logged
+        rng = np.random.default_rng(seed)
+        profile = random_profile(rng)
+        benchmarks = random_benchmarks(rng, len(profile))
+        curve = random_increasing_convex_curve(rng, benchmarks)
+        menu = solve_optimal_menu(profile, curve, benchmarks)
+        delta = 2.0 * utility_tolerance(profile.thetas, menu, profile.unit_cost)
+        outcome = RoundOutcome.sign_up(profile, rebated(menu, delta), curve, np.arange(len(profile)))
+        chosen = [None if it is None else it.index for it in outcome.type_item]
+        assert chosen == [t.index for t in profile.types]
+        assert not outcome.type_tied.any()
 
     def test_ties_logged_on_tight_menu(self, canonical_profile, canonical_curve, canonical_menu):
         outcome = run_round(canonical_profile, canonical_menu, canonical_curve, 2000, "analytic", seed=10)
@@ -253,7 +276,8 @@ class TestRunRound:
         assert all(outcome.type_tied[types[cid]] for cid in top)
         assert all(not outcome.type_tied[types[cid]] for cid in bottom)
         assert all(outcome.type_item[types[cid]].index == 1 for cid in bottom)
-        assert set(outcome.ties) == set(top)
+        logged = outcome.to_dict()["tied_types"]
+        assert {cid for cid, t in enumerate(types) if canonical_profile.types[t].index in logged} == set(top)
 
     def test_deterministic_bit_for_bit(self, canonical_profile, canonical_curve, canonical_menu):
         a = run_round(canonical_profile, canonical_menu, canonical_curve, 300, "ml", seed=11)
@@ -367,12 +391,13 @@ def reference_round(profile, menu, curve, n, mode, seed):
     else:
         total = math.fsum(share for _, share in expected_shares)
         weights = {cid: share / total for cid, share in expected_shares} if total > 0.0 else {}
-    return clients, fees, rewards, forfeits, utility, weights, tuple(ties)
+    tied_types = [t.index for t in profile.types if choose_contract(t.theta, menu, c).tied]
+    return clients, fees, rewards, forfeits, utility, weights, tuple(ties), tied_types
 
 
 def reference_files(clients, ledger, mode, tmp_path):
     """The ledger JSON and per-client CSV as the per-client loop wrote them."""
-    fees, rewards, forfeits, utility, weights, ties = ledger
+    fees, rewards, forfeits, utility, weights, _, tied_types = ledger
     payload = {
         "mode": mode,
         "n_clients": len(clients),
@@ -384,7 +409,7 @@ def reference_files(clients, ledger, mode, tmp_path):
         "realized_server_utility": utility,
         "mean_server_utility_per_client": utility / len(clients),
         "aggregation_weights": {str(k): v for k, v in weights.items()},
-        "ties": list(ties),
+        "tied_types": tied_types,
     }
     with open(tmp_path / "ref.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -446,14 +471,15 @@ class TestPerTypeEngine:
             warnings.simplefilter("ignore")  # the bottom-rejects menu is infeasible
             outcome = run_round(profile, menu, curve, n, mode, seed)
         clients, *ledger = reference_round(profile, menu, curve, n, mode, seed)
-        fees, rewards, forfeits, utility, weights, ties = ledger
+        fees, rewards, forfeits, utility, weights, ties, tied_types = ledger
         assert outcome.fees_collected == fees
         assert outcome.rewards_paid == rewards
         assert outcome.fees_forfeited == forfeits
         assert outcome.realized_server_utility == utility
         assert outcome.aggregation_weights == weights
         assert list(outcome.aggregation_weights) == list(weights)
-        assert outcome.ties == ties
+        assert tuple(np.flatnonzero(outcome.type_tied[outcome.client_type]).tolist()) == ties
+        assert outcome.to_dict()["tied_types"] == tied_types
         outcome.to_json(tmp_path / "round.json")
         outcome.clients_to_csv(tmp_path / "round.csv")
         ref_json, ref_csv = reference_files(clients, ledger, mode, tmp_path)

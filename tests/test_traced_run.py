@@ -1,13 +1,12 @@
 """The traced benchmark run (perfbench/traced.py) still finds every layer it wraps."""
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from conftest import CONFIGS
+from conftest import CONFIGS, src_env
 
 ROOT = Path(__file__).parent.parent
 
@@ -15,11 +14,9 @@ ROOT = Path(__file__).parent.parent
 def traced_span_names(tmp_path: Path, *cli_args: str) -> set[str]:
     """Run one CLI command under the tracer; the names of the spans it recorded."""
     spans = tmp_path / "spans.npz"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans), "cli", *cli_args],
-        capture_output=True, text=True, env=env, cwd=ROOT,
+        capture_output=True, text=True, env=src_env(), cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr
     with np.load(spans) as data:

@@ -49,6 +49,12 @@ def _numbers(values, path: str, kind: type) -> tuple:
     return tuple(_number(v, f"{path}[{i}]", kind) for i, v in enumerate(values))
 
 
+def _require_distinct(values: tuple, path: str) -> None:
+    for i, value in enumerate(values):
+        first = values.index(value)
+        _require(first == i, f"{path}[{i}]", f"duplicates {path}[{first}] ({value!r})")
+
+
 def _spec(cls, section: dict, path: str):
     """``cls`` from a config section; each field is typed like its default."""
     return cls(**{
@@ -95,7 +101,8 @@ class TrainingSpec:
     def validate(self, path: str = "training") -> None:
         _require(self.max_epochs >= 1, f"{path}.max_epochs", "must be >= 1")
         _require(self.n_points >= 1, f"{path}.n_points", "must be >= 1")
-        _require(self.learning_rate > 0, f"{path}.learning_rate", "must be positive")
+        _require(math.isfinite(self.learning_rate) and self.learning_rate > 0,
+                 f"{path}.learning_rate", "must be finite and positive")
         _require(self.batch_size >= 1, f"{path}.batch_size", "must be >= 1")
 
 
@@ -142,18 +149,22 @@ class ExperimentConfig:
         total = math.fsum(self.betas)
         _require(abs(total - 1.0) <= 1e-9, "profile.betas",
                  f"must sum to 1 within 1e-9, got {total!r}")
-        _require(self.unit_cost > 0.0, "profile.c", "must be positive")
+        _require(math.isfinite(self.unit_cost) and self.unit_cost > 0.0, "profile.c",
+                 "must be finite and positive")
         _require(len(self.benchmarks) == n, "benchmarks", f"need {n} values")
         _require(all(0.0 <= m <= 1.0 for m in self.benchmarks), "benchmarks",
                  "every benchmark must lie in [0, 1]")
         _require(self.population >= 1, "population", "must be >= 1")
         _require(len(self.seeds) >= 1, "seeds", "at least one seed required")
         _require(all(s >= 0 for s in self.seeds), "seeds", "seeds must be >= 0")
+        _require_distinct(self.seeds, "seeds")
         _require(self.mode in MODES, "mode", f"must be one of {MODES}")
         _require(len(self.schemes) >= 1, "schemes", "at least one scheme required")
         for s in self.schemes:
             _require(s in SCHEMES, "schemes", f"unknown scheme {s!r}, valid: {SCHEMES}")
-        _require(all(c > 0.0 for c in self.c_values), "c_values", "must be positive")
+        for i, c in enumerate(self.c_values):
+            _require(math.isfinite(c) and c > 0.0, f"c_values[{i}]", "must be finite and positive")
+        _require_distinct(self.c_values, "c_values")
         kind = self.curve.get("kind")
         _require(isinstance(kind, str) and kind in CURVE_KEYS, "curve.kind",
                  f"must be 'exponential' or 'table', got {kind!r}")

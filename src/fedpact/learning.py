@@ -25,12 +25,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, TrainingSpec
 from .contracts import ContractItem, ContractMenu, solve_optimal_menu
 from .coverage import PointCloud, coverage_quality
 from .seeding import as_generator, child_rng
@@ -263,62 +264,75 @@ def generate_client_dataset(
 # ---------------------------------------------------------------------------
 
 def local_train(
-    model: ModelVector,
+    models: Sequence[ModelVector],
     points: np.ndarray,
     labels: np.ndarray,
     effort: float,
     max_epochs: int,
-    seed: int | np.random.Generator,
+    seeds: Sequence[int | np.random.Generator],
     learning_rate: float = 0.8,
     batch_size: int = 32,
-) -> ModelVector:
-    """Mini-batch cross-entropy gradient descent for round(effort * max_epochs) epochs.
+) -> tuple[ModelVector, ...]:
+    """Mini-batch cross-entropy gradient descent for round(effort * max_epochs)
+    epochs, C clients in lockstep.
 
-    Zero effort returns the input model unchanged.  Shuffling is driven
-    by the seed, so training is bit-reproducible.
+    ``points`` is ``(C, n, d)`` and ``labels`` ``(C, n)``; row ``i`` trains
+    ``models[i]`` with its own shuffle stream ``seeds[i]``, and gets the bits
+    a run on that client alone would.  Generators advance in place, so a
+    second call with the same generators continues each client's run.  Zero
+    epochs return the input models themselves.
     """
     if not 0.0 <= effort <= 1.0:
         raise ValueError(f"effort must lie in [0, 1], got {effort}")
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
-    epochs = int(math.floor(effort * max_epochs + 0.5))
-    if epochs == 0:
-        return model
+    models = tuple(models)
     x = np.asarray(points, dtype=float)
     y = np.asarray(labels, dtype=int)
-    if x.ndim != 2 or x.shape[1] != model.arch.input_dim:
-        raise ArchitectureMismatchError(
-            f"data dimension {x.shape} does not match input_dim {model.arch.input_dim}"
+    if not models or not len(models) == len(seeds) == len(x) or y.shape != x.shape[:2]:
+        raise ValueError(
+            f"{len(models)} models, {len(seeds)} seeds, points {x.shape} and "
+            f"labels {y.shape} do not describe the same clients"
         )
-    n = x.shape[0]
-    k = model.arch.n_classes
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
-    rng = as_generator(seed)
-    params = model.parameters.copy()
-    d = model.arch.input_dim
+    arch = models[0].arch
+    if any(model.arch != arch for model in models):
+        raise ArchitectureMismatchError(f"models of {len({m.arch for m in models})} architectures")
+    if x.ndim != 3 or x.shape[2] != arch.input_dim:
+        raise ArchitectureMismatchError(
+            f"data dimension {x.shape} does not match input_dim {arch.input_dim}"
+        )
+    epochs = int(math.floor(effort * max_epochs + 0.5))
+    if epochs == 0:
+        return models
+    n_clients, n, d = x.shape
+    k = arch.n_classes
+    rows = np.arange(n_clients)[:, None]
+    onehot = np.zeros((n_clients, n, k))
+    onehot[rows, np.arange(n), y] = 1.0
+    rngs = [as_generator(seed) for seed in seeds]
+    w = np.stack([model.parameters[: d * k].reshape(d, k) for model in models])
+    b = np.stack([model.parameters[d * k :] for model in models])
 
     for _ in range(epochs):
-        order = rng.permutation(n)
+        order = np.stack([rng.permutation(n) for rng in rngs])
         for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            xb, yb = x[batch], onehot[batch]
-            m = len(batch)
-            w = params[: d * k].reshape(d, k)
-            b = params[d * k :]
-            logits = xb @ w + b
-            probs = _softmax(logits)
-            g = (probs - yb) / m
-            grad = np.concatenate([(xb.T @ g).ravel(), g.sum(axis=0)])
-            params -= learning_rate * grad
+            batch = order[:, start : start + batch_size]
+            xb, yb = x[rows, batch], onehot[rows, batch]
+            probs = _softmax(xb @ w + b[:, None, :])
+            g = (probs - yb) / batch.shape[1]
+            w -= learning_rate * (xb.transpose(0, 2, 1) @ g)
+            b -= learning_rate * g.sum(axis=1)
 
-    return ModelVector(arch=model.arch, parameters=params)
+    return tuple(
+        ModelVector(arch=arch, parameters=np.concatenate([wi.ravel(), bi]))
+        for wi, bi in zip(w, b)
+    )
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def aggregate(models: list[tuple[ModelVector, float]]) -> ModelVector:
@@ -483,13 +497,58 @@ def _flat_item(menu: ContractMenu, betas: np.ndarray) -> ContractItem:
     )
 
 
+def _epoch_snapshots(
+    task: SyntheticTask,
+    init_model: ModelVector,
+    datasets: list[ClientDataset],
+    wanted: dict[int, set[int]],
+    seed: int,
+    train: TrainingSpec,
+) -> dict[tuple[int, int], tuple[ModelVector, float, float]]:
+    """Client ``cid``'s model, local and server accuracy after each epoch
+    count in ``wanted[cid]``, keyed ``(cid, epochs)``.
+
+    A shorter run is a prefix of a longer one (same init model, same
+    ``child_rng(seed, 40, cid)`` shuffle stream), so the clients train
+    once, in lockstep, and each count is a snapshot of that run.
+    """
+    models = dict.fromkeys(wanted, init_model)
+    rngs = {cid: child_rng(seed, 40, cid) for cid in wanted}
+    snapshots = {}
+    done = 0
+    for stop in sorted(set().union(*wanted.values())):
+        cids = [cid for cid, counts in wanted.items() if max(counts) >= stop]
+        if stop > done:
+            models.update(zip(cids, local_train(
+                [models[cid] for cid in cids],
+                np.stack([datasets[cid].points for cid in cids]),
+                np.stack([datasets[cid].labels for cid in cids]),
+                effort=(stop - done) / train.max_epochs,
+                max_epochs=train.max_epochs,
+                seeds=[rngs[cid] for cid in cids],
+                learning_rate=train.learning_rate,
+                batch_size=train.batch_size,
+            )))
+            done = stop
+        for cid in cids:
+            if stop in wanted[cid]:
+                model, data = models[cid], datasets[cid]
+                snapshots[cid, stop] = (
+                    model, model_accuracy(model, data.points, data.labels), server_test(model, task)
+                )
+    return snapshots
+
+
 def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
     """Full federated round per (seed, c) under every configured scheme.
 
     Clients and their datasets are shared across schemes and c values of
     a seed; contract and fedavg schemes also share trained models (same
     rewards, hence same efforts), so their accuracies differ only through
-    the aggregation weights.  Everything is deterministic per config.
+    the aggregation weights.  A seed's rounds are all signed up before
+    any client trains, so every client of the seed trains in one
+    lockstep run (``_epoch_snapshots``).  Everything is deterministic
+    per config.
     """
     if config.mode != "ml":
         raise ConfigError("mode: compare requires mode='ml' (trains real models)")
@@ -505,40 +564,18 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
 
     for seed in config.seeds:
         draws = sample_population(config.build_profile(), config.population, child_rng(seed, 10))
-        datasets = {}
-        for cid, type_idx in enumerate(draws):
-            datasets[cid] = generate_client_dataset(
+        datasets = [
+            generate_client_dataset(
                 task,
                 target_theta=config.thetas[type_idx],
                 n_points=train.n_points,
                 seed=int(child_rng(seed, 20, cid).integers(2**31)),
             )
-        init_model = ModelVector.random(task.arch, child_rng(seed, 30))
-        model_cache: dict[tuple[int, int], tuple[ModelVector, float, float]] = {}
+            for cid, type_idx in enumerate(draws)
+        ]
 
-        def trained(cid: int, effort: float) -> tuple[ModelVector, float, float, int]:
-            epochs = int(math.floor(effort * train.max_epochs + 0.5))
-            key = (cid, epochs)
-            if key not in model_cache:
-                data = datasets[cid]
-                model = local_train(
-                    init_model,
-                    data.points,
-                    data.labels,
-                    effort=epochs / train.max_epochs,
-                    max_epochs=train.max_epochs,
-                    seed=child_rng(seed, 40, cid),
-                    learning_rate=train.learning_rate,
-                    batch_size=train.batch_size,
-                )
-                model_cache[key] = (
-                    model,
-                    model_accuracy(model, data.points, data.labels),
-                    server_test(model, task),
-                )
-            model, local_acc, serv_acc = model_cache[key]
-            return model, local_acc, serv_acc, epochs
-
+        booked = []
+        wanted: dict[int, set[int]] = {}  # the epoch counts each participant trains
         for c in config.c_values:
             profile = config.build_profile(unit_cost=c)
             menu = solve_optimal_menu(profile, curve, config.benchmarks)
@@ -555,49 +592,60 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
                 bm if item is None else item.benchmark
                 for item, bm in zip(signed["contract"].type_item, config.benchmarks)
             ]
-
             for scheme in config.schemes:
                 signup = signed["flat" if scheme == "flat" else "contract"]
-                efforts = signup.type_effort.tolist()
+                type_epochs = [
+                    int(math.floor(e * train.max_epochs + 0.5)) for e in signup.type_effort.tolist()
+                ]
+                booked.append((c, scheme, signup, gates, type_epochs))
                 ptypes = signup.participant_types.tolist()
-                results = {
-                    cid: trained(cid, efforts[t])
-                    for cid, t in zip(signup.participant_ids.tolist(), ptypes)
-                }
-                outcome = signup.with_passes(np.array(
-                    [results[cid][2] >= gates[t] for cid, t in zip(results, ptypes)], dtype=bool
+                for cid, t in zip(signup.participant_ids.tolist(), ptypes):
+                    wanted.setdefault(cid, set()).add(type_epochs[t])
+
+        init_model = ModelVector.random(task.arch, child_rng(seed, 30))
+        snapshots = _epoch_snapshots(task, init_model, datasets, wanted, seed, train)
+
+        for c, scheme, signup, gates, type_epochs in booked:
+            efforts = signup.type_effort.tolist()
+            ptypes = signup.participant_types.tolist()
+            results = {
+                cid: (*snapshots[cid, type_epochs[t]], type_epochs[t])
+                for cid, t in zip(signup.participant_ids.tolist(), ptypes)
+            }
+            outcome = signup.with_passes(np.array(
+                [results[cid][2] >= gates[t] for cid, t in zip(results, ptypes)], dtype=bool
+            ))
+            passers = np.flatnonzero(outcome.succeeded).tolist()
+            if passers:
+                weights = (
+                    dict.fromkeys(passers, 1.0 / len(passers)) if scheme == "fedavg"
+                    else outcome.aggregation_weights
+                )
+                global_model = aggregate([(results[cid][0], w) for cid, w in weights.items()])
+                accuracy = server_test(global_model, task)
+            else:
+                accuracy = float("nan")
+            rounds.append(SchemeRound(
+                seed=seed, c=c, scheme=scheme, accuracy=accuracy,
+                participants=outcome.participants, successes=outcome.successes,
+                total_fees=outcome.fees_collected, total_rewards=outcome.rewards_paid,
+            ))
+            if scheme == "fedavg":
+                continue  # its clients' rows are the contract scheme's
+            passed = outcome.succeeded.tolist()
+            for cid, t in enumerate(draws.tolist()):
+                item = signup.type_item[t]
+                _, local_acc, serv_acc, epochs = results.get(
+                    cid, (None, math.nan, math.nan, 0)
+                )
+                client_rows.append(ClientRecord(
+                    seed=seed, c=c, scheme=scheme, client_id=cid, type_index=t + 1,
+                    theta_target=config.thetas[t],
+                    theta_measured=datasets[cid].measured_quality,
+                    chosen_index=None if item is None else item.index,
+                    effort=efforts[t], epochs=epochs, local_accuracy=local_acc,
+                    server_accuracy=serv_acc, passed=passed[cid],
                 ))
-                passers = np.flatnonzero(outcome.succeeded).tolist()
-                if passers:
-                    weights = (
-                        dict.fromkeys(passers, 1.0 / len(passers)) if scheme == "fedavg"
-                        else outcome.aggregation_weights
-                    )
-                    global_model = aggregate([(results[cid][0], w) for cid, w in weights.items()])
-                    accuracy = server_test(global_model, task)
-                else:
-                    accuracy = float("nan")
-                rounds.append(SchemeRound(
-                    seed=seed, c=c, scheme=scheme, accuracy=accuracy,
-                    participants=outcome.participants, successes=outcome.successes,
-                    total_fees=outcome.fees_collected, total_rewards=outcome.rewards_paid,
-                ))
-                if scheme == "fedavg":
-                    continue  # its clients' rows are the contract scheme's
-                passed = outcome.succeeded.tolist()
-                for cid, t in enumerate(draws.tolist()):
-                    item = signup.type_item[t]
-                    _, local_acc, serv_acc, epochs = results.get(
-                        cid, (None, math.nan, math.nan, 0)
-                    )
-                    client_rows.append(ClientRecord(
-                        seed=seed, c=c, scheme=scheme, client_id=cid, type_index=t + 1,
-                        theta_target=config.thetas[t],
-                        theta_measured=datasets[cid].measured_quality,
-                        chosen_index=None if item is None else item.index,
-                        effort=efforts[t], epochs=epochs, local_accuracy=local_acc,
-                        server_accuracy=serv_acc, passed=passed[cid],
-                    ))
 
     return SchemeReport(
         rounds=tuple(rounds),

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from fedpact.contracts import (
     TypeProfile,
     verify_feasibility,
 )
+from fedpact.learning import ArchitectureMismatchError, ModelVector
+from fedpact.seeding import as_generator
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -64,6 +67,63 @@ def fee_recursion(thetas: np.ndarray, rewards: np.ndarray, c: float) -> np.ndarr
     for i in range(1, len(rewards)):
         fees[i] = fees[i - 1] + thetas[i] ** 2 * (rewards[i] ** 2 - rewards[i - 1] ** 2) / (2.0 * c)
     return fees
+
+
+def reference_local_train(
+    model: ModelVector,
+    points: np.ndarray,
+    labels: np.ndarray,
+    effort: float,
+    max_epochs: int,
+    seed: int | np.random.Generator,
+    learning_rate: float = 0.8,
+    batch_size: int = 32,
+) -> ModelVector:
+    """One client's mini-batch loop, the reference for the lockstep
+    ``learning.local_train``: round(effort * max_epochs) epochs, zero effort
+    returns the input model."""
+    if not 0.0 <= effort <= 1.0:
+        raise ValueError(f"effort must lie in [0, 1], got {effort}")
+    if max_epochs < 1:
+        raise ValueError("max_epochs must be >= 1")
+    epochs = int(math.floor(effort * max_epochs + 0.5))
+    if epochs == 0:
+        return model
+    x = np.asarray(points, dtype=float)
+    y = np.asarray(labels, dtype=int)
+    if x.ndim != 2 or x.shape[1] != model.arch.input_dim:
+        raise ArchitectureMismatchError(
+            f"data dimension {x.shape} does not match input_dim {model.arch.input_dim}"
+        )
+    n = x.shape[0]
+    k = model.arch.n_classes
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), y] = 1.0
+    rng = as_generator(seed)
+    params = model.parameters.copy()
+    d = model.arch.input_dim
+
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = order[start : start + batch_size]
+            xb, yb = x[batch], onehot[batch]
+            m = len(batch)
+            w = params[: d * k].reshape(d, k)
+            b = params[d * k :]
+            logits = xb @ w + b
+            probs = _reference_softmax(logits)
+            g = (probs - yb) / m
+            grad = np.concatenate([(xb.T @ g).ravel(), g.sum(axis=0)])
+            params -= learning_rate * grad
+
+    return ModelVector(arch=model.arch, parameters=params)
+
+
+def _reference_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def clamped_expected_utility(profile: TypeProfile, menu: ContractMenu, curve: RevenueCurve) -> float:

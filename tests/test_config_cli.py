@@ -27,6 +27,24 @@ def base_payload(**overrides) -> dict:
     return payload
 
 
+def ml_payload(**overrides) -> dict:
+    """A two-type ``compare`` config small enough to run in a test."""
+    payload = base_payload(
+        profile={"thetas": [0.6, 0.9], "betas": [0.5, 0.5], "c": 1.0},
+        curve={"kind": "exponential", "a": 0.1, "b": 4.0},
+        benchmarks=[0.45, 0.55],
+        population=6,
+        seeds=[1],
+        mode="ml",
+        c_values=[1.0],
+        task={"dimension": 2, "classes": 2, "test_size": 400, "seed": 7},
+        training={"max_epochs": 10, "n_points": 50, "learning_rate": 0.8,
+                  "batch_size": 16},
+    )
+    payload.update(overrides)
+    return payload
+
+
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -130,6 +148,37 @@ class TestConfigValidation:
         config = write_config(tmp_path, payload)
         assert main(["simulate", "--config", str(config)]) == 2
         assert f"config error: {path}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, command", [
+        ("profile.c", "solve"), ("profile.c", "simulate"),
+        ("c_values[1]", "compare"), ("training.learning_rate", "compare"),
+    ])
+    def test_scalar_floats_must_be_finite(self, path, command, tmp_path, capsys):
+        # an infinite cost solved "feasible" and simulated a zero utility, an
+        # infinite c value failed only at the JSON write (exit 4), and an
+        # infinite learning rate trained every model to NaN and exited 0
+        payload = ml_payload(c_values=[1.0, 2.0], out_dir=str(tmp_path / "out"))
+        if path == "c_values[1]":
+            payload["c_values"][1] = float("inf")
+        else:
+            section, key = path.split(".")
+            payload[section][key] = float("inf")
+        assert main([command, "--config", str(write_config(tmp_path, payload))]) == 2
+        assert f"config error: {path}: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, values", [("seeds", [1, 2, 1]), ("c_values", [0.5, 0.5])])
+    def test_duplicates_rejected(self, key, values, tmp_path, capsys):
+        # compare booked a repeated seed or c value twice and counted the
+        # copies in the means
+        payload = ml_payload(out_dir=str(tmp_path / "out"), **{key: values})
+        assert main(["compare", "--config", str(write_config(tmp_path, payload))]) == 2
+        first = values.index(values[-1])
+        assert (
+            f"config error: {key}[{len(values) - 1}]: duplicates {key}[{first}]"
+            in capsys.readouterr().err
+        )
         assert not (tmp_path / "out").exists()
 
     def test_integer_accepted_as_number(self):
@@ -288,20 +337,7 @@ class TestCli:
         assert main(["compare", "--config", str(config)]) == 2
 
     def test_compare_tiny_run(self, tmp_path):
-        payload = base_payload(
-            profile={"thetas": [0.6, 0.9], "betas": [0.5, 0.5], "c": 1.0},
-            curve={"kind": "exponential", "a": 0.1, "b": 4.0},
-            benchmarks=[0.45, 0.55],
-            population=6,
-            seeds=[1],
-            mode="ml",
-            c_values=[1.0],
-            out_dir=str(tmp_path / "out"),
-            task={"dimension": 2, "classes": 2, "test_size": 400, "seed": 7},
-            training={"max_epochs": 10, "n_points": 50, "learning_rate": 0.8,
-                      "batch_size": 16},
-        )
-        config = write_config(tmp_path, payload)
+        config = write_config(tmp_path, ml_payload(out_dir=str(tmp_path / "out")))
         assert main(["compare", "--config", str(config)]) == 0
         out = tmp_path / "out"
         assert (out / "comparison.csv").exists()

@@ -27,7 +27,7 @@ from fedpact.learning import (
 from fedpact.seeding import child_rng
 from fedpact.simulation import choose_contract
 
-from conftest import CONFIGS
+from conftest import CONFIGS, reference_local_train
 
 
 @pytest.fixture(scope="module")
@@ -144,13 +144,15 @@ class TestLocalTrain:
     def test_zero_effort_identity(self, task2d):
         model = ModelVector.random(task2d.arch, 1)
         data = child_rng(2, 0).random((40, 2))
-        out = local_train(model, data, task2d.label(data), 0.0, 50, seed=3)
-        assert out is model
+        out = local_train([model], data[None], task2d.label(data)[None], 0.0, 50, [3])
+        assert out[0] is model
 
     def test_separable_task_learned(self, task2d):
         points = child_rng(4, 0).random((200, 2))
         labels = task2d.label(points)
-        model = local_train(ModelVector.random(task2d.arch, 5), points, labels, 1.0, 50, seed=6)
+        model = local_train(
+            [ModelVector.random(task2d.arch, 5)], points[None], labels[None], 1.0, 50, [6]
+        )[0]
         assert model_accuracy(model, points, labels) >= 0.95
         assert server_test(model, task2d) >= 0.9
 
@@ -160,8 +162,8 @@ class TestLocalTrain:
             points = child_rng(seed, 1).random((150, 2))
             labels = task2d.label(points)
             init = ModelVector.random(task2d.arch, seed)
-            hi = local_train(init, points, labels, 1.0, 50, seed=seed)
-            lo = local_train(init, points, labels, 0.2, 50, seed=seed)
+            hi = local_train([init], points[None], labels[None], 1.0, 50, [seed])[0]
+            lo = local_train([init], points[None], labels[None], 0.2, 50, [seed])[0]
             if server_test(hi, task2d) >= server_test(lo, task2d):
                 wins += 1
         assert wins >= 8
@@ -170,20 +172,77 @@ class TestLocalTrain:
         points = child_rng(8, 0).random((60, 2))
         labels = task2d.label(points)
         init = ModelVector.random(task2d.arch, 9)
-        a = local_train(init, points, labels, 0.7, 20, seed=10)
-        b = local_train(init, points, labels, 0.7, 20, seed=10)
+        a = local_train([init], points[None], labels[None], 0.7, 20, [10])[0]
+        b = local_train([init], points[None], labels[None], 0.7, 20, [10])[0]
         np.testing.assert_array_equal(a.parameters, b.parameters)
 
     def test_epoch_rounding(self, task2d):
         # effort 0.04 of 12 epochs rounds to zero epochs: identity
         model = ModelVector.random(task2d.arch, 11)
         data = child_rng(12, 0).random((30, 2))
-        assert local_train(model, data, task2d.label(data), 0.04, 12, seed=13) is model
+        assert local_train([model], data[None], task2d.label(data)[None], 0.04, 12, [13])[0] is model
 
     def test_dimension_mismatch(self, task2d):
         model = ModelVector.random(task2d.arch, 17)
         with pytest.raises(ArchitectureMismatchError):
-            local_train(model, np.zeros((5, 3)), np.zeros(5, dtype=int), 1.0, 10, seed=18)
+            local_train([model], np.zeros((1, 5, 3)), np.zeros((1, 5), dtype=int), 1.0, 10, [18])
+
+    def test_client_count_mismatch(self, task2d):
+        model = ModelVector.random(task2d.arch, 19)
+        points = np.zeros((2, 5, 2))
+        labels = np.zeros((2, 5), dtype=int)
+        with pytest.raises(ValueError, match="same clients"):
+            local_train([model], points, labels, 1.0, 10, [1, 2])
+        with pytest.raises(ValueError, match="same clients"):
+            local_train([model, model], points, labels, 1.0, 10, [1])
+        with pytest.raises(ValueError, match="same clients"):
+            local_train([model, model], points, labels[:, :4], 1.0, 10, [1, 2])
+
+
+def stacked_clients(dimension: int, classes: int, n_points: int, n_clients: int = 4):
+    """Distinct init models and labelled data for ``n_clients`` clients."""
+    task = SyntheticTask.generate(dimension, classes, seed=31, test_size=10)
+    models = [ModelVector.random(task.arch, child_rng(32, i)) for i in range(n_clients)]
+    points = np.stack([child_rng(33, i).random((n_points, dimension)) for i in range(n_clients)])
+    labels = np.stack([task.label(p) for p in points])
+    return models, points, labels
+
+
+class TestLockstepTrain:
+    # (n_points, batch_size, effort): n not a multiple of the batch, a
+    # batch larger than n, and zero effort
+    SHAPES = [(50, 16, 1.0), (40, 64, 0.6), (30, 8, 0.0)]
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("n_points,batch_size,effort", SHAPES)
+    def test_rows_match_single_client_loop(self, dimension, classes, n_points, batch_size, effort):
+        models, points, labels = stacked_clients(dimension, classes, n_points)
+        stacked = local_train(
+            models, points, labels, effort, 10,
+            [child_rng(34, i) for i in range(len(models))], 0.8, batch_size,
+        )
+        for i, model in enumerate(models):
+            single = reference_local_train(
+                model, points[i], labels[i], effort, 10, child_rng(34, i), 0.8, batch_size
+            )
+            assert stacked[i].arch == single.arch
+            # bit for bit, and the very input model when no epoch runs
+            np.testing.assert_array_equal(stacked[i].parameters, single.parameters)
+            assert (stacked[i] is model) == (single is model) == (effort == 0.0)
+
+    @pytest.mark.parametrize("first,total", [(3, 7), (1, 12), (6, 6)])
+    def test_shorter_run_is_a_prefix(self, first, total):
+        models, points, labels = stacked_clients(2, 3, 45)
+        gens = [child_rng(35, i) for i in range(len(models))]
+        head = local_train(models, points, labels, first / 12, 12, gens, 0.8, 16)
+        tail = local_train(head, points, labels, (total - first) / 12, 12, gens, 0.8, 16)
+        whole = local_train(
+            models, points, labels, total / 12, 12,
+            [child_rng(35, i) for i in range(len(models))], 0.8, 16,
+        )
+        for a, b in zip(tail, whole):
+            np.testing.assert_array_equal(a.parameters, b.parameters)
 
 
 class TestAggregate:
@@ -293,9 +352,9 @@ class TestSchemeComparison:
             for k, target in enumerate(targets):
                 ds = generate_client_dataset(task2d, target, 120, seed=1000 + seed * 10 + k)
                 model = local_train(
-                    ModelVector.random(task2d.arch, seed), ds.points, ds.labels,
-                    1.0, 50, seed=seed,
-                )
+                    [ModelVector.random(task2d.arch, seed)], ds.points[None], ds.labels[None],
+                    1.0, 50, [seed],
+                )[0]
                 qualities.append(ds.measured_quality)
                 accuracies.append(server_test(model, task2d))
         rho = spearmanr(qualities, accuracies).statistic
@@ -333,7 +392,7 @@ def reference_comparison(config: ExperimentConfig) -> SchemeReport:
             epochs = int(math.floor(effort * train.max_epochs + 0.5))
             if (cid, epochs) not in model_cache:
                 data = datasets[cid]
-                model = local_train(
+                model = reference_local_train(
                     init_model, data.points, data.labels,
                     effort=epochs / train.max_epochs, max_epochs=train.max_epochs,
                     seed=child_rng(seed, 40, cid), learning_rate=train.learning_rate,
@@ -438,6 +497,17 @@ COMPARISON_CASES = {
         profile={"thetas": [0.92], "betas": [1.0], "c": 1.0},
         curve={"kind": "exponential", "a": 0.1, "b": 4.6},
         benchmarks=[0.5],
+    ),
+    # shapes the lockstep trainer reshapes: d = k = 3, and one batch
+    # larger than a client's whole dataset
+    "three-dims-three-classes": lambda: shipped_config(
+        seeds=[3], population=12,
+        task={"dimension": 3, "classes": 3, "test_size": 500, "seed": 7},
+        training={"max_epochs": 20, "n_points": 50, "learning_rate": 0.8, "batch_size": 16},
+    ),
+    "batch-larger-than-data": lambda: shipped_config(
+        seeds=[3], population=12,
+        training={"max_epochs": 20, "n_points": 40, "learning_rate": 0.8, "batch_size": 64},
     ),
     "fedavg-only": lambda: shipped_config(seeds=[5], schemes=["fedavg"]),
     "shipped-seed-3": lambda: shipped_config(seeds=[3]),

@@ -307,6 +307,55 @@ class TestRunRound:
         assert header == "id,type,choice,effort,succeeded,fee,reward,success_prob"
         assert len((tmp_path / "clients.csv").read_text().splitlines()) == 51
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 500),
+        mode=st.sampled_from(["analytic", "ml"]),
+    )
+    def test_ledger_totals_equal_csv_sums(self, seed, n, mode, tmp_path_factory):
+        # the written ledger against math.fsum over the written per-client
+        # rows, any profile, both modes, one client to five hundred
+        rng = np.random.default_rng(seed)
+        profile = random_profile(rng)
+        benchmarks = random_benchmarks(rng, len(profile))
+        curve = random_increasing_convex_curve(rng, benchmarks)
+        menu = solve_optimal_menu(profile, curve, benchmarks)
+        outcome = run_round(profile, menu, curve, n, mode, seed=seed)
+        out = tmp_path_factory.mktemp("ledger")
+        outcome.to_json(out / "round.json")
+        outcome.clients_to_csv(out / "round.csv")
+        ledger = json.loads((out / "round.json").read_text())
+        with open(out / "round.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == ledger["n_clients"] == n
+
+        fees, rewards, forfeits, successes = [], [], [], 0
+        for row in rows:
+            if row["choice"] == "reject":
+                continue
+            fee, reward = float(row["fee"]), float(row["reward"])
+            fees.append(fee)
+            if mode == "ml":
+                if row["succeeded"] == "True":
+                    successes += 1
+                    rewards.append(reward)
+                else:
+                    forfeits.append(fee)
+            else:
+                p = float(row["success_prob"])
+                rewards.append(p * reward)
+                forfeits.append((1.0 - p) * fee)
+        assert ledger["participants"] == len(fees)
+        assert ledger["successes"] == successes
+        for key, values in (
+            ("fees_collected", fees), ("rewards_paid", rewards), ("fees_forfeited", forfeits),
+        ):
+            assert math.isclose(ledger[key], math.fsum(values), rel_tol=1e-9, abs_tol=1e-12), key
+        weights = ledger["aggregation_weights"].values()
+        if weights:
+            assert math.isclose(math.fsum(weights), 1.0, abs_tol=1e-9)
+
     def test_analytic_expected_accounting(self):
         profile = TypeProfile.from_arrays([0.6], [1.0], 1.0)
         curve = RevenueCurve.from_table([0.4], [1.0])

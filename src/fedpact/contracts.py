@@ -36,7 +36,6 @@ instances.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -135,15 +134,6 @@ class ContractItem:
     def to_dict(self) -> dict:
         return {"index": self.index, "f": self.fee, "R": self.reward, "M": self.benchmark}
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ContractItem":
-        return cls(
-            index=int(payload["index"]),
-            fee=float(payload["f"]),
-            reward=float(payload["R"]),
-            benchmark=float(payload["M"]),
-        )
-
 
 @dataclass(frozen=True)
 class ContractMenu:
@@ -180,7 +170,11 @@ class ContractMenu:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ContractMenu":
-        return cls(items=tuple(ContractItem.from_dict(p) for p in payload["items"]))
+        """Read a menu; a malformed entry raises ValueError naming it (``items[0].f``)."""
+        items = payload.get("items") if isinstance(payload, dict) else None
+        if not isinstance(items, list):
+            raise ValueError("menu: must be an object whose 'items' is a list")
+        return cls(items=tuple(_item_from_dict(p, f"items[{k}]") for k, p in enumerate(items)))
 
     def to_json(self, path: str | Path) -> None:
         with open(path, "w") as fh:
@@ -191,6 +185,20 @@ class ContractMenu:
     def from_json(cls, path: str | Path) -> "ContractMenu":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _item_from_dict(payload: dict, where: str) -> ContractItem:
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where}: must be an object, got {payload!r}")
+    values = []
+    for key, kind in (("index", int), ("f", float), ("R", float), ("M", float)):
+        if key not in payload:
+            raise ValueError(f"{where}.{key}: missing")
+        try:
+            values.append(kind(payload[key]))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{where}.{key}: not a number: {payload[key]!r}") from None
+    return ContractItem(*values)
 
 
 class RevenueCurve:
@@ -541,6 +549,9 @@ class GridSpec:
         return np.linspace(lo, hi, self.reward_steps)
 
 
+_OUTER_BLOCK = 1024  # outer menus per block of grid_search_menu; sets its peak memory
+
+
 @dataclass(frozen=True)
 class GridSearchResult:
     """Outcome of the exhaustive search; ``menu`` is None when no grid
@@ -575,8 +586,21 @@ def grid_search_menu(
     the objective rises with that fee, so the largest grid fee within its
     upper bound wins; with a zero last beta it ignores the fee, so the
     tie-break takes the smallest grid fee within its lower bound.
-    ``n_feasible`` counts feasible candidates actually examined, one per
-    reward column.  Practical for I <= 3.
+
+    The outer grid, every (f_i, R_i) of types 1..I-1, is walked by a flat
+    index in ``itertools.product`` order, ``_OUTER_BLOCK`` menus at a time
+    (I = 1 has one, empty, outer menu).  Within a block the IR/IC checks
+    among the outer types are a mask over its rows, and the last type's fee
+    bounds, snapped fee, feasibility and objective are (block, |R_I|)
+    arrays.  A block's best, the smallest key among its objective ties,
+    merges into the running best, so the block size never changes the
+    result.  Squares are libm ``pow`` (``np.float_power``), as in
+    ``envelope_utilities``, except those of the last reward axis
+    (``rL**2``, ``(theta_I rL)**2``), which multiply: a last-bit change
+    in either can move a snapped fee across its bound and so the winner.
+    ``n_evaluated`` counts outer menus x |R_I| x |f_I|; ``n_feasible``
+    counts feasible candidates actually examined, one per reward column.
+    Practical for I <= 3.
     """
     n = len(profile)
     if n > 3:
@@ -586,112 +610,79 @@ def grid_search_menu(
     if len(grid.fee_ranges) != n or len(grid.reward_ranges) != n:
         raise MenuMismatchError("grid spec must give one fee and one reward range per type")
 
-    thetas = profile.thetas
-    betas = profile.betas
-    c = profile.unit_cost
+    thetas, betas, c = profile.thetas, profile.betas, profile.unit_cost
+    theta_sq = np.float_power(thetas, 2.0)
     revenues = np.array([curve(m) for m in benchmarks], dtype=float)
-    fee_axes = [grid.fee_axis(i) for i in range(n)]
-    reward_axes = [grid.reward_axis(i) for i in range(n)]
     last = n - 1
-    last_fee_axis = fee_axes[last]
-    fee_lo = last_fee_axis[0]
-    fee_step = last_fee_axis[1] - last_fee_axis[0]
+    fee_grid = np.array([grid.fee_axis(i) for i in range(n)])
+    reward_grid = np.array([grid.reward_axis(i) for i in range(n)])
+    fL_axis, rL = fee_grid[last], reward_grid[last]
+    fee_lo, fee_step, top = fL_axis[0], fL_axis[1] - fL_axis[0], len(fL_axis) - 1
     fee_rises = bool(betas[last] > 0.0)
-
-    def objective_term(i: int, fee: float, reward: float) -> float:
-        return betas[i] * (fee + thetas[i] ** 2 * reward * (revenues[i] - reward) / c)
+    envelope_last = (thetas[last] * rL) ** 2 / (2.0 * c)
+    gain_last = theta_sq[last] * rL * (revenues[last] - rL) / c
+    outer_shape = (grid.fee_steps, grid.reward_steps) * last
+    n_outer = math.prod(outer_shape)
+    outer_types = np.arange(last)[:, None]
 
     best_obj = -math.inf
     best_key: tuple[float, ...] | None = None
     n_feasible = 0
-    n_evaluated = 0
+    for start in range(0, n_outer, _OUTER_BLOCK):
+        menus = np.arange(start, min(start + _OUTER_BLOCK, n_outer))
+        # the leading unit axis keeps the index rows (I-1 fee, I-1 reward) 2-D at I = 1
+        idx = np.array(np.unravel_index(menus, (1, *outer_shape)))
+        F = fee_grid[outer_types, idx[1::2]]  # (I-1, block)
+        R = reward_grid[outer_types, idx[2::2]]
+        # IR and IC among the outer types: U[i, j] is type i's utility for item j
+        U = np.float_power(thetas[:last, None, None] * R, 2.0) / (2.0 * c) - F
+        own = np.diagonal(U).T  # (I-1, block)
+        ok = ~np.any(own < -tolerance, axis=0)
+        ok &= ~np.any(own[:, None] - U < -tolerance, axis=(0, 1))
+        F, R = F[:, ok], R[:, ok]
+        fixed = np.sum(betas[:last, None] * (
+            F + theta_sq[:last, None] * R * (revenues[:last, None] - R) / c
+        ), axis=0)
 
-    outer_axes = [(fee_axes[i], reward_axes[i]) for i in range(last)]
-    outer_iter = itertools.product(
-        *(itertools.product(fa, ra) for fa, ra in outer_axes)
-    ) if outer_axes else iter([()])
-
-    rL = reward_axes[last]
-    envelope_last = (thetas[last] * rL) ** 2 / (2.0 * c)
-
-    for outer in outer_iter:
-        fees = [fr[0] for fr in outer]
-        rewards = [fr[1] for fr in outer]
-        # scalar IR / IC checks among the fixed (non-last) types
-        ok = True
-        for i in range(last):
-            if (thetas[i] * rewards[i]) ** 2 / (2.0 * c) - fees[i] < -tolerance:
-                ok = False
-                break
-        if ok:
-            for i in range(last):
-                ui = (thetas[i] * rewards[i]) ** 2 / (2.0 * c) - fees[i]
-                for j in range(last):
-                    if i == j:
-                        continue
-                    if ui - ((thetas[i] * rewards[j]) ** 2 / (2.0 * c) - fees[j]) < -tolerance:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if not ok:
-            n_evaluated += len(rL) * len(last_fee_axis)
-            continue
-
-        fixed_obj = math.fsum(
-            objective_term(i, fees[i], rewards[i]) for i in range(last)
+        # bounds on the last fee from the constraints involving the last item:
+        # its IR and its IC against item j give ub, type j's IC against it lb
+        rise = rL**2 - np.float_power(R, 2.0)[..., None]  # (I-1, block, |R_I|)
+        ub = np.minimum(envelope_last + tolerance, np.min(
+            theta_sq[last] * rise / (2.0 * c) + F[..., None] + tolerance, axis=0, initial=math.inf
+        ))
+        lb = np.max(
+            theta_sq[:last, None, None] * rise / (2.0 * c) + F[..., None] - tolerance,
+            axis=0, initial=-math.inf,
         )
-
-        # bounds on the last fee, per last reward, from constraints involving it
-        ub = envelope_last + tolerance  # IR of the last type
-        lb = np.full_like(rL, -math.inf)
-        for j in range(last):
-            # last type must not prefer item j
-            ub_j = (
-                thetas[last] ** 2 * (rL**2 - rewards[j] ** 2) / (2.0 * c)
-                + fees[j]
-                + tolerance
-            )
-            ub = np.minimum(ub, ub_j)
-            # type j must not prefer the last item
-            lb_j = (
-                thetas[j] ** 2 * (rL**2 - rewards[j] ** 2) / (2.0 * c)
-                + fees[j]
-                - tolerance
-            )
-            lb = np.maximum(lb, lb_j)
-
-        n_evaluated += len(rL) * len(last_fee_axis)
         # the one grid fee per reward column dominance keeps: the largest
         # within ub when the objective rises with the fee, else the smallest
         # within lb; step once if float rounding snapped it across its bound
-        top = len(last_fee_axis) - 1
         if fee_rises:
-            idx = np.clip(np.floor((ub - fee_lo) / fee_step), 0, top).astype(int)
-            idx = np.where(last_fee_axis[idx] > ub, np.maximum(idx - 1, 0), idx)
+            k = np.clip(np.floor((ub - fee_lo) / fee_step), 0, top).astype(int)
+            k = np.where(fL_axis[k] > ub, np.maximum(k - 1, 0), k)
         else:
-            idx = np.clip(np.ceil((lb - fee_lo) / fee_step), 0, top).astype(int)
-            idx = np.where(last_fee_axis[idx] < lb, np.minimum(idx + 1, top), idx)
-        fL = last_fee_axis[idx]
+            k = np.clip(np.ceil((lb - fee_lo) / fee_step), 0, top).astype(int)
+            k = np.where(fL_axis[k] < lb, np.minimum(k + 1, top), k)
+        fL = fL_axis[k]
         feasible = (fL <= ub) & (fL >= lb)
-        if not np.any(feasible):
-            continue
         n_feasible += int(np.count_nonzero(feasible))
-        obj = fixed_obj + betas[last] * (
-            fL + thetas[last] ** 2 * rL * (revenues[last] - rL) / c
-        )
-        obj = np.where(feasible, obj, -math.inf)
-        chunk_best = float(np.max(obj))
-        mask = obj == chunk_best
-        cand_keys = sorted(
-            (*fees, float(fL[k]), *rewards, float(rL[k]))
-            for k in np.flatnonzero(mask)
-        )
-        key = cand_keys[0]
-        if chunk_best > best_obj or (chunk_best == best_obj and (best_key is None or key < best_key)):
-            best_obj = chunk_best
-            best_key = key
+        obj = np.where(feasible, fixed[:, None] + betas[last] * (fL + gain_last), -math.inf)
+        # a menu competes with its best column; one with no feasible column
+        # or a NaN objective does not compete at all
+        row_best = obj.max(axis=1)
+        live = np.any(feasible, axis=1) & ~np.isnan(row_best)
+        if not np.any(live):
+            continue
+        block_best = float(row_best[live].max())
+        rows, cols = np.nonzero((obj == block_best) & live[:, None])
+        keys = (*F[:, rows], fL[rows, cols], *R[:, rows], rL[cols])
+        first = np.lexsort(keys[::-1])[0]
+        key = tuple(float(col[first]) for col in keys)
+        tied = block_best == best_obj and (best_key is None or key < best_key)
+        if block_best > best_obj or tied:
+            best_obj, best_key = block_best, key
 
+    n_evaluated = n_outer * len(rL) * len(fL_axis)
     if best_key is None:
         return GridSearchResult(menu=None, objective=None, n_feasible=0, n_evaluated=n_evaluated)
 

@@ -303,6 +303,43 @@ class TestCli:
         assert "fee must be finite" in capsys.readouterr().err
         assert not (out / "audit.json").exists()
 
+    # a menu file written by hand: each shape used to escape as a TypeError
+    @pytest.mark.parametrize("payload, where", [
+        pytest.param({"items": {"index": 1, "f": 0.1, "R": 1.0, "M": 0.3}}, "menu", id="items-object"),
+        pytest.param({"items": [1, 2]}, "items[0]", id="item-number"),
+        pytest.param([{"index": 1, "f": 0.1, "R": 1.0, "M": 0.3}], "menu", id="top-level-list"),
+        pytest.param({"items": [{"index": 1, "f": 0.125, "R": 1.0, "M": 0.3},
+                                {"index": 2, "f": None, "R": 2.0, "M": 0.5}]}, "items[1].f",
+                     id="null-fee"),
+    ])
+    def test_audit_rejects_malformed_menu(self, payload, where, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, base_payload(out_dir=str(out)))
+        menu = tmp_path / "bad_menu.json"
+        menu.write_text(json.dumps(payload))
+        assert main(["audit", str(menu), "--config", str(config)]) == 4
+        assert f"error: {where}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_audit_overflow_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, base_payload(out_dir=str(out)))
+        menu = tmp_path / "huge_menu.json"
+        menu.write_text(json.dumps({"items": [{"index": 1, "f": 1e308, "R": 1e308, "M": 0.3},
+                                              {"index": 2, "f": 1e308, "R": 1e308, "M": 0.5}]}))
+        assert main(["audit", str(menu), "--config", str(config)]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "simulate", "compare"])
+    def test_revenue_overflow_exits_4(self, command, tmp_path, capsys):
+        # exp(2000 * 0.55) is beyond the largest float
+        curve = {"kind": "exponential", "a": 0.1, "b": 2000.0}
+        config = write_config(tmp_path, ml_payload(curve=curve, out_dir=str(tmp_path / "out")))
+        assert main([command, "--config", str(config)]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_solve_rejects_nan_table_value(self, tmp_path, capsys):
         curve = {"kind": "table", "benchmarks": [0.3, 0.5], "values": [1.0, float("nan")]}
         config = write_config(tmp_path, base_payload(curve=curve, out_dir=str(tmp_path / "out")))

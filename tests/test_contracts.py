@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedpact import contracts
 from fedpact.contracts import (
     ClientType,
     ContractItem,
@@ -396,6 +397,38 @@ class TestPooling:
         assert verify_feasibility(profile, menu).feasible
 
 
+# The zero-beta instances offset the last reward axis, so the cheapest
+# feasible column of the last fee holds several grid fees and snapping
+# to the wrong end of it changes the winner.  In the tie-across-menus
+# instances only the last type counts, and its best item ties in several
+# menus of the other types (flat indices 0-2 at I = 2; 0, 26 and 52 at
+# I = 3).  At I = 1 the outer grid of the search is empty.
+PLAIN_ENUMERATION_ARGS = "thetas, betas, fee_steps, reward_steps, last_rewards"
+PLAIN_ENUMERATION_CASES = [
+    pytest.param([0.5, 1.0], [0.5, 0.5], 9, 9, (0.0, 2.5), id="canonical"),
+    pytest.param([0.5, 1.0], [1.0, 0.0], 17, 5, (0.15, 2.65), id="I2-last-beta-zero"),
+    pytest.param([0.5, 1.0], [0.0, 1.0], 17, 5, (0.15, 2.65), id="I2-first-beta-zero"),
+    pytest.param([0.4, 0.7, 1.0], [0.5, 0.5, 0.0], 5, 5, (0.15, 2.65), id="I3-last-beta-zero"),
+    pytest.param([0.4, 0.7, 1.0], [0.0, 0.5, 0.5], 5, 5, (0.15, 2.65), id="I3-first-beta-zero"),
+    pytest.param([0.3, 0.6], [0.0, 1.0], 9, 9, (0.0, 2.5), id="I2-tie-across-menus"),
+    pytest.param([0.2, 0.35, 0.5], [0.0, 0.0, 1.0], 5, 5, (0.0, 2.5), id="I3-tie-across-menus"),
+    pytest.param([1.0], [1.0], 17, 9, (0.15, 2.65), id="I1"),
+    pytest.param([0.6], [1.0], 9, 17, (0.0, 2.5), id="I1-low-theta"),
+]
+
+
+def plain_enumeration_instance(thetas, betas, fee_steps, reward_steps, last_rewards):
+    """(profile, curve, benchmarks, grid) of one ``PLAIN_ENUMERATION_CASES`` entry."""
+    n = len(thetas)
+    profile = TypeProfile.from_arrays(thetas, betas, 1.0)
+    benchmarks = [0.3, 0.5, 0.7][:n]
+    curve = RevenueCurve.from_table(benchmarks, [1.0, 2.0, 3.5][:n])
+    grid = GridSpec(fee_ranges=[(0.0, 2.0)] * n,
+                    reward_ranges=[(0.0, 2.5)] * (n - 1) + [last_rewards],
+                    fee_steps=fee_steps, reward_steps=reward_steps)
+    return profile, curve, benchmarks, grid
+
+
 class TestGridSearch:
     def test_single_type_matches_analytic(self):
         profile = TypeProfile.from_arrays([1.0], [1.0], 1.0)
@@ -426,26 +459,14 @@ class TestGridSearch:
         assert result.menu is None and result.objective is None
         assert result.n_feasible == 0
 
-    # The zero-beta instances offset the last reward axis, so the cheapest
-    # feasible column of the last fee holds several grid fees and snapping
-    # to the wrong end of it changes the winner.
-    @pytest.mark.parametrize("thetas, betas, fee_steps, reward_steps, last_rewards", [
-        pytest.param([0.5, 1.0], [0.5, 0.5], 9, 9, (0.0, 2.5), id="canonical"),
-        pytest.param([0.5, 1.0], [1.0, 0.0], 17, 5, (0.15, 2.65), id="I2-last-beta-zero"),
-        pytest.param([0.5, 1.0], [0.0, 1.0], 17, 5, (0.15, 2.65), id="I2-first-beta-zero"),
-        pytest.param([0.4, 0.7, 1.0], [0.5, 0.5, 0.0], 5, 5, (0.15, 2.65), id="I3-last-beta-zero"),
-        pytest.param([0.4, 0.7, 1.0], [0.0, 0.5, 0.5], 5, 5, (0.15, 2.65), id="I3-first-beta-zero"),
-    ])
+    @pytest.mark.parametrize(PLAIN_ENUMERATION_ARGS, PLAIN_ENUMERATION_CASES)
     def test_matches_plain_enumeration(self, thetas, betas, fee_steps, reward_steps, last_rewards):
         # independent re-enumeration on a coarse grid must agree with the
         # dominance-accelerated search, whichever way a zero beta snaps the fee
         n = len(thetas)
-        profile = TypeProfile.from_arrays(thetas, betas, 1.0)
-        benchmarks = [0.3, 0.5, 0.7][:n]
-        curve = RevenueCurve.from_table(benchmarks, [1.0, 2.0, 3.5][:n])
-        grid = GridSpec(fee_ranges=[(0.0, 2.0)] * n,
-                        reward_ranges=[(0.0, 2.5)] * (n - 1) + [last_rewards],
-                        fee_steps=fee_steps, reward_steps=reward_steps)
+        profile, curve, benchmarks, grid = plain_enumeration_instance(
+            thetas, betas, fee_steps, reward_steps, last_rewards
+        )
         result = grid_search_menu(profile, curve, benchmarks, grid)
 
         best = None
@@ -462,6 +483,23 @@ class TestGridSearch:
         assert result.found
         assert result.objective == pytest.approx(best[0], abs=1e-12)
         assert (tuple(result.menu.fees) + tuple(result.menu.rewards)) == pytest.approx(best[1])
+
+    # With blocks of 1 and 7 the tie-across-menus winners are settled by
+    # the merge between blocks, not within one.
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize(PLAIN_ENUMERATION_ARGS, PLAIN_ENUMERATION_CASES)
+    def test_block_size_does_not_change_result(
+        self, monkeypatch, block, thetas, betas, fee_steps, reward_steps, last_rewards
+    ):
+        instance = plain_enumeration_instance(thetas, betas, fee_steps, reward_steps, last_rewards)
+        default = grid_search_menu(*instance)
+        monkeypatch.setattr(contracts, "_OUTER_BLOCK", block)
+        blocked = grid_search_menu(*instance)
+        assert blocked.found and blocked.found == default.found
+        assert blocked.menu == default.menu
+        assert blocked.objective == default.objective
+        assert blocked.n_feasible == default.n_feasible
+        assert blocked.n_evaluated == default.n_evaluated
 
     def test_too_many_types_rejected(self):
         profile = random_profile(np.random.default_rng(0), n=4)

@@ -8,8 +8,6 @@ federated training experiment.
 """
 from .config import ConfigError, ExperimentConfig, TaskSpec, TrainingSpec
 from .contracts import (
-    ClientType,
-    ContractItem,
     ContractMenu,
     EffortResponse,
     FeasibilityReport,

@@ -55,126 +55,103 @@ class MenuMismatchError(ValueError):
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClientType:
-    """One quality type: index (1-based), quality theta, population share beta."""
-
-    index: int
-    theta: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+def _column(values: Sequence[float], name: str) -> np.ndarray:
+    """A read-only float64 copy of ``values``, which must be one-dimensional."""
+    column = np.array(values, dtype=np.float64)
+    if column.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {column.shape}")
+    column.setflags(write=False)
+    return column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypeProfile:
-    """Ordered client types with strictly increasing quality, plus unit effort cost."""
+    """Client types as columns, strictly increasing quality ``thetas`` and
+    population shares ``betas``, plus the unit effort cost.  Type i (1-based)
+    is entry i - 1."""
 
-    types: tuple[ClientType, ...]
+    thetas: np.ndarray
+    betas: np.ndarray
     unit_cost: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "types", tuple(self.types))
-        if not self.types:
+        thetas, betas = _column(self.thetas, "thetas"), _column(self.betas, "betas")
+        if len(thetas) != len(betas):
+            raise ValueError("thetas and betas must have equal length")
+        for theta, beta in zip(thetas.tolist(), betas.tolist()):
+            if not 0.0 < theta <= 1.0:
+                raise ValueError(f"theta must lie in (0, 1], got {theta}")
+            if not 0.0 <= beta <= 1.0:
+                raise ValueError(f"beta must lie in [0, 1], got {beta}")
+        if not len(thetas):
             raise ValueError("profile needs at least one type")
-        if self.unit_cost <= 0.0:
-            raise ValueError(f"unit cost must be positive, got {self.unit_cost}")
-        thetas = [t.theta for t in self.types]
-        if any(b <= a for a, b in zip(thetas, thetas[1:])):
-            raise ValueError(f"thetas must be strictly increasing, got {thetas}")
-        total = math.fsum(t.beta for t in self.types)
+        unit_cost = float(self.unit_cost)
+        if unit_cost <= 0.0:
+            raise ValueError(f"unit cost must be positive, got {unit_cost}")
+        if np.any(np.diff(thetas) <= 0.0):
+            raise ValueError(f"thetas must be strictly increasing, got {thetas.tolist()}")
+        total = math.fsum(betas.tolist())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"betas must sum to 1, got {total}")
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "unit_cost", unit_cost)
 
     @classmethod
     def from_arrays(
         cls, thetas: Sequence[float], betas: Sequence[float], unit_cost: float
     ) -> "TypeProfile":
-        if len(thetas) != len(betas):
-            raise ValueError("thetas and betas must have equal length")
-        types = tuple(
-            ClientType(index=i + 1, theta=float(th), beta=float(b))
-            for i, (th, b) in enumerate(zip(thetas, betas))
-        )
-        return cls(types=types, unit_cost=float(unit_cost))
+        return cls(thetas, betas, unit_cost)
 
     def __len__(self) -> int:
-        return len(self.types)
-
-    @property
-    def thetas(self) -> np.ndarray:
-        return np.array([t.theta for t in self.types])
-
-    @property
-    def betas(self) -> np.ndarray:
-        return np.array([t.beta for t in self.types])
+        return len(self.thetas)
 
 
-@dataclass(frozen=True)
-class ContractItem:
-    """One menu entry: registration fee, reward, and accuracy benchmark."""
-
-    index: int
-    fee: float
-    reward: float
-    benchmark: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.fee) and self.fee >= 0.0):
-            raise ValueError(f"fee must be finite and non-negative, got {self.fee}")
-        if not (math.isfinite(self.reward) and self.reward >= 0.0):
-            raise ValueError(f"reward must be finite and non-negative, got {self.reward}")
-        if not 0.0 <= self.benchmark <= 1.0:
-            raise ValueError(f"benchmark must lie in [0, 1], got {self.benchmark}")
-
-    def to_dict(self) -> dict:
-        return {"index": self.index, "f": self.fee, "R": self.reward, "M": self.benchmark}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContractMenu:
-    """Ordered menu, one item per type."""
+    """Ordered menu as columns, one (f, R, M) row per type: registration
+    ``fees``, ``rewards`` and accuracy ``benchmarks``.  Item i (1-based) is
+    row i - 1."""
 
-    items: tuple[ContractItem, ...]
+    fees: np.ndarray
+    rewards: np.ndarray
+    benchmarks: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
+        names = ("fees", "rewards", "benchmarks")
+        columns = [_column(getattr(self, name), name) for name in names]
+        if len({len(column) for column in columns}) > 1:
+            raise ValueError("fees, rewards and benchmarks must have equal length")
+        for fee, reward, benchmark in zip(*(column.tolist() for column in columns)):
+            if not (math.isfinite(fee) and fee >= 0.0):
+                raise ValueError(f"fee must be finite and non-negative, got {fee}")
+            if not (math.isfinite(reward) and reward >= 0.0):
+                raise ValueError(f"reward must be finite and non-negative, got {reward}")
+            if not 0.0 <= benchmark <= 1.0:
+                raise ValueError(f"benchmark must lie in [0, 1], got {benchmark}")
+        for name, column in zip(names, columns):
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __getitem__(self, i: int) -> ContractItem:
-        return self.items[i]
-
-    @property
-    def fees(self) -> np.ndarray:
-        return np.array([it.fee for it in self.items])
-
-    @property
-    def rewards(self) -> np.ndarray:
-        return np.array([it.reward for it in self.items])
-
-    @property
-    def benchmarks(self) -> np.ndarray:
-        return np.array([it.benchmark for it in self.items])
+        return len(self.fees)
 
     def to_dict(self) -> dict:
-        return {"items": [it.to_dict() for it in self.items]}
+        rows = zip(self.fees.tolist(), self.rewards.tolist(), self.benchmarks.tolist())
+        return {
+            "items": [{"index": k + 1, "f": f, "R": r, "M": m} for k, (f, r, m) in enumerate(rows)]
+        }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ContractMenu":
-        """Read a menu; a malformed entry raises ValueError naming it (``items[0].f``)."""
+        """Read a menu; a malformed entry raises ValueError naming it (``items[0].f``).
+
+        ``items[k].index`` must be k + 1: an item's index is its position.
+        """
         items = payload.get("items") if isinstance(payload, dict) else None
         if not isinstance(items, list):
             raise ValueError("menu: must be an object whose 'items' is a list")
-        return cls(items=tuple(_item_from_dict(p, f"items[{k}]") for k, p in enumerate(items)))
+        rows = [_item_from_dict(p, k) for k, p in enumerate(items)]
+        return cls(*np.array(rows, dtype=np.float64).reshape(-1, 3).T)
 
     def to_json(self, path: str | Path) -> None:
         with open(path, "w") as fh:
@@ -187,18 +164,24 @@ class ContractMenu:
             return cls.from_dict(json.load(fh))
 
 
-def _item_from_dict(payload: dict, where: str) -> ContractItem:
+def _item_from_dict(payload: dict, k: int) -> list[float]:
+    """Item ``k``'s (f, R, M) row, its index checked against its position."""
+    where = f"items[{k}]"
     if not isinstance(payload, dict):
         raise ValueError(f"{where}: must be an object, got {payload!r}")
     values = []
-    for key, kind in (("index", int), ("f", float), ("R", float), ("M", float)):
+    for key in ("index", "f", "R", "M"):
         if key not in payload:
             raise ValueError(f"{where}.{key}: missing")
         try:
-            values.append(kind(payload[key]))
+            values.append(float(payload[key]))
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{where}.{key}: not a number: {payload[key]!r}") from None
-    return ContractItem(*values)
+    if values[0] != k + 1:
+        raise ValueError(
+            f"{where}.index: must be {k + 1}, the item's position, got {payload['index']!r}"
+        )
+    return values[1:]
 
 
 class RevenueCurve:
@@ -302,12 +285,19 @@ def envelope_utilities(thetas: Sequence[float], menu: ContractMenu, c: float) ->
     at the raw (unclamped) best response.
 
     Squared with libm ``pow``, as the scalar ``x ** 2`` is; an array ``** 2``
-    multiplies instead and can differ in the last bit.
+    multiplies instead and can differ in the last bit.  A utility, or a
+    difference of two (an IC slack, a tie gap), beyond the float range
+    raises ValueError.
     """
     if c <= 0.0:
         raise ValueError(f"unit cost must be positive, got {c}")
     reach = np.multiply.outer(np.asarray(thetas, dtype=float), menu.rewards)
-    return np.float_power(reach, 2.0) / (2.0 * c) - menu.fees
+    with np.errstate(over="ignore", invalid="ignore"):
+        utilities = np.float_power(reach, 2.0) / (2.0 * c) - menu.fees
+        spread = utilities.max(initial=0.0) - utilities.min(initial=0.0)
+    if not np.isfinite(spread):
+        raise ValueError("menu utilities overflow: (theta R)^2 / (2c) - f is not a finite float")
+    return utilities
 
 
 def utility_tolerance(
@@ -341,10 +331,12 @@ def server_expected_utility(
         )
     c = profile.unit_cost
     total = 0.0
-    for ctype, item in zip(profile.types, menu):
-        e = best_response_effort(ctype.theta, item.reward, c).raw
-        revenue = curve(item.benchmark)
-        total += ctype.beta * (item.fee + ctype.theta * e * (revenue - item.reward))
+    for theta, beta, fee, reward, benchmark in zip(
+        profile.thetas.tolist(), profile.betas.tolist(),
+        menu.fees.tolist(), menu.rewards.tolist(), menu.benchmarks.tolist(),
+    ):
+        e = best_response_effort(theta, reward, c).raw
+        total += beta * (fee + theta * e * (curve(benchmark) - reward))
     return total
 
 
@@ -506,13 +498,7 @@ def solve_optimal_menu(
     rewards = np.array([curve(m) for m in benchmarks], dtype=float)
     if np.any(np.diff(rewards) < 0.0):
         rewards = _pooled_rewards(profile.betas, rewards)
-    fees = _fees_from_rewards(thetas, rewards, profile.unit_cost)
-    return ContractMenu(
-        items=tuple(
-            ContractItem(index=i + 1, fee=float(f), reward=float(r), benchmark=float(m))
-            for i, (f, r, m) in enumerate(zip(fees, rewards, benchmarks))
-        )
-    )
+    return ContractMenu(_fees_from_rewards(thetas, rewards, profile.unit_cost), rewards, benchmarks)
 
 
 # ---------------------------------------------------------------------------
@@ -686,14 +672,7 @@ def grid_search_menu(
     if best_key is None:
         return GridSearchResult(menu=None, objective=None, n_feasible=0, n_evaluated=n_evaluated)
 
-    fees_best = best_key[:n]
-    rewards_best = best_key[n:]
-    menu = ContractMenu(
-        items=tuple(
-            ContractItem(index=i + 1, fee=fees_best[i], reward=rewards_best[i], benchmark=float(benchmarks[i]))
-            for i in range(n)
-        )
-    )
+    menu = ContractMenu(best_key[:n], best_key[n:], benchmarks)
     report = verify_feasibility(profile, menu, tolerance=tolerance)
     if not report.feasible:  # pragma: no cover - guards float snapping
         raise RuntimeError(f"grid winner failed the feasibility check: {report.violations()}")

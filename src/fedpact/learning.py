@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, TrainingSpec
-from .contracts import ContractItem, ContractMenu, solve_optimal_menu
+from .contracts import ContractMenu, solve_optimal_menu
 from .coverage import PointCloud, coverage_quality
 from .seeding import as_generator, child_rng
 from .simulation import RoundOutcome, sample_population
@@ -394,7 +394,7 @@ class SchemeReport:
     clients: tuple[ClientRecord, ...]
     c_values: tuple[float, ...]
     schemes: tuple[str, ...]
-    flat_items: dict[float, ContractItem]
+    flat_items: dict[float, ContractMenu]  # one-row menus
 
     def mean_accuracy(self, c: float, scheme: str) -> float:
         vals = [r.accuracy for r in self.rounds if r.c == c and r.scheme == scheme]
@@ -434,7 +434,7 @@ class SchemeReport:
             "schemes": list(self.schemes),
             "orderings": orderings,
             "flat_items": {
-                _c_key(c): item.to_dict() for c, item in sorted(self.flat_items.items())
+                _c_key(c): flat.to_dict()["items"][0] for c, flat in sorted(self.flat_items.items())
             },
             "note": (
                 "flat scheme signs every client to the beta-weighted average "
@@ -482,18 +482,16 @@ def _c_key(c: float) -> str:
     return repr(float(c))
 
 
-def _flat_item(menu: ContractMenu, betas: np.ndarray) -> ContractItem:
-    """Beta-weighted average fee and reward: same expected budget, no screening.
+def _flat_item(menu: ContractMenu, betas: np.ndarray) -> ContractMenu:
+    """One-row menu of the beta-weighted average fee and reward: same
+    expected budget, no screening.
 
-    The benchmark field carries the average only for reporting; a flat
-    client is gated on the benchmark of its type's pick from the solved
-    menu (the lower item on a tie; its own benchmark if it rejects).
+    The benchmark carries the average only for reporting; a flat client is
+    gated on the benchmark of its type's pick from the solved menu (the
+    lower item on a tie; its own benchmark if it rejects).
     """
-    return ContractItem(
-        index=1,
-        fee=float(np.dot(betas, menu.fees)),
-        reward=float(np.dot(betas, menu.rewards)),
-        benchmark=float(np.dot(betas, menu.benchmarks)),
+    return ContractMenu(
+        [np.dot(betas, menu.fees)], [np.dot(betas, menu.rewards)], [np.dot(betas, menu.benchmarks)]
     )
 
 
@@ -560,7 +558,7 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
     train = config.training
     rounds: list[SchemeRound] = []
     client_rows: list[ClientRecord] = []
-    flat_items: dict[float, ContractItem] = {}
+    flat_items: dict[float, ContractMenu] = {}
 
     for seed in config.seeds:
         draws = sample_population(config.build_profile(), config.population, child_rng(seed, 10))
@@ -586,11 +584,12 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
             # server utility, so the flat item's benchmark is never priced
             signed = {
                 "contract": RoundOutcome.sign_up(profile, menu, curve, draws),
-                "flat": RoundOutcome.sign_up(profile, ContractMenu((flat,)), curve, draws),
+                "flat": RoundOutcome.sign_up(profile, flat, curve, draws),
             }
+            benchmarks = menu.benchmarks.tolist()
             gates = [
-                bm if item is None else item.benchmark
-                for item, bm in zip(signed["contract"].type_item, config.benchmarks)
+                bm if j < 0 else benchmarks[j]
+                for j, bm in zip(signed["contract"].type_choice.tolist(), config.benchmarks)
             ]
             for scheme in config.schemes:
                 signup = signed["flat" if scheme == "flat" else "contract"]
@@ -606,7 +605,7 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
         snapshots = _epoch_snapshots(task, init_model, datasets, wanted, seed, train)
 
         for c, scheme, signup, gates, type_epochs in booked:
-            efforts = signup.type_effort.tolist()
+            efforts, choices = signup.type_effort.tolist(), signup.type_choice.tolist()
             ptypes = signup.participant_types.tolist()
             results = {
                 cid: (*snapshots[cid, type_epochs[t]], type_epochs[t])
@@ -634,7 +633,6 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
                 continue  # its clients' rows are the contract scheme's
             passed = outcome.succeeded.tolist()
             for cid, t in enumerate(draws.tolist()):
-                item = signup.type_item[t]
                 _, local_acc, serv_acc, epochs = results.get(
                     cid, (None, math.nan, math.nan, 0)
                 )
@@ -642,7 +640,7 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
                     seed=seed, c=c, scheme=scheme, client_id=cid, type_index=t + 1,
                     theta_target=config.thetas[t],
                     theta_measured=datasets[cid].measured_quality,
-                    chosen_index=None if item is None else item.index,
+                    chosen_index=None if choices[t] < 0 else choices[t] + 1,
                     effort=efforts[t], epochs=epochs, local_accuracy=local_acc,
                     server_accuracy=serv_acc, passed=passed[cid],
                 ))

@@ -33,7 +33,6 @@ import numpy as np
 from .config import MODES
 from .contracts import (
     DEFAULT_TOLERANCE,
-    ContractItem,
     ContractMenu,
     RevenueCurve,
     TypeProfile,
@@ -84,7 +83,7 @@ def choose_contract(
     if best < 0.0:
         return ContractChoice(index=None, effort=0.0, tied=False, tie_indices=())
     index = tied_indices[0]
-    effort = best_response_effort(theta, menu[index - 1].reward, c).effort
+    effort = best_response_effort(theta, float(menu.rewards[index - 1]), c).effort
     return ContractChoice(
         index=index,
         effort=effort,
@@ -146,7 +145,8 @@ class RoundOutcome:
     A client's choice, effort, success probability and tie flag depend
     only on its type, so they are per-type columns (``type_*``, one entry
     per profile type) indexed by the per-client ``client_type``; only
-    ``succeeded`` is a per-client value of its own.
+    ``succeeded`` is a per-client value of its own.  ``type_choice`` is the
+    menu row each type takes, read against the menu's columns.
 
     ``mode='ml'`` books realized fees, rewards and forfeits from the
     ``succeeded`` flags; ``mode='analytic'`` books their expectations
@@ -157,9 +157,10 @@ class RoundOutcome:
     """
 
     profile: TypeProfile
+    menu: ContractMenu
     curve: RevenueCurve
     client_type: np.ndarray  # 0-based type index of each client
-    type_item: tuple[ContractItem | None, ...]  # None for a rejecting type
+    type_choice: np.ndarray  # 0-based menu row per type, -1 for a rejecting type
     type_effort: np.ndarray
     type_success_prob: np.ndarray
     type_tied: np.ndarray
@@ -172,13 +173,15 @@ class RoundOutcome:
     ) -> "RoundOutcome":
         """Each type picks from ``menu`` once; the round is booked at its
         expected values (``analytic``) until ``with_passes`` realizes it."""
-        choices = [choose_contract(t.theta, menu, profile.unit_cost) for t in profile.types]
+        c = profile.unit_cost
+        choices = [choose_contract(theta, menu, c) for theta in profile.thetas.tolist()]
         effort = np.array([ch.effort for ch in choices])
         return cls(
             profile=profile,
+            menu=menu,
             curve=curve,
             client_type=client_type,
-            type_item=tuple(None if ch.rejected else menu[ch.index - 1] for ch in choices),
+            type_choice=np.array([-1 if ch.rejected else ch.index - 1 for ch in choices]),
             type_effort=effort,
             type_success_prob=np.minimum(1.0, profile.thetas * effort),
             type_tied=np.array([ch.tied for ch in choices]),
@@ -195,7 +198,7 @@ class RoundOutcome:
     @property
     def participant_ids(self) -> np.ndarray:
         """Ids of the clients whose type accepted an item, in client order."""
-        accepted = np.array([item is not None for item in self.type_item])
+        accepted = self.type_choice >= 0
         return np.flatnonzero(accepted[self.client_type])
 
     @property
@@ -210,10 +213,10 @@ class RoundOutcome:
     def successes(self) -> int:
         return int(np.count_nonzero(self.succeeded))
 
-    def _participant_values(self, field: str) -> np.ndarray:
-        """Each participant's item ``field``, gathered from its type's item."""
-        values = [0.0 if it is None else getattr(it, field) for it in self.type_item]
-        return np.array(values)[self.participant_types]
+    def _participant_values(self, column: np.ndarray) -> np.ndarray:
+        """Each participant's entry of a menu ``column``, at its type's row."""
+        per_type = np.where(self.type_choice >= 0, column[self.type_choice], 0.0)
+        return per_type[self.participant_types]
 
     @property
     def _pass_weight(self) -> np.ndarray:
@@ -226,30 +229,32 @@ class RoundOutcome:
 
     @cached_property
     def fees_collected(self) -> float:
-        return _running_total(self._participant_values("fee"))
+        return _running_total(self._participant_values(self.menu.fees))
 
     @cached_property
     def rewards_paid(self) -> float:
-        return _running_total(self._pass_weight * self._participant_values("reward"))
+        return _running_total(self._pass_weight * self._participant_values(self.menu.rewards))
 
     @cached_property
     def fees_forfeited(self) -> float:
-        return _running_total((1.0 - self._pass_weight) * self._participant_values("fee"))
+        return _running_total((1.0 - self._pass_weight) * self._participant_values(self.menu.fees))
 
     @cached_property
     def realized_server_utility(self) -> float:
+        benchmarks, rewards = self.menu.benchmarks.tolist(), self.menu.rewards.tolist()
         margin = [
-            0.0 if it is None else self.curve(it.benchmark) - it.reward for it in self.type_item
+            0.0 if j < 0 else self.curve(benchmarks[j]) - rewards[j]
+            for j in self.type_choice.tolist()
         ]
         return _running_total(
-            self._participant_values("fee")
+            self._participant_values(self.menu.fees)
             + self._pass_weight * np.array(margin)[self.participant_types]
         )
 
     @cached_property
     def aggregation_weights(self) -> dict[int, float]:
         """Reward shares of the passers; expected-reward shares in analytic mode."""
-        share = self._pass_weight * self._participant_values("reward")
+        share = self._pass_weight * self._participant_values(self.menu.rewards)
         if self.mode != "analytic":
             passed = self._pass_weight > 0.0
             return _reward_shares(self.participant_ids[passed].tolist(), share[passed])
@@ -290,15 +295,13 @@ class RoundOutcome:
         default dialect (',' between fields, '\\r\\n' after each row)
         without quoting.
         """
+        fees, rewards = self.menu.fees.tolist(), self.menu.rewards.tolist()
         heads, tails = [], []
-        for ctype, item, effort, prob in zip(
-            self.profile.types,
-            self.type_item,
-            self.type_effort.tolist(),
-            self.type_success_prob.tolist(),
-        ):
-            heads.append(f"{ctype.index},{item.index if item else 'reject'},{effort!r},")
-            fee, reward = (item.fee, item.reward) if item else (0.0, 0.0)
+        for t, (j, effort, prob) in enumerate(zip(
+            self.type_choice.tolist(), self.type_effort.tolist(), self.type_success_prob.tolist()
+        )):
+            heads.append(f"{t + 1},{'reject' if j < 0 else j + 1},{effort!r},")
+            fee, reward = (0.0, 0.0) if j < 0 else (fees[j], rewards[j])
             tails.append(f",{fee!r},{reward!r},{prob!r}\r\n")
         with open(path, "w", newline="") as fh:
             fh.write("id,type,choice,effort,succeeded,fee,reward,success_prob\r\n")

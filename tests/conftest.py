@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fedpact.contracts import (
-    ContractItem,
     ContractMenu,
     RevenueCurve,
     TypeProfile,
@@ -131,9 +130,22 @@ def clamped_expected_utility(profile: TypeProfile, menu: ContractMenu, curve: Re
     sum_i beta_i (f_i + theta_i e_i (G(M_i) - R_i)), e_i = min(theta_i R_i / c, 1)."""
     c = profile.unit_cost
     return sum(
-        t.beta * (it.fee + t.theta * min(t.theta * it.reward / c, 1.0) * (curve(it.benchmark) - it.reward))
-        for t, it in zip(profile.types, menu)
+        beta * (fee + theta * min(theta * reward / c, 1.0) * (curve(benchmark) - reward))
+        for theta, beta, (fee, reward, benchmark) in zip(
+            profile.thetas.tolist(), profile.betas.tolist(), menu_rows(menu)
+        )
     )
+
+
+def menu_of(*rows: tuple[float, float, float]) -> ContractMenu:
+    """A menu from its (f, R, M) rows, item 1 first."""
+    fees, rewards, benchmarks = zip(*rows)
+    return ContractMenu(fees, rewards, benchmarks)
+
+
+def menu_rows(menu: ContractMenu) -> list[tuple[float, float, float]]:
+    """The menu's (f, R, M) rows as Python floats, item 1 first."""
+    return list(zip(menu.fees.tolist(), menu.rewards.tolist(), menu.benchmarks.tolist()))
 
 
 def random_profile(rng: np.random.Generator, n: int | None = None) -> TypeProfile:
@@ -194,12 +206,6 @@ def random_feasible_menu(
         delta = rng.uniform(0.0, 1.0) * min(upward, max(headroom, 0.0))
         drop[i] = drop[i - 1] + delta
     fees = np.maximum(fees - drop, 0.0)
-    benchmarks = random_benchmarks(rng, n)
-    menu = ContractMenu(
-        items=tuple(
-            ContractItem(index=i + 1, fee=float(f), reward=float(r), benchmark=float(m))
-            for i, (f, r, m) in enumerate(zip(fees, rewards, benchmarks))
-        )
-    )
+    menu = ContractMenu(fees, rewards, random_benchmarks(rng, n))
     assert verify_feasibility(profile, menu).feasible
     return menu

@@ -14,7 +14,6 @@ import pytest
 
 from fedpact.config import ExperimentConfig
 from fedpact.contracts import (
-    ContractItem,
     ContractMenu,
     GridSpec,
     RevenueCurve,
@@ -41,12 +40,8 @@ TOL = 1e-9
 def rebated(menu: ContractMenu, delta: float = 1e-6) -> ContractMenu:
     """Strictly incentive-compatible copy of a solved menu (fees lowered by
     i * delta) so simulated choices are unique rather than tied."""
-    return ContractMenu(
-        items=tuple(
-            ContractItem(it.index, max(it.fee - delta * it.index, 0.0), it.reward, it.benchmark)
-            for it in menu
-        )
-    )
+    index = np.arange(1, len(menu) + 1)
+    return ContractMenu(np.maximum(menu.fees - delta * index, 0.0), menu.rewards, menu.benchmarks)
 
 
 @pytest.fixture(scope="module")
@@ -140,8 +135,8 @@ def test_criterion_3_grid_oracle_cross_check():
         # to 2*df, the reward snap up to dR per type at bounded sensitivity
         df, dr = fee_hi / 100, reward_hi / 100
         sensitivity = max(
-            t.theta**2 * max(curve(m), 2 * reward_hi - curve(m)) / c
-            for t, m in zip(profile.types, benchmarks)
+            theta**2 * max(curve(m), 2 * reward_hi - curve(m)) / c
+            for theta, m in zip(profile.thetas.tolist(), benchmarks)
         )
         slack = 2 * df + 2 * dr * sensitivity
         gap = result.objective - formula_obj
@@ -186,21 +181,20 @@ def test_criterion_5_truthful_selection(mnist_config_path):
     tied_ids = set()
     types = outcome.client_type.tolist()
     for cid, t in enumerate(types):
-        ctype, chosen = profile.types[t], outcome.type_item[t]
-        i = ctype.index
+        i, chosen = t + 1, outcome.type_choice[t] + 1
         if not outcome.type_tied[t]:
-            assert chosen.index == i, f"non-tied client of type {i} chose {chosen.index}"
+            assert chosen == i, f"non-tied client of type {i} chose {chosen}"
         else:
             tie_count += 1
             tied_ids.add(cid)
-            choice = choose_contract(ctype.theta, menu, profile.unit_cost)
+            choice = choose_contract(float(profile.thetas[t]), menu, profile.unit_cost)
             assert choice.tie_indices == (i - 1, i), (
                 f"type {i} tied on {choice.tie_indices}, not its adjacent boundary"
             )
     elapsed = time.time() - start
     assert elapsed < 5.0
     logged = outcome.to_dict()["tied_types"]
-    assert {cid for cid, t in enumerate(types) if profile.types[t].index in logged} == tied_ids
+    assert {cid for cid, t in enumerate(types) if t + 1 in logged} == tied_ids
     print(
         f"\n[PASS] criterion 5: 10000 clients truthful off ties; {tie_count} ties, "
         f"all at adjacent tight-IC boundaries, logged ({elapsed:.1f}s)"

@@ -321,15 +321,47 @@ class TestCli:
         assert f"error: {where}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_audit_overflow_exits_4(self, tmp_path, capsys):
+    def test_audit_overflow_exits_4(self, tmp_path):
+        # in a subprocess, so a numpy RuntimeWarning would reach stderr.  In
+        # the first menu the utilities overflow; in the second they are
+        # finite (1e307 and -1.7e308 for type 1) but an IC slack, their
+        # difference, is not
         out = tmp_path / "out"
         config = write_config(tmp_path, base_payload(out_dir=str(out)))
-        menu = tmp_path / "huge_menu.json"
-        menu.write_text(json.dumps({"items": [{"index": 1, "f": 1e308, "R": 1e308, "M": 0.3},
-                                              {"index": 2, "f": 1e308, "R": 1e308, "M": 0.5}]}))
-        assert main(["audit", str(menu), "--config", str(config)]) == 4
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
+        for items in (
+            [{"index": 1, "f": 1e308, "R": 1e308, "M": 0.3},
+             {"index": 2, "f": 1e308, "R": 1e308, "M": 0.5}],
+            [{"index": 1, "f": 0.0, "R": 8e307**0.5, "M": 0.3},
+             {"index": 2, "f": 1.7e308, "R": 0.0, "M": 0.5}],
+        ):
+            menu = tmp_path / "huge_menu.json"
+            menu.write_text(json.dumps({"items": items}))
+            proc = subprocess.run(
+                [sys.executable, "-m", "fedpact", "audit", str(menu), "--config", str(config)],
+                capture_output=True, text=True, env=src_env(),
+            )
+            assert proc.returncode == 4
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+            assert "overflow" in lines[0]
+            assert "RuntimeWarning" not in proc.stderr
+            assert not out.exists()
+
+    def test_audit_rejects_misplaced_index(self, tmp_path, mnist_config_path, capsys):
+        # the solved mnist menu with 7 as every item's index
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(mnist_config_path), "--out", str(out)]) == 0
+        menu = json.loads((out / "menu.json").read_text())
+        for item in menu["items"]:
+            item["index"] = 7
+        tampered = tmp_path / "index_menu.json"
+        tampered.write_text(json.dumps(menu))
+        capsys.readouterr()
+        code = main(["audit", str(tampered), "--config", str(mnist_config_path),
+                     "--out", str(tmp_path / "audit")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error: items[0].index: ")
+        assert not (tmp_path / "audit").exists()
 
     @pytest.mark.parametrize("command", ["solve", "simulate", "compare"])
     def test_revenue_overflow_exits_4(self, command, tmp_path, capsys):

@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 
 from fedpact import contracts
 from fedpact.contracts import (
-    ClientType,
-    ContractItem,
     ContractMenu,
     FeasibilityReport,
     GridSpec,
@@ -36,6 +34,8 @@ from fedpact.simulation import choose_contract
 from conftest import (
     clamped_expected_utility,
     fee_recursion,
+    menu_of,
+    menu_rows,
     random_benchmarks,
     random_feasible_menu,
     random_increasing_convex_curve,
@@ -43,13 +43,14 @@ from conftest import (
 )
 
 
-def item(i, fee, reward, benchmark=0.5):
-    return ContractItem(index=i, fee=fee, reward=reward, benchmark=benchmark)
+def item(fee, reward, benchmark=0.5):
+    """One (f, R, M) menu row."""
+    return (fee, reward, benchmark)
 
 
 def utility(theta, it, c):
     """The one entry of the envelope-utility matrix of a one-type, one-item menu."""
-    return envelope_utilities([theta], ContractMenu(items=(it,)), c)[0, 0]
+    return envelope_utilities([theta], menu_of(it), c)[0, 0]
 
 
 class TestEffortAndUtilities:
@@ -77,30 +78,30 @@ class TestEffortAndUtilities:
 
     def test_zero_effort_pays_the_fee(self):
         # zero reward, zero best-response effort: the fee is all that is left
-        assert utility(0.7, item(1, 2.0, 0.0), 1.0) == -2.0
+        assert utility(0.7, item(2.0, 0.0), 1.0) == -2.0
 
     def test_utility_balances_to_zero(self):
         # fee at the bottom type's IR bound (theta R)^2 / 2c
-        assert utility(0.8, item(1, 0.32, 1.0), 1.0) == pytest.approx(0.0)
+        assert utility(0.8, item(0.32, 1.0), 1.0) == pytest.approx(0.0)
 
     def test_utility_top(self):
-        assert utility(1.0, item(1, 0.0, 1.0), 1.0) == pytest.approx(0.5)
+        assert utility(1.0, item(0.0, 1.0), 1.0) == pytest.approx(0.5)
 
     def test_envelope_bottom_binds(self):
-        assert utility(0.5, item(1, 0.125, 1.0), 1.0) == pytest.approx(0.0)
+        assert utility(0.5, item(0.125, 1.0), 1.0) == pytest.approx(0.0)
 
     def test_envelope_top_own(self):
-        assert utility(1.0, item(2, 1.625, 2.0), 1.0) == pytest.approx(0.375)
+        assert utility(1.0, item(1.625, 2.0), 1.0) == pytest.approx(0.375)
 
     def test_envelope_top_downward_equal(self):
-        assert utility(1.0, item(1, 0.125, 1.0), 1.0) == pytest.approx(0.375)
+        assert utility(1.0, item(0.125, 1.0), 1.0) == pytest.approx(0.375)
 
 
 class TestServerUtility:
     def test_single_type_reference(self):
         profile = TypeProfile.from_arrays([1.0], [1.0], 1.0)
         curve = RevenueCurve.from_table([0.5], [1.0])
-        menu = ContractMenu(items=(item(1, 0.5, 1.0),))
+        menu = menu_of(item(0.5, 1.0))
         assert server_expected_utility(profile, menu, curve) == pytest.approx(0.5)
 
     def test_first_best_substitution(self):
@@ -109,23 +110,23 @@ class TestServerUtility:
         g = 1.7
         curve = RevenueCurve.from_table([0.4], [g])
         fee = (0.8 * g) ** 2 / 4.0
-        menu = ContractMenu(items=(item(1, fee, g, 0.4),))
+        menu = menu_of(item(fee, g, 0.4))
         expected = 0.8**2 * g**2 / 4.0
         assert server_expected_utility(profile, menu, curve) == pytest.approx(expected)
 
     def test_zero_fee_at_first_best_reward_is_zero(self, canonical_profile, canonical_curve):
-        menu = ContractMenu(items=(item(1, 0.0, 1.0, 0.3), item(2, 0.0, 2.0, 0.5)))
+        menu = menu_of(item(0.0, 1.0, 0.3), item(0.0, 2.0, 0.5))
         assert server_expected_utility(canonical_profile, menu, canonical_curve) == pytest.approx(0.0)
 
     def test_length_mismatch(self, canonical_profile, canonical_curve):
-        menu = ContractMenu(items=(item(1, 0.0, 1.0),))
+        menu = menu_of(item(0.0, 1.0))
         with pytest.raises(MenuMismatchError):
             server_expected_utility(canonical_profile, menu, canonical_curve)
 
     def test_clamped_variant_differs_when_raw_exceeds_one(self):
         profile = TypeProfile.from_arrays([1.0], [1.0], 0.5)
         curve = RevenueCurve.from_table([0.5], [2.0])
-        menu = ContractMenu(items=(item(1, 0.0, 1.0),))
+        menu = menu_of(item(0.0, 1.0))
         raw = server_expected_utility(profile, menu, curve)       # e = 2
         clamped = clamped_expected_utility(profile, menu, curve)
         assert raw == pytest.approx(2.0)
@@ -187,13 +188,13 @@ class TestFeasibility:
         assert (2, 1) in report.ic_binding
 
     def test_tampered_fee_breaks_ic(self, canonical_profile):
-        menu = ContractMenu(items=(item(1, 0.125, 1.0, 0.3), item(2, 2.625, 2.0, 0.5)))
+        menu = menu_of(item(0.125, 1.0, 0.3), item(2.625, 2.0, 0.5))
         report = verify_feasibility(canonical_profile, menu)
         assert not report.feasible
         assert report.ic_slack(2, 1) == pytest.approx(-1.0)
 
     def test_degenerate_zero_menu(self, canonical_profile):
-        menu = ContractMenu(items=(item(1, 0.0, 0.0, 0.3), item(2, 0.0, 0.0, 0.5)))
+        menu = menu_of(item(0.0, 0.0, 0.3), item(0.0, 0.0, 0.5))
         report = verify_feasibility(canonical_profile, menu)
         assert report.feasible
         assert all(s == 0.0 for s in report.ir_slacks)
@@ -201,7 +202,7 @@ class TestFeasibility:
 
     def test_length_mismatch(self, canonical_profile):
         with pytest.raises(MenuMismatchError):
-            verify_feasibility(canonical_profile, ContractMenu(items=()))
+            verify_feasibility(canonical_profile, ContractMenu([], [], []))
 
     def test_report_serializable(self, canonical_profile, canonical_curve, canonical_benchmarks, tmp_path):
         menu = solve_optimal_menu(canonical_profile, canonical_curve, canonical_benchmarks)
@@ -220,11 +221,13 @@ def scalar_slacks(profile, menu):
     """IR and IC slacks one pair at a time, by the scalar envelope expression."""
     c = profile.unit_cost
 
-    def u(theta, it):
-        return (theta * it.reward) ** 2 / (2.0 * c) - it.fee
+    def u(theta, row):
+        fee, reward, _ = row
+        return (theta * reward) ** 2 / (2.0 * c) - fee
 
-    own = [u(t.theta, it) for t, it in zip(profile.types, menu)]
-    ic = [[own[i] - u(t.theta, it) for it in menu] for i, t in enumerate(profile.types)]
+    thetas, rows = profile.thetas.tolist(), menu_rows(menu)
+    own = [u(theta, row) for theta, row in zip(thetas, rows)]
+    ic = [[own[i] - u(theta, row) for row in rows] for i, theta in enumerate(thetas)]
     return own, ic
 
 
@@ -241,9 +244,7 @@ class TestUtilityMatrix:
             menu = solve_optimal_menu(profile, curve, benchmarks)
         else:
             fees, rewards = rng.uniform(0.0, 3.0, (2, n))
-            menu = ContractMenu(
-                items=tuple(item(i + 1, float(f), float(r)) for i, (f, r) in enumerate(zip(fees, rewards)))
-            )
+            menu = ContractMenu(fees, rewards, np.full(n, 0.5))
         report = verify_feasibility(profile, menu)
         own, ic = scalar_slacks(profile, menu)
         assert report.ir_slacks.tolist() == own
@@ -270,7 +271,7 @@ class TestUtilityMatrix:
             menu = solve_optimal_menu(profile, RevenueCurve.exponential(scale * a, b), benchmarks)
             report = verify_feasibility(profile, menu)
             assert report.feasible, (scale, report.violations())
-            choices = [choose_contract(t.theta, menu, profile.unit_cost) for t in profile.types]
+            choices = [choose_contract(theta, menu, profile.unit_cost) for theta in profile.thetas.tolist()]
             decisions.append((
                 report.ir_binding,
                 report.ic_binding,
@@ -323,11 +324,7 @@ class TestMonotonicityLemmas:
             n = len(profile)
             rewards = np.sort(rng.uniform(0.05, 3.0, n))
             fees = fee_recursion(profile.thetas, rewards, profile.unit_cost)
-            menu = ContractMenu(
-                items=tuple(
-                    item(i + 1, float(f), float(r)) for i, (f, r) in enumerate(zip(fees, rewards))
-                )
-            )
+            menu = ContractMenu(fees, rewards, np.full(n, 0.5))
             assert verify_feasibility(profile, menu).feasible
 
 
@@ -472,9 +469,7 @@ class TestGridSearch:
         best = None
         axes = [grid.fee_axis(i) for i in range(n)] + [grid.reward_axis(i) for i in range(n)]
         for key in itertools.product(*axes):
-            menu = ContractMenu(
-                items=tuple(item(i + 1, key[i], key[n + i], benchmarks[i]) for i in range(n))
-            )
+            menu = ContractMenu(key[:n], key[n:], benchmarks)
             if not verify_feasibility(profile, menu).feasible:
                 continue
             obj = server_expected_utility(profile, menu, curve)
@@ -496,7 +491,7 @@ class TestGridSearch:
         monkeypatch.setattr(contracts, "_OUTER_BLOCK", block)
         blocked = grid_search_menu(*instance)
         assert blocked.found and blocked.found == default.found
-        assert blocked.menu == default.menu
+        assert blocked.menu.to_dict() == default.menu.to_dict()
         assert blocked.objective == default.objective
         assert blocked.n_feasible == default.n_feasible
         assert blocked.n_evaluated == default.n_evaluated
@@ -512,30 +507,76 @@ class TestGridSearch:
 
 class TestTypesAndSerialization:
     def test_client_type_validation(self):
-        with pytest.raises(ValueError):
-            ClientType(1, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            ClientType(1, 1.2, 0.5)
-        with pytest.raises(ValueError):
-            ClientType(1, 0.5, 1.5)
+        with pytest.raises(ValueError, match="theta must lie"):
+            TypeProfile.from_arrays([0.0], [1.0], 1.0)
+        with pytest.raises(ValueError, match="theta must lie"):
+            TypeProfile.from_arrays([0.5, 1.2], [0.5, 0.5], 1.0)
+        with pytest.raises(ValueError, match="beta must lie"):
+            TypeProfile.from_arrays([0.5, 0.9], [1.5, -0.5], 1.0)
 
     def test_profile_beta_sum(self):
         with pytest.raises(ValueError):
             TypeProfile.from_arrays([0.4, 0.8], [0.4, 0.4], 1.0)
 
     def test_item_validation(self):
-        with pytest.raises(ValueError):
-            ContractItem(1, -0.1, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            ContractItem(1, 0.1, -1.0, 0.5)
-        with pytest.raises(ValueError):
-            ContractItem(1, 0.1, 1.0, 1.5)
+        with pytest.raises(ValueError, match="fee must be"):
+            ContractMenu([-0.1], [1.0], [0.5])
+        with pytest.raises(ValueError, match="reward must be"):
+            ContractMenu([0.1, 0.1], [1.0, -1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="benchmark must lie"):
+            ContractMenu([0.1], [1.0], [1.5])
+        with pytest.raises(ValueError, match="equal length"):
+            ContractMenu([0.1, 0.2], [1.0], [0.5])
 
     @pytest.mark.parametrize("fee, reward", [(float("nan"), 1.0), (0.1, float("nan")),
                                              (float("inf"), 1.0), (0.1, float("inf"))])
     def test_item_rejects_non_finite(self, fee, reward):
         with pytest.raises(ValueError, match="finite"):
-            ContractItem(1, fee, reward, 0.5)
+            ContractMenu([fee], [reward], [0.5])
+
+    def test_columns_are_read_only(self, canonical_profile, canonical_curve, canonical_benchmarks):
+        menu = solve_optimal_menu(canonical_profile, canonical_curve, canonical_benchmarks)
+        for column in (menu.fees, menu.rewards, canonical_profile.thetas, canonical_profile.betas):
+            assert column.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+
+    def test_columns_copy_their_input(self):
+        fees = np.array([0.1, 0.2])
+        menu = ContractMenu(fees, [1.0, 2.0], [0.3, 0.5])
+        fees[0] = 9.0
+        assert menu.fees.tolist() == [0.1, 0.2]
+        assert fees.flags.writeable
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_dict_roundtrip_and_index_order(self, data):
+        # any valid menu comes back bit for bit; an index list that is not
+        # 1..I in order is rejected, naming the first misplaced item
+        n = data.draw(st.integers(1, 8))
+        money = st.floats(0.0, 1e6, allow_subnormal=True)
+        fees, rewards = (data.draw(st.lists(money, min_size=n, max_size=n)) for _ in range(2))
+        benchmarks = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        menu = ContractMenu(fees, rewards, benchmarks)
+        back = ContractMenu.from_dict(json.loads(json.dumps(menu.to_dict())))
+        for column in ("fees", "rewards", "benchmarks"):
+            assert getattr(back, column).tobytes() == getattr(menu, column).tobytes()
+        order = data.draw(st.permutations(range(1, n + 1)))
+        payload = menu.to_dict()
+        for row, index in zip(payload["items"], order):
+            row["index"] = index
+        if list(order) == sorted(order):
+            assert ContractMenu.from_dict(payload).fees.tobytes() == menu.fees.tobytes()
+        else:
+            first = next(k for k, index in enumerate(order) if index != k + 1)
+            with pytest.raises(ValueError, match=rf"^items\[{first}\]\.index: "):
+                ContractMenu.from_dict(payload)
+
+    def test_index_must_equal_position(self):
+        payload = {"items": [{"index": 1, "f": 0.1, "R": 1.0, "M": 0.3},
+                             {"index": 7, "f": 0.2, "R": 2.0, "M": 0.5}]}
+        with pytest.raises(ValueError, match=r"items\[1\]\.index: must be 2"):
+            ContractMenu.from_dict(payload)
 
     def test_menu_json_roundtrip(self, canonical_profile, canonical_curve, canonical_benchmarks, tmp_path):
         menu = solve_optimal_menu(canonical_profile, canonical_curve, canonical_benchmarks)
@@ -598,8 +639,8 @@ class TestReferenceSettings:
         menu = solve_optimal_menu(profile, curve, mnist_settings["benchmarks"])
         assert np.all(np.diff(menu.rewards) > 0)
         efforts = [
-            best_response_effort(t.theta, it.reward, 1.0).effort
-            for t, it in zip(profile.types, menu)
+            best_response_effort(theta, reward, 1.0).effort
+            for theta, reward in zip(profile.thetas.tolist(), menu.rewards.tolist())
         ]
         np.testing.assert_allclose(efforts, mnist_settings["optimal_efforts"], atol=1e-12)
         assert verify_feasibility(profile, menu).feasible

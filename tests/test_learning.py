@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedpact.config import ConfigError, ExperimentConfig
-from fedpact.contracts import ContractMenu, solve_optimal_menu
+from fedpact.contracts import solve_optimal_menu
 from fedpact.learning import (
     ArchitectureMismatchError,
     CalibrationError,
@@ -27,7 +27,7 @@ from fedpact.learning import (
 from fedpact.seeding import child_rng
 from fedpact.simulation import choose_contract
 
-from conftest import CONFIGS, reference_local_train
+from conftest import CONFIGS, menu_rows, reference_local_train
 
 
 @pytest.fixture(scope="module")
@@ -408,6 +408,8 @@ def reference_comparison(config: ExperimentConfig) -> SchemeReport:
             profile = config.build_profile(unit_cost=c)
             menu = solve_optimal_menu(profile, curve, config.benchmarks)
             flat = flat_items[c] = _flat_item(menu, profile.betas)
+            rows = menu_rows(menu)
+            (flat_fee, flat_reward, _), = menu_rows(flat)
             signups = {"contract": [], "flat": []}
             for type_idx, theta in enumerate(config.thetas):
                 choice = choose_contract(theta, menu, c)
@@ -415,15 +417,12 @@ def reference_comparison(config: ExperimentConfig) -> SchemeReport:
                     gate = float(config.benchmarks[type_idx])
                     signups["contract"].append(None)
                 else:
-                    item = menu[choice.index - 1]
-                    gate = item.benchmark
-                    signups["contract"].append(
-                        (choice.index, choice.effort, item.fee, item.reward, gate)
-                    )
-                flat_choice = choose_contract(theta, ContractMenu((flat,)), c)
+                    fee, reward, gate = rows[choice.index - 1]
+                    signups["contract"].append((choice.index, choice.effort, fee, reward, gate))
+                flat_choice = choose_contract(theta, flat, c)
                 signups["flat"].append(
                     None if flat_choice.rejected
-                    else (1, flat_choice.effort, flat.fee, flat.reward, gate)
+                    else (1, flat_choice.effort, flat_fee, flat_reward, gate)
                 )
 
             for scheme in config.schemes:

@@ -11,8 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedpact.contracts import (
-    ClientType,
-    ContractItem,
     ContractMenu,
     RevenueCurve,
     TypeProfile,
@@ -30,6 +28,8 @@ from fedpact.simulation import (
 )
 from conftest import (
     clamped_expected_utility,
+    menu_of,
+    menu_rows,
     random_benchmarks,
     random_increasing_convex_curve,
     random_profile,
@@ -38,12 +38,8 @@ from conftest import (
 
 def rebated(menu: ContractMenu, delta: float = 1e-6) -> ContractMenu:
     """Strictly incentive-compatible copy: fee of item i lowered by i*delta."""
-    return ContractMenu(
-        items=tuple(
-            ContractItem(it.index, max(it.fee - delta * it.index, 0.0), it.reward, it.benchmark)
-            for it in menu
-        )
-    )
+    index = np.arange(1, len(menu) + 1)
+    return ContractMenu(np.maximum(menu.fees - delta * index, 0.0), menu.rewards, menu.benchmarks)
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +71,7 @@ class TestChooseContract:
         assert choice.effort == 0.0
 
     def test_accepts_at_exactly_zero(self):
-        menu = ContractMenu(items=(ContractItem(1, 0.0, 0.0, 0.5),))
+        menu = menu_of((0.0, 0.0, 0.5))
         choice = choose_contract(0.5, menu, 1.0)
         assert choice.index == 1
         assert envelope_utilities([0.5], menu, 1.0)[0, 0] == 0.0
@@ -91,7 +87,7 @@ class TestSamplePopulation:
         profile = TypeProfile.from_arrays([0.3, 0.7], [1.0, 0.0], 1.0)
         population = sample_population(profile, 100, seed=0)
         assert len(population) == 100
-        assert all(profile.types[k].index == 1 for k in population)
+        assert all(k == 0 for k in population)
 
     def test_single_client(self):
         profile = TypeProfile.from_arrays([0.5], [1.0], 1.0)
@@ -150,7 +146,7 @@ class TestAggregationWeights:
     single = TypeProfile.from_arrays([0.5], [1.0], 1.0)
 
     def test_single_success(self):
-        menu = ContractMenu(items=(ContractItem(1, 0.0, 5.0, 0.5),))
+        menu = menu_of((0.0, 5.0, 0.5))
         weights = passer_weights(self.single, menu, [0] * 8, [False] * 7 + [True])
         assert weights == {7: 1.0}
 
@@ -164,13 +160,13 @@ class TestAggregationWeights:
         assert passer_weights(canonical_profile, canonical_menu, [0, 1, 1], [False] * 3) == {}
 
     def test_equal_rewards_exactly_uniform(self):
-        menu = ContractMenu(items=(ContractItem(1, 0.0, 0.7, 0.5),))
+        menu = menu_of((0.0, 0.7, 0.5))
         weights = passer_weights(self.single, menu, [0, 0, 0], [True] * 3)
         assert list(weights) == [0, 1, 2]
         assert all(w == 1.0 / 3.0 for w in weights.values())
 
     def test_zero_total_falls_back_uniform(self):
-        menu = ContractMenu(items=(ContractItem(1, 0.0, 0.0, 0.5),))
+        menu = menu_of((0.0, 0.0, 0.5))
         weights = passer_weights(self.single, menu, [0] * 4, [True] * 4)
         assert list(weights) == [0, 1, 2, 3]
         assert all(w == 0.25 for w in weights.values())
@@ -183,9 +179,9 @@ class TestRunRound:
         curve = RevenueCurve.from_table([0.4], [1.5])
         menu = solve_optimal_menu(profile, curve, [0.4])
         outcome = run_round(profile, menu, curve, 1, "analytic", seed=5)
-        item = menu[0]
-        effort = min(1.0, 0.8 * item.reward / 1.0)
-        expected = item.fee + 0.8 * effort * (curve(0.4) - item.reward)
+        (fee, reward, _), = menu_rows(menu)
+        effort = min(1.0, 0.8 * reward / 1.0)
+        expected = fee + 0.8 * effort * (curve(0.4) - reward)
         assert outcome.realized_server_utility == pytest.approx(expected)
 
     def test_analytic_converges_to_expected_utility(self, canonical_profile, canonical_curve, canonical_menu):
@@ -198,10 +194,10 @@ class TestRunRound:
     def test_zero_menu_round(self):
         profile = TypeProfile.from_arrays([0.4, 0.8], [0.5, 0.5], 1.0)
         curve = RevenueCurve.from_table([0.3, 0.6], [1.0, 2.0])
-        menu = ContractMenu(items=(ContractItem(1, 0.0, 0.0, 0.3), ContractItem(2, 0.0, 0.0, 0.6)))
+        menu = menu_of((0.0, 0.0, 0.3), (0.0, 0.0, 0.6))
         outcome = run_round(profile, menu, curve, 100, "ml", seed=7)
         types = outcome.client_type.tolist()
-        assert all(outcome.type_item[t].index == 1 for t in types)
+        assert all(outcome.type_choice[t] == 0 for t in types)
         assert all(outcome.type_effort[t] == 0.0 for t in types)
         assert not any(outcome.succeeded)
         assert outcome.fees_collected == 0.0
@@ -218,23 +214,24 @@ class TestRunRound:
             curve = random_increasing_convex_curve(rng, benchmarks)
             menu = solve_optimal_menu(profile, curve, benchmarks)
             outcome = run_round(profile, menu, curve, 500, "ml", seed=trial)
-            # each client's chosen item (None on rejection) and pass flag
+            # each client's chosen (f, R, M) row (None on rejection) and pass flag
+            rows = menu_rows(menu)
             clients = [
-                (outcome.type_item[t], passed)
+                (None if outcome.type_choice[t] < 0 else rows[outcome.type_choice[t]], passed)
                 for t, passed in zip(outcome.client_type.tolist(), outcome.succeeded.tolist())
             ]
             participants = [(it, passed) for it, passed in clients if it is not None]
             succeeded = [it for it, passed in clients if passed]
             assert outcome.fees_collected == pytest.approx(
-                sum(it.fee for it, _ in participants)
+                sum(fee for (fee, _, _), _ in participants)
             )
             assert outcome.rewards_paid == pytest.approx(
-                sum(it.reward for it in succeeded)
+                sum(reward for _, reward, _ in succeeded)
             )
             assert outcome.fees_forfeited == pytest.approx(
-                sum(it.fee for it, passed in participants if not passed)
+                sum(fee for (fee, _, _), passed in participants if not passed)
             )
-            margin = sum(curve(it.benchmark) - it.reward for it in succeeded)
+            margin = sum(curve(benchmark) - reward for _, reward, benchmark in succeeded)
             assert outcome.realized_server_utility == pytest.approx(
                 outcome.fees_collected + margin
             )
@@ -249,7 +246,7 @@ class TestRunRound:
         outcome = run_round(canonical_profile, menu, canonical_curve, 2000, "ml", seed=9)
         assert not outcome.type_tied[outcome.client_type].any()
         for t in outcome.client_type.tolist():
-            assert outcome.type_item[t].index == canonical_profile.types[t].index
+            assert outcome.type_choice[t] == t
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -264,20 +261,19 @@ class TestRunRound:
         menu = solve_optimal_menu(profile, curve, benchmarks)
         delta = 2.0 * utility_tolerance(profile.thetas, menu, profile.unit_cost)
         outcome = RoundOutcome.sign_up(profile, rebated(menu, delta), curve, np.arange(len(profile)))
-        chosen = [None if it is None else it.index for it in outcome.type_item]
-        assert chosen == [t.index for t in profile.types]
+        assert outcome.type_choice.tolist() == list(range(len(profile)))
         assert not outcome.type_tied.any()
 
     def test_ties_logged_on_tight_menu(self, canonical_profile, canonical_curve, canonical_menu):
         outcome = run_round(canonical_profile, canonical_menu, canonical_curve, 2000, "analytic", seed=10)
         types = outcome.client_type.tolist()
-        top = [cid for cid, t in enumerate(types) if canonical_profile.types[t].index == 2]
-        bottom = [cid for cid, t in enumerate(types) if canonical_profile.types[t].index == 1]
+        top = [cid for cid, t in enumerate(types) if t == 1]
+        bottom = [cid for cid, t in enumerate(types) if t == 0]
         assert all(outcome.type_tied[types[cid]] for cid in top)
         assert all(not outcome.type_tied[types[cid]] for cid in bottom)
-        assert all(outcome.type_item[types[cid]].index == 1 for cid in bottom)
+        assert all(outcome.type_choice[types[cid]] == 0 for cid in bottom)
         logged = outcome.to_dict()["tied_types"]
-        assert {cid for cid, t in enumerate(types) if canonical_profile.types[t].index in logged} == set(top)
+        assert {cid for cid, t in enumerate(types) if t + 1 in logged} == set(top)
 
     def test_deterministic_bit_for_bit(self, canonical_profile, canonical_curve, canonical_menu):
         a = run_round(canonical_profile, canonical_menu, canonical_curve, 300, "ml", seed=11)
@@ -287,7 +283,7 @@ class TestRunRound:
         assert json.dumps(a.to_dict(), sort_keys=True) != json.dumps(c.to_dict(), sort_keys=True)
 
     def test_infeasible_menu_warns(self, canonical_profile, canonical_curve):
-        menu = ContractMenu(items=(ContractItem(1, 0.125, 1.0, 0.3), ContractItem(2, 2.625, 2.0, 0.5)))
+        menu = menu_of((0.125, 1.0, 0.3), (2.625, 2.0, 0.5))
         with pytest.warns(UserWarning, match="infeasible"):
             run_round(canonical_profile, menu, canonical_curve, 10, "ml", seed=13)
 
@@ -361,11 +357,11 @@ class TestRunRound:
         curve = RevenueCurve.from_table([0.4], [1.0])
         menu = solve_optimal_menu(profile, curve, [0.4])
         outcome = run_round(profile, menu, curve, 50, "analytic", seed=15)
-        item = menu[0]
-        p = 0.6 * min(1.0, 0.6 * item.reward)
-        assert outcome.rewards_paid == pytest.approx(50 * p * item.reward)
-        assert outcome.fees_forfeited == pytest.approx(50 * (1 - p) * item.fee)
-        assert outcome.fees_collected == pytest.approx(50 * item.fee)
+        (fee, reward, _), = menu_rows(menu)
+        p = 0.6 * min(1.0, 0.6 * reward)
+        assert outcome.rewards_paid == pytest.approx(50 * p * reward)
+        assert outcome.fees_forfeited == pytest.approx(50 * (1 - p) * fee)
+        assert outcome.fees_collected == pytest.approx(50 * fee)
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +372,12 @@ def reference_weights(succeeded):
     """Reward-share weights exactly as the per-client loop computed them."""
     if not succeeded:
         return {}
-    rewards = np.array([item.reward for _, item in succeeded])
+    rewards = np.array([reward for _, reward in succeeded])
     total = float(rewards.sum())
     if total <= 0.0 or np.all(rewards == rewards[0]):
         w = 1.0 / len(succeeded)
         return {cid: w for cid, _ in succeeded}
-    return {cid: float(item.reward) / total for cid, item in succeeded}
+    return {cid: float(reward) / total for cid, reward in succeeded}
 
 
 @dataclass(frozen=True)
@@ -389,8 +385,10 @@ class ReferenceClient:
     """One client's round as the per-client loop recorded it."""
 
     id: int
-    true_type: ClientType
-    chosen_item: ContractItem | None
+    type_index: int  # 1-based
+    chosen_index: int | None  # 1-based, None on rejection
+    fee: float
+    reward: float
     effort: float
     succeeded: bool
     success_prob: float
@@ -402,45 +400,48 @@ def reference_round(profile, menu, curve, n, mode, seed):
     c = profile.unit_cost
     draws = child_rng(seed, 0).choice(len(profile), size=n, p=profile.betas)
     success_rng = child_rng(seed, 1)
+    thetas, rows = profile.thetas.tolist(), menu_rows(menu)
     clients, ties = [], []
     fees = rewards = forfeits = utility = 0.0
     succeeded_items, expected_shares = [], []
-    for cid, k in enumerate(draws):
-        ctype = profile.types[k]
-        choice = choose_contract(ctype.theta, menu, c)
+    for cid, k in enumerate(draws.tolist()):
+        theta = thetas[k]
+        choice = choose_contract(theta, menu, c)
         if choice.rejected:
-            clients.append(ReferenceClient(cid, ctype, None, 0.0, False, 0.0, False))
+            clients.append(ReferenceClient(cid, k + 1, None, 0.0, 0.0, 0.0, False, 0.0, False))
             continue
-        item = menu[choice.index - 1]
+        fee, reward, benchmark = rows[choice.index - 1]
         if choice.tied:
             ties.append(cid)
-        p = min(1.0, ctype.theta * choice.effort)
-        margin = curve(item.benchmark) - item.reward
+        p = min(1.0, theta * choice.effort)
+        margin = curve(benchmark) - reward
         if mode == "ml":
             success = bool(success_rng.random() < p)
-            fees += item.fee
+            fees += fee
             if success:
-                rewards += item.reward
-                utility += item.fee + margin
-                succeeded_items.append((cid, item))
+                rewards += reward
+                utility += fee + margin
+                succeeded_items.append((cid, reward))
             else:
-                forfeits += item.fee
-                utility += item.fee
+                forfeits += fee
+                utility += fee
         else:
             success = False
-            fees += item.fee
-            rewards += p * item.reward
-            forfeits += (1.0 - p) * item.fee
-            utility += item.fee + p * margin
-            if p * item.reward > 0.0:
-                expected_shares.append((cid, p * item.reward))
-        clients.append(ReferenceClient(cid, ctype, item, choice.effort, success, p, choice.tied))
+            fees += fee
+            rewards += p * reward
+            forfeits += (1.0 - p) * fee
+            utility += fee + p * margin
+            if p * reward > 0.0:
+                expected_shares.append((cid, p * reward))
+        clients.append(ReferenceClient(
+            cid, k + 1, choice.index, fee, reward, choice.effort, success, p, choice.tied
+        ))
     if mode == "ml":
         weights = reference_weights(succeeded_items)
     else:
         total = math.fsum(share for _, share in expected_shares)
         weights = {cid: share / total for cid, share in expected_shares} if total > 0.0 else {}
-    tied_types = [t.index for t in profile.types if choose_contract(t.theta, menu, c).tied]
+    tied_types = [k + 1 for k, theta in enumerate(thetas) if choose_contract(theta, menu, c).tied]
     return clients, fees, rewards, forfeits, utility, weights, tuple(ties), tied_types
 
 
@@ -450,7 +451,7 @@ def reference_files(clients, ledger, mode, tmp_path):
     payload = {
         "mode": mode,
         "n_clients": len(clients),
-        "participants": sum(1 for cl in clients if cl.chosen_item is not None),
+        "participants": sum(1 for cl in clients if cl.chosen_index is not None),
         "successes": sum(1 for cl in clients if cl.succeeded),
         "fees_collected": fees,
         "rewards_paid": rewards,
@@ -471,12 +472,12 @@ def reference_files(clients, ledger, mode, tmp_path):
         for cl in clients:
             writer.writerow([
                 cl.id,
-                cl.true_type.index,
-                cl.chosen_item.index if cl.chosen_item else "reject",
+                cl.type_index,
+                "reject" if cl.chosen_index is None else cl.chosen_index,
                 repr(cl.effort),
                 cl.succeeded,
-                repr(cl.chosen_item.fee) if cl.chosen_item else repr(0.0),
-                repr(cl.chosen_item.reward) if cl.chosen_item else repr(0.0),
+                repr(cl.fee),
+                repr(cl.reward),
                 repr(cl.success_prob),
             ])
     return (tmp_path / "ref.json").read_bytes(), (tmp_path / "ref.csv").read_bytes()
@@ -490,10 +491,10 @@ def equivalence_cases():
         ("tight", profile, tight, curve, 500),
         ("rebated", profile, rebated(tight), curve, 500),
         ("bottom-rejects", profile,
-         ContractMenu(items=(ContractItem(1, 0.2, 0.5, 0.3), ContractItem(2, 0.3, 1.0, 0.5))),
+         menu_of((0.2, 0.5, 0.3), (0.3, 1.0, 0.5)),
          curve, 500),
         ("zero", TypeProfile.from_arrays([0.4, 0.8], [0.5, 0.5], 1.0),
-         ContractMenu(items=(ContractItem(1, 0.0, 0.0, 0.3), ContractItem(2, 0.0, 0.0, 0.6))),
+         menu_of((0.0, 0.0, 0.3), (0.0, 0.0, 0.6)),
          RevenueCurve.from_table([0.3, 0.6], [1.0, 2.0]), 100),
         ("single-client", profile, tight, curve, 1),
     ]

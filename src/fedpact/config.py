@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .contracts import RevenueCurve, TypeProfile
@@ -47,6 +48,21 @@ def _number(value, path: str, kind: type):
 def _numbers(values, path: str, kind: type) -> tuple:
     _require(isinstance(values, list), path, f"must be a list, got {values!r}")
     return tuple(_number(v, f"{path}[{i}]", kind) for i, v in enumerate(values))
+
+
+@contextmanager
+def _config_errors(path: str, **paths: str):
+    """Raise the block's ValueError, KeyError or OverflowError as a ConfigError
+    at ``path``; a message ``"name: rest"`` whose ``name`` is a keyword of
+    ``paths`` goes to that path instead, as ``rest``."""
+    try:
+        yield
+    except (ValueError, KeyError, OverflowError) as exc:
+        message = str(exc.args[0]) if isinstance(exc, KeyError) else str(exc)
+        name, _, rest = message.partition(": ")
+        if name in paths:
+            path, message = paths[name], rest
+        raise ConfigError(f"{path}: {message}") from None
 
 
 def _require_distinct(values: tuple, path: str) -> None:
@@ -134,23 +150,18 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        """Check the config's own rules; the profile's and the curve's are
+        those of ``TypeProfile`` and ``RevenueCurve``, which are built here
+        (the profile once per cost) and reported at their config paths."""
         _require(self.schema_version == SCHEMA_VERSION, "schema_version",
                  f"expected {SCHEMA_VERSION}")
+        costs = {"profile.c": self.unit_cost} | {
+            f"c_values[{i}]": c for i, c in enumerate(self.c_values)}
+        for path, cost in costs.items():
+            with _config_errors("profile", thetas="profile.thetas", betas="profile.betas",
+                                unit_cost=path):
+                self.build_profile(cost)
         n = len(self.thetas)
-        _require(n >= 1, "profile.thetas", "at least one type required")
-        _require(len(self.betas) == n, "profile.betas",
-                 f"length {len(self.betas)} != {n} types")
-        _require(all(0.0 < t <= 1.0 for t in self.thetas), "profile.thetas",
-                 "every theta must lie in (0, 1]")
-        _require(all(b > a for a, b in zip(self.thetas, self.thetas[1:])),
-                 "profile.thetas", "must be strictly increasing")
-        _require(all(0.0 <= b <= 1.0 for b in self.betas), "profile.betas",
-                 "every beta must lie in [0, 1]")
-        total = math.fsum(self.betas)
-        _require(abs(total - 1.0) <= 1e-9, "profile.betas",
-                 f"must sum to 1 within 1e-9, got {total!r}")
-        _require(math.isfinite(self.unit_cost) and self.unit_cost > 0.0, "profile.c",
-                 "must be finite and positive")
         _require(len(self.benchmarks) == n, "benchmarks", f"need {n} values")
         _require(all(0.0 <= m <= 1.0 for m in self.benchmarks), "benchmarks",
                  "every benchmark must lie in [0, 1]")
@@ -162,8 +173,6 @@ class ExperimentConfig:
         _require(len(self.schemes) >= 1, "schemes", "at least one scheme required")
         for s in self.schemes:
             _require(s in SCHEMES, "schemes", f"unknown scheme {s!r}, valid: {SCHEMES}")
-        for i, c in enumerate(self.c_values):
-            _require(math.isfinite(c) and c > 0.0, f"c_values[{i}]", "must be finite and positive")
         _require_distinct(self.c_values, "c_values")
         kind = self.curve.get("kind")
         _require(isinstance(kind, str) and kind in CURVE_KEYS, "curve.kind",
@@ -171,14 +180,10 @@ class ExperimentConfig:
         for key in self.curve:
             _require(key in CURVE_KEYS[kind], f"curve.{key}",
                      f"unknown key, valid for kind {kind!r}: {sorted(CURVE_KEYS[kind])}")
-        if kind == "exponential":
-            _require(float(self.curve.get("a", 0)) > 0, "curve.a", "must be positive")
-            _require(float(self.curve.get("b", 0)) > 0, "curve.b", "must be positive")
-        elif kind == "table":
-            bm = self.curve.get("benchmarks", [])
-            vals = self.curve.get("values", [])
-            _require(len(bm) == len(vals) and len(bm) >= 1, "curve",
-                     "table needs matching benchmarks and values")
+        for key in CURVE_KEYS[kind]:
+            _require(key in self.curve, f"curve.{key}", "missing required field")
+        with _config_errors("curve"):
+            self.build_curve().check_increasing_convex(self.benchmarks)
         self.task.validate()
         self.training.validate()
 
@@ -215,18 +220,8 @@ class ExperimentConfig:
             "schemes": list(self.schemes),
             "c_values": list(self.c_values),
             "out_dir": self.out_dir,
-            "task": {
-                "dimension": self.task.dimension,
-                "classes": self.task.classes,
-                "test_size": self.task.test_size,
-                "seed": self.task.seed,
-            },
-            "training": {
-                "max_epochs": self.training.max_epochs,
-                "n_points": self.training.n_points,
-                "learning_rate": self.training.learning_rate,
-                "batch_size": self.training.batch_size,
-            },
+            "task": asdict(self.task),
+            "training": asdict(self.training),
         }
 
     @classmethod
@@ -234,12 +229,10 @@ class ExperimentConfig:
         try:
             profile = _section(payload, "profile")
             curve = _section(payload, "curve")
-            for key in ("a", "b"):
+            for key, check in (("a", _number), ("b", _number),
+                               ("benchmarks", _numbers), ("values", _numbers)):
                 if key in curve:
-                    _number(curve[key], f"curve.{key}", float)
-            for key in ("benchmarks", "values"):
-                if key in curve:
-                    _numbers(curve[key], f"curve.{key}", float)
+                    check(curve[key], f"curve.{key}", float)
             schemes = payload.get("schemes", list(SCHEMES))
             _require(isinstance(schemes, list) and all(isinstance(v, str) for v in schemes),
                      "schemes", f"must be a list of strings, got {schemes!r}")
@@ -282,11 +275,5 @@ class ExperimentConfig:
     def with_overrides(
         self, seed: int | None = None, mode: str | None = None, out_dir: str | None = None
     ) -> "ExperimentConfig":
-        payload = self.to_dict()
-        if seed is not None:
-            payload["seeds"] = [int(seed)]
-        if mode is not None:
-            payload["mode"] = mode
-        if out_dir is not None:
-            payload["out_dir"] = out_dir
-        return ExperimentConfig.from_dict(payload)
+        changes = {"seeds": None if seed is None else (seed,), "mode": mode, "out_dir": out_dir}
+        return replace(self, **{key: value for key, value in changes.items() if value is not None})

@@ -55,11 +55,19 @@ class MenuMismatchError(ValueError):
 # domain types
 # ---------------------------------------------------------------------------
 
+def _write_json(payload, path: str | Path) -> None:
+    """``payload`` as every JSON output is written: two-space indent, sorted
+    keys, a final newline; NaN or infinity raises ValueError."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 def _column(values: Sequence[float], name: str) -> np.ndarray:
     """A read-only float64 copy of ``values``, which must be one-dimensional."""
     column = np.array(values, dtype=np.float64)
     if column.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {column.shape}")
+        raise ValueError(f"{name}: must be one-dimensional, got shape {column.shape}")
     column.setflags(write=False)
     return column
 
@@ -68,7 +76,8 @@ def _column(values: Sequence[float], name: str) -> np.ndarray:
 class TypeProfile:
     """Client types as columns, strictly increasing quality ``thetas`` and
     population shares ``betas``, plus the unit effort cost.  Type i (1-based)
-    is entry i - 1."""
+    is entry i - 1.  A violated rule raises ValueError whose message starts
+    with the field it concerns (``thetas: ``, ``betas: `` or ``unit_cost: ``)."""
 
     thetas: np.ndarray
     betas: np.ndarray
@@ -76,23 +85,23 @@ class TypeProfile:
 
     def __post_init__(self) -> None:
         thetas, betas = _column(self.thetas, "thetas"), _column(self.betas, "betas")
-        if len(thetas) != len(betas):
-            raise ValueError("thetas and betas must have equal length")
+        if not len(thetas):
+            raise ValueError("thetas: at least one type required")
+        if len(betas) != len(thetas):
+            raise ValueError(f"betas: length {len(betas)} != {len(thetas)} types")
         for theta, beta in zip(thetas.tolist(), betas.tolist()):
             if not 0.0 < theta <= 1.0:
-                raise ValueError(f"theta must lie in (0, 1], got {theta}")
+                raise ValueError(f"thetas: every theta must lie in (0, 1], got {theta}")
             if not 0.0 <= beta <= 1.0:
-                raise ValueError(f"beta must lie in [0, 1], got {beta}")
-        if not len(thetas):
-            raise ValueError("profile needs at least one type")
-        unit_cost = float(self.unit_cost)
-        if unit_cost <= 0.0:
-            raise ValueError(f"unit cost must be positive, got {unit_cost}")
+                raise ValueError(f"betas: every beta must lie in [0, 1], got {beta}")
         if np.any(np.diff(thetas) <= 0.0):
-            raise ValueError(f"thetas must be strictly increasing, got {thetas.tolist()}")
+            raise ValueError(f"thetas: must be strictly increasing, got {thetas.tolist()}")
         total = math.fsum(betas.tolist())
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"betas must sum to 1, got {total}")
+            raise ValueError(f"betas: must sum to 1 within 1e-9, got {total!r}")
+        unit_cost = float(self.unit_cost)
+        if not 0.0 < unit_cost < math.inf:
+            raise ValueError(f"unit_cost: must be finite and positive, got {unit_cost}")
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "unit_cost", unit_cost)
@@ -154,9 +163,7 @@ class ContractMenu:
         return cls(*np.array(rows, dtype=np.float64).reshape(-1, 3).T)
 
     def to_json(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        _write_json(self.to_dict(), path)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ContractMenu":
@@ -188,8 +195,8 @@ class RevenueCurve:
     """Revenue G(M) the server earns from a model that clears benchmark M.
 
     Must be increasing and convex where it is used.  Two constructions:
-    a closed-form exponential family a * exp(b * M) with a, b > 0, or an
-    explicit per-benchmark table.
+    a closed-form exponential family a * exp(b * M) with finite a, b > 0,
+    or an explicit, non-empty per-benchmark table.
     """
 
     def __init__(self, fn: Callable[[float], float], description: str):
@@ -204,22 +211,22 @@ class RevenueCurve:
 
     @classmethod
     def exponential(cls, a: float, b: float) -> "RevenueCurve":
-        if a <= 0.0 or b <= 0.0:
-            raise ValueError("exponential revenue curve needs a > 0 and b > 0")
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise ValueError(f"exponential revenue curve needs finite a, b > 0, got {a}, {b}")
         return cls(lambda m: a * math.exp(b * m), f"{a!r}*exp({b!r}*M)")
 
     @classmethod
     def from_table(
         cls, benchmarks: Sequence[float], values: Sequence[float]
     ) -> "RevenueCurve":
-        if len(benchmarks) != len(values):
-            raise ValueError("table benchmarks and values must have equal length")
+        if len(benchmarks) != len(values) or not len(values):
+            raise ValueError("table needs matching, non-empty benchmarks and values")
         order = np.argsort(benchmarks)
         ms = np.asarray(benchmarks, dtype=float)[order]
         gs = np.asarray(values, dtype=float)[order]
         if not (np.all(np.isfinite(ms)) and np.all(np.isfinite(gs))):
             raise ValueError("table benchmarks and values must be finite")
-        if len(np.unique(ms)) != len(ms):
+        if np.any(np.diff(ms) == 0.0):
             raise ValueError("table benchmarks must be distinct")
         table = {float(m): float(g) for m, g in zip(ms, gs)}
 
@@ -237,17 +244,19 @@ class RevenueCurve:
         return curve
 
     def check_increasing_convex(self, benchmarks: Sequence[float]) -> None:
-        """Finite-difference check on the sampled values: first differences
-        positive, slopes (divided differences, to honor unequal benchmark
-        spacing) non-decreasing.  Raises ValueError on violation; a single
-        benchmark passes trivially.
+        """Finite-difference check on the sampled values: every value finite,
+        first differences positive, slopes (divided differences, to honor
+        unequal benchmark spacing) non-decreasing.  Raises ValueError on
+        violation, and the curve's own KeyError or OverflowError where it
+        cannot be evaluated; a single benchmark is only evaluated.
         """
-        ms = np.unique(np.asarray(benchmarks, dtype=float))
-        if len(ms) < 2:
-            return
+        ms = np.sort(np.asarray(benchmarks, dtype=float))
+        ms = ms[np.diff(ms, prepend=-math.inf) != 0.0]  # distinct values
         gs = np.array([self(m) for m in ms])
         if not np.all(np.isfinite(gs)):
             raise ValueError(f"revenue curve not finite on {ms.tolist()}")
+        if len(ms) < 2:
+            return
         first = np.diff(gs)
         if np.any(first <= 0.0):
             raise ValueError(f"revenue curve not increasing on {ms.tolist()}")
@@ -404,9 +413,7 @@ class FeasibilityReport:
         }
 
     def to_json(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        _write_json(self.to_dict(), path)
 
 
 def _pairs(mask: np.ndarray) -> tuple[tuple[int, int], ...]:

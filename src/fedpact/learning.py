@@ -23,7 +23,6 @@ Each scheme's round is a ``simulation.RoundOutcome``, the engine of
 from __future__ import annotations
 
 import csv
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, TrainingSpec
-from .contracts import ContractMenu, solve_optimal_menu
+from .contracts import ContractMenu, _write_json, solve_optimal_menu
 from .coverage import PointCloud, coverage_quality
 from .seeding import as_generator, child_rng
 from .simulation import RoundOutcome, sample_population
@@ -473,9 +472,7 @@ class SchemeReport:
                 )
 
     def summary_to_json(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        _write_json(self.summary(), path)
 
 
 def _c_key(c: float) -> str:

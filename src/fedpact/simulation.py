@@ -21,7 +21,6 @@ engine, deciding passes by a trained model's server test.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -36,6 +35,7 @@ from .contracts import (
     ContractMenu,
     RevenueCurve,
     TypeProfile,
+    _write_json,
     best_response_effort,
     envelope_utilities,
     utility_tolerance,
@@ -282,9 +282,7 @@ class RoundOutcome:
         }
 
     def to_json(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        _write_json(self.to_dict(), path)
 
     def clients_to_csv(self, path: str | Path) -> None:
         """Per-client rows: id, type, choice, effort, succeeded, fee, reward, success_prob.

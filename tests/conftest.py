@@ -162,21 +162,31 @@ def random_profile(rng: np.random.Generator, n: int | None = None) -> TypeProfil
     return TypeProfile.from_arrays(thetas, betas, c)
 
 
-def random_increasing_convex_curve(
-    rng: np.random.Generator, benchmarks: np.ndarray
-) -> RevenueCurve:
-    """Either an exponential curve or a table with non-negative second differences."""
+def random_curve_section(rng: np.random.Generator, benchmarks: np.ndarray) -> dict:
+    """A config ``curve`` section: an exponential curve, or a table with
+    non-negative second differences over ``benchmarks``."""
     if rng.random() < 0.5:
-        return RevenueCurve.exponential(
-            a=float(rng.uniform(0.1, 2.0)), b=float(rng.uniform(0.2, 3.0))
-        )
+        a = float(rng.uniform(0.1, 2.0))
+        return {"kind": "exponential", "a": a, "b": float(rng.uniform(0.2, 3.0))}
     # table with positive, non-decreasing slopes over the (possibly
     # unequal) benchmark spacing, hence increasing and convex
     base = float(rng.uniform(0.1, 1.0))
     first = float(rng.uniform(0.05, 0.5))
-    slopes = first + np.cumsum(np.concatenate([[0.0], rng.uniform(0.0, 0.5, len(benchmarks) - 2)]))
+    rises = rng.uniform(0.0, 0.5, max(len(benchmarks) - 2, 0))
+    slopes = first + np.cumsum(np.concatenate([[0.0], rises]))
     values = base + np.concatenate([[0.0], np.cumsum(slopes * np.diff(benchmarks))])
-    return RevenueCurve.from_table(benchmarks, values)
+    return {"kind": "table", "benchmarks": np.asarray(benchmarks, dtype=float).tolist(),
+            "values": values.tolist()}
+
+
+def random_increasing_convex_curve(
+    rng: np.random.Generator, benchmarks: np.ndarray
+) -> RevenueCurve:
+    """The curve of ``random_curve_section``."""
+    section = random_curve_section(rng, benchmarks)
+    if section["kind"] == "exponential":
+        return RevenueCurve.exponential(section["a"], section["b"])
+    return RevenueCurve.from_table(section["benchmarks"], section["values"])
 
 
 def random_benchmarks(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -6,10 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedpact.cli import main
 from fedpact.config import ConfigError, ExperimentConfig
-from conftest import src_env
+from fedpact.contracts import solve_optimal_menu, verify_feasibility
+from fedpact.simulation import run_round
+from conftest import random_benchmarks, random_curve_section, random_profile, src_env
 
 
 def base_payload(**overrides) -> dict:
@@ -86,6 +90,21 @@ class TestConfigValidation:
     def test_bad_curve_kind(self):
         with pytest.raises(ConfigError, match="curve.kind"):
             ExperimentConfig.from_dict(base_payload(curve={"kind": "linear"}))
+
+    def test_missing_table_benchmark_named_without_quotes(self):
+        # the table's KeyError reached stderr as its repr, in quotes
+        curve = {"kind": "table", "benchmarks": [0.3, 0.4], "values": [1.0, 2.0]}
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(base_payload(curve=curve))
+        assert str(info.value) == "curve: benchmark 0.5 not in revenue table [0.3, 0.4]"
+
+    @pytest.mark.parametrize("curve, key", [
+        ({"kind": "exponential", "b": 2.0}, "a"),
+        ({"kind": "table", "benchmarks": [0.3, 0.5]}, "values"),
+    ])
+    def test_missing_curve_key(self, curve, key):
+        with pytest.raises(ConfigError, match=f"^curve.{key}: missing required field"):
+            ExperimentConfig.from_dict(base_payload(curve=curve))
 
     def test_missing_field(self):
         payload = base_payload()
@@ -220,6 +239,98 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(tmp_path / "nope.json")
+
+
+def random_payload(seed: int, n: int) -> dict:
+    """A valid config of ``n`` types from the conftest generators."""
+    rng = np.random.default_rng(seed)
+    profile = random_profile(rng, n)
+    benchmarks = random_benchmarks(rng, n)
+    return base_payload(
+        profile={"thetas": profile.thetas.tolist(), "betas": profile.betas.tolist(),
+                 "c": profile.unit_cost},
+        curve=random_curve_section(rng, benchmarks),
+        benchmarks=benchmarks.tolist(),
+        population=20,
+    )
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestConfigProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_accepted_config_runs(self, data):
+        # config benchmarks in any order (the solver pools) and a curve in
+        # other revenue units; whatever the config accepts must run
+        n = data.draw(st.integers(1, 6))
+        payload = random_payload(data.draw(st.integers(0, 2**32 - 1)), n)
+        order = data.draw(st.permutations(range(n)))
+        payload["benchmarks"] = [payload["benchmarks"][i] for i in order]
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        curve = payload["curve"]
+        if curve["kind"] == "exponential":
+            curve["a"] *= scale
+        else:
+            curve["values"] = [v * scale for v in curve["values"]]
+        config = ExperimentConfig.from_dict(payload)
+        profile, curve = config.build_profile(), config.build_curve()
+        menu = solve_optimal_menu(profile, curve, config.benchmarks)
+        verify_feasibility(profile, menu)
+        run_round(profile, menu, curve, config.population, "analytic", config.seeds[0])
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_one_broken_field_is_a_config_error(self, data):
+        n = data.draw(st.integers(1, 6))
+        payload = random_payload(data.draw(st.integers(0, 2**32 - 1)), n)
+        k = data.draw(st.integers(0, n - 1))
+        profile, curve = payload["profile"], payload["curve"]
+        thetas, betas = profile["thetas"], profile["betas"]
+        what = data.draw(st.sampled_from([
+            "theta", "theta-order", "beta", "beta-sum", "beta-count", "c", "c_values",
+            "a", "b", "table-value", "table-benchmark", "table-order", "table-duplicate",
+            "table-missing", "table-count",
+        ]))
+        if what in ("a", "b"):
+            assume(curve["kind"] == "exponential")
+        elif what.startswith("table"):
+            assume(curve["kind"] == "table")
+        assume(n >= 2 or what not in ("theta-order", "table-order"))
+        j = max(k, 1)
+        if what == "theta":
+            thetas[k] = data.draw(st.sampled_from([0.0, -0.5, 1.5, NAN, INF]))
+        elif what == "theta-order":
+            thetas[j] = thetas[j - 1]
+        elif what == "beta":
+            betas[k] = data.draw(st.sampled_from([-0.1, 1.5, NAN]))
+        elif what == "beta-sum":
+            betas[k] *= 0.5
+        elif what == "beta-count":
+            betas.append(0.0)
+        elif what == "c":
+            profile["c"] = data.draw(st.sampled_from([0.0, -1.0, NAN, INF]))
+        elif what == "c_values":
+            payload["c_values"] = [profile["c"], data.draw(st.sampled_from([0.0, NAN, INF]))]
+        elif what in ("a", "b"):
+            bad = [0.0, -1.0, NAN, INF] + ([1e5] if what == "b" else [])  # exp(5e3) overflows
+            curve[what] = data.draw(st.sampled_from(bad))
+        elif what == "table-value":
+            curve["values"][k] = data.draw(st.sampled_from([NAN, INF]))
+        elif what == "table-benchmark":
+            curve["benchmarks"][k] = NAN
+        elif what == "table-order":
+            curve["values"][j] = curve["values"][j - 1]
+        elif what == "table-duplicate":
+            curve["benchmarks"].append(curve["benchmarks"][k])
+            curve["values"].append(curve["values"][-1] + 1.0)
+        elif what == "table-missing":
+            del curve["benchmarks"][k], curve["values"][k]
+        else:
+            curve["values"].append(curve["values"][-1] + 1.0)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(payload)
 
 
 class TestCli:
@@ -364,20 +475,47 @@ class TestCli:
         assert not (tmp_path / "audit").exists()
 
     @pytest.mark.parametrize("command", ["solve", "simulate", "compare"])
-    def test_revenue_overflow_exits_4(self, command, tmp_path, capsys):
-        # exp(2000 * 0.55) is beyond the largest float
+    def test_revenue_overflow_exits_2(self, command, tmp_path, capsys):
+        # exp(2000 * 0.55) is beyond the largest float; the config is checked
+        # at every benchmark before any command runs
         curve = {"kind": "exponential", "a": 0.1, "b": 2000.0}
         config = write_config(tmp_path, ml_payload(curve=curve, out_dir=str(tmp_path / "out")))
-        assert main([command, "--config", str(config)]) == 4
-        assert capsys.readouterr().err.startswith("error: ")
+        assert main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("config error: curve: ")
         assert not (tmp_path / "out").exists()
 
     def test_solve_rejects_nan_table_value(self, tmp_path, capsys):
         curve = {"kind": "table", "benchmarks": [0.3, 0.5], "values": [1.0, float("nan")]}
         config = write_config(tmp_path, base_payload(curve=curve, out_dir=str(tmp_path / "out")))
-        assert main(["solve", "--config", str(config)]) == 4
-        assert "finite" in capsys.readouterr().err
+        assert main(["solve", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: curve: ")
+        assert "finite" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "audit", "simulate"])
+    @pytest.mark.parametrize("curve", [
+        pytest.param({"kind": "table", "benchmarks": [0.3, 0.5], "values": [2.0, 1.0]},
+                     id="not-increasing"),
+        pytest.param({"kind": "table", "benchmarks": [0.3, 0.3, 0.5], "values": [1.0, 1.5, 2.0]},
+                     id="duplicate-benchmark"),
+        pytest.param({"kind": "table", "benchmarks": [0.3, 0.4], "values": [1.0, 2.0]},
+                     id="benchmark-missing"),
+        pytest.param({"kind": "exponential", "a": float("inf"), "b": 1.0}, id="infinite-a"),
+        pytest.param({"kind": "table", "benchmarks": [], "values": []}, id="empty-table"),
+    ])
+    def test_broken_curve_exits_2(self, curve, command, tmp_path, capsys):
+        # each exited 4 from solve and simulate, and audit never looked at the curve
+        out = tmp_path / "out"
+        config = write_config(tmp_path, base_payload(curve=curve, out_dir=str(out)))
+        menu = tmp_path / "menu.json"
+        menu.write_text(json.dumps({"items": [{"index": 1, "f": 0.125, "R": 1.0, "M": 0.3},
+                                              {"index": 2, "f": 1.625, "R": 2.0, "M": 0.5}]}))
+        args = [command, *([str(menu)] if command == "audit" else []), "--config", str(config)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: curve: "), err
+        assert not out.exists()
 
     def test_simulate_deterministic_bytes(self, tmp_path):
         results = {}
@@ -422,6 +560,23 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "feasible: True" in proc.stdout
+
+    def test_load_and_solve_leave_numpy_ma_unimported(self, mnist_config_path):
+        # np.unique imported numpy.ma (13-16 ms) on the first revenue-curve check
+        code = (
+            "import sys\n"
+            "import fedpact.cli\n"
+            "from fedpact.config import ExperimentConfig\n"
+            "from fedpact.contracts import solve_optimal_menu\n"
+            f"config = ExperimentConfig.from_json({str(mnist_config_path)!r})\n"
+            "solve_optimal_menu(config.build_profile(), config.build_curve(), config.benchmarks)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=src_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_solve_reference_config_ten_items(self, tmp_path, mnist_config_path):
         out = tmp_path / "out"

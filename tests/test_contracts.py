@@ -514,6 +514,11 @@ class TestTypesAndSerialization:
         with pytest.raises(ValueError, match="beta must lie"):
             TypeProfile.from_arrays([0.5, 0.9], [1.5, -0.5], 1.0)
 
+    @pytest.mark.parametrize("unit_cost", [float("nan"), float("inf")])
+    def test_profile_rejects_non_finite_cost(self, unit_cost):
+        with pytest.raises(ValueError, match="^unit_cost: must be finite"):
+            TypeProfile.from_arrays([0.5, 1.0], [0.5, 0.5], unit_cost)
+
     def test_profile_beta_sum(self):
         with pytest.raises(ValueError):
             TypeProfile.from_arrays([0.4, 0.8], [0.4, 0.4], 1.0)
@@ -596,6 +601,16 @@ class TestRevenueCurve:
             RevenueCurve.exponential(0.0, 1.0)
         with pytest.raises(ValueError):
             RevenueCurve.exponential(1.0, -0.5)
+
+    @pytest.mark.parametrize("a, b", [(float("nan"), 1.0), (float("inf"), 1.0),
+                                      (1.0, float("nan")), (1.0, float("inf"))])
+    def test_exponential_rejects_non_finite(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            RevenueCurve.exponential(a, b)
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            RevenueCurve.from_table([], [])
 
     def test_table_must_increase(self):
         with pytest.raises(ValueError):

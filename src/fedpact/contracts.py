@@ -453,13 +453,18 @@ def _fees_from_rewards(thetas: np.ndarray, rewards: np.ndarray, c: float) -> np.
 
     f_1 = (theta_1 R_1)^2 / 2c,
     f_i = f_{i-1} + theta_i^2 (R_i^2 - R_{i-1}^2) / 2c.
+
+    A fee beyond the float range raises ValueError.
     """
     fees = np.empty_like(rewards)
-    fees[0] = (thetas[0] * rewards[0]) ** 2 / (2.0 * c)
-    for i in range(1, len(rewards)):
-        fees[i] = fees[i - 1] + thetas[i] ** 2 * (
-            rewards[i] ** 2 - rewards[i - 1] ** 2
-        ) / (2.0 * c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fees[0] = (thetas[0] * rewards[0]) ** 2 / (2.0 * c)
+        for i in range(1, len(rewards)):
+            fees[i] = fees[i - 1] + thetas[i] ** 2 * (
+                rewards[i] ** 2 - rewards[i - 1] ** 2
+            ) / (2.0 * c)
+    if not np.all(np.isfinite(fees)):
+        raise ValueError("menu fees overflow: (theta R)^2 / (2c) is not a finite float")
     return fees
 
 

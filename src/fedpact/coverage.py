@@ -16,6 +16,10 @@ is exact.  A sample at nearest-point distance r is covered for every
 eps > r; since r <= sqrt(d) on the unit cube, it contributes
 sqrt(d) - r to the integral, so theta = 1 - mean(r) / sqrt(d).  Each
 sample's nearest distance comes from one KD-tree query.
+
+A cloud inside the sub-cube [0, s]^d is no nearer to a sample than the
+sub-cube itself, so ``subcube_quality_ceiling`` bounds the quality of every
+such cloud from above on the same samples, with no tree.
 """
 from __future__ import annotations
 
@@ -78,6 +82,20 @@ class PointCloud:
         return np.atleast_1d(dist)
 
 
+def quality_draws(dimension: int, samples: int, seed: int | np.random.Generator) -> np.ndarray:
+    """The ``samples`` uniform draws from [0, 1]^d that ``coverage_quality``
+    integrates over for ``seed``."""
+    return as_generator(seed).random((samples, dimension))
+
+
+def subcube_quality_ceiling(draws: np.ndarray, side: float) -> float:
+    """Upper bound on ``coverage_quality`` over ``draws`` of any nonempty
+    cloud inside [0, side]^d: 1 - mean distance to the sub-cube / sqrt(d)."""
+    gaps = np.maximum(draws - side, 0.0)
+    distances = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
+    return 1.0 - float(np.mean(distances)) / math.sqrt(draws.shape[1])
+
+
 def coverage_quality(
     cloud: PointCloud,
     samples: int,
@@ -93,5 +111,5 @@ def coverage_quality(
         raise ValueError("samples must be positive")
     if cloud.is_empty:
         return 0.0
-    draws = as_generator(seed).random((samples, cloud.dimension))
+    draws = quality_draws(cloud.dimension, samples, seed)
     return 1.0 - float(np.mean(cloud.nearest_distances(draws))) / math.sqrt(cloud.dimension)

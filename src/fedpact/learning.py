@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, TrainingSpec
 from .contracts import ContractMenu, _write_json, solve_optimal_menu
-from .coverage import PointCloud, coverage_quality
+from .coverage import PointCloud, coverage_quality, quality_draws, subcube_quality_ceiling
 from .seeding import as_generator, child_rng
 from .simulation import RoundOutcome, sample_population
 
@@ -197,6 +197,7 @@ class ClientDataset:
 
 
 CALIBRATION_TOLERANCE = 0.02  # largest accepted |measured - target| quality
+CALIBRATION_STOP = 0.25 * CALIBRATION_TOLERANCE  # bisection ends within this of the target
 QUALITY_SAMPLES = 4000  # Monte Carlo draws per coverage_quality evaluation
 MAX_BISECTIONS = 40
 
@@ -209,11 +210,28 @@ def generate_client_dataset(
 ) -> ClientDataset:
     """Sample client data whose coverage quality approximates ``target_theta``.
 
-    Points are drawn uniformly from the sub-cube [0, s]^d; the side s is
-    found by bisection against the coverage module (larger cubes cover
-    more of the space, so quality is monotone in s).  Raises
+    Points are ``n_points`` fixed unit draws u_j scaled into the sub-cube
+    [0, s]^d; the side s is found by bisection on [1e-3, 1] against the
+    coverage module, which takes quality to grow with s (for a handful of
+    points it need not), stopping once a side's quality is within
+    ``CALIBRATION_STOP`` of the target.  Raises
     ``CalibrationError`` when the target is outside what ``n_points``
     samples can reach, naming the best achievable value.
+
+    A side is evaluated only when two exact bounds on its quality q(s),
+    both over the same quality draws, leave its bisection step open:
+
+    * the ceiling ``subcube_quality_ceiling``: the cloud lies in [0, s]^d;
+    * Lipschitz: |q(s) - q(s')| <= |s - s'| max_j |u_j| / sqrt(d), since a
+      draw's distance to s u_j moves by at most |s - s'| |u_j|.
+
+    Carried from ``lo`` (upper) and ``hi`` (lower), they skip a side more
+    than ``CALIBRATION_STOP`` below or above the target: it moves that end
+    as its quality would, and can neither end the search nor win it.  If
+    the bisections run out first, the skipped sides are evaluated after all
+    and the winner is the first closest side in bisection order, so the
+    side, the quality and any error are bit for bit those of evaluating
+    every side.
     """
     if not 0.0 < target_theta <= 1.0:
         raise ValueError(f"target_theta must lie in (0, 1], got {target_theta}")
@@ -221,32 +239,60 @@ def generate_client_dataset(
         raise ValueError("n_points must be >= 1")
     unit_draws = child_rng(seed, 1).random((n_points, task.dimension))
     quality_seed = int(child_rng(seed, 2).integers(2**31))
+    draws = quality_draws(task.dimension, QUALITY_SAMPLES, quality_seed)
+    slope = float(np.max(np.linalg.norm(unit_draws, axis=1))) / math.sqrt(task.dimension)
+    # 1e-9 absorbs the rounding of the bounds and of the measured qualities
+    below = target_theta - CALIBRATION_STOP - 1e-9
+    above = target_theta + CALIBRATION_STOP + 1e-9
 
     def quality(side: float) -> float:
         cloud = PointCloud(task.dimension, unit_draws * side)
         return coverage_quality(cloud, QUALITY_SAMPLES, quality_seed)
 
+    def error(q: float) -> float:
+        return abs(q - target_theta)
+
     lo, hi = 1e-3, 1.0
     q_hi = quality(hi)
     if target_theta > q_hi + CALIBRATION_TOLERANCE:
         raise CalibrationError(target_theta, q_hi)
-    q_lo = quality(lo)
-    if target_theta < q_lo - CALIBRATION_TOLERANCE:
-        raise CalibrationError(target_theta, q_lo)
+    lo_ceiling = subcube_quality_ceiling(draws, lo)  # upper bound on q(lo)
+    q_lo = None
+    if lo_ceiling >= below:
+        q_lo = lo_ceiling = quality(lo)
+        if target_theta < q_lo - CALIBRATION_TOLERANCE:
+            raise CalibrationError(target_theta, q_lo)
+    hi_floor = q_hi  # lower bound on q(hi)
+    tried = [(lo, q_lo), (hi, q_hi)]  # every side in bisection order, None if skipped
 
-    best_side, best_q = (hi, q_hi) if abs(q_hi - target_theta) < abs(q_lo - target_theta) else (lo, q_lo)
+    def settled() -> bool:
+        return any(q is not None and error(q) <= CALIBRATION_STOP for _, q in tried)
+
     for _ in range(MAX_BISECTIONS):
-        if abs(best_q - target_theta) <= 0.25 * CALIBRATION_TOLERANCE:
+        if settled():
             break
         mid = 0.5 * (lo + hi)
-        q_mid = quality(mid)
-        if abs(q_mid - target_theta) < abs(best_q - target_theta):
-            best_side, best_q = mid, q_mid
-        if q_mid < target_theta:
-            lo = mid
+        ceiling = min(subcube_quality_ceiling(draws, mid), lo_ceiling + (mid - lo) * slope)
+        floor = hi_floor - (hi - mid) * slope
+        q_mid = None
+        if ceiling < below:
+            lo, lo_ceiling = mid, ceiling
+        elif floor > above:
+            hi, hi_floor = mid, floor
         else:
-            hi = mid
-    if abs(best_q - target_theta) > CALIBRATION_TOLERANCE:
+            q_mid = quality(mid)
+            if q_mid < target_theta:
+                lo, lo_ceiling = mid, q_mid
+            else:
+                hi, hi_floor = mid, q_mid
+        tried.append((mid, q_mid))
+    if not settled():
+        # no side within CALIBRATION_STOP: a skipped side may be the closest
+        tried = [(side, quality(side) if q is None else q) for side, q in tried]
+    best_side, best_q = min(
+        ((side, q) for side, q in tried if q is not None), key=lambda pair: error(pair[1])
+    )
+    if error(best_q) > CALIBRATION_TOLERANCE:
         raise CalibrationError(target_theta, best_q)
 
     points = unit_draws * best_side

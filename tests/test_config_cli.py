@@ -458,6 +458,25 @@ class TestCli:
             assert "RuntimeWarning" not in proc.stderr
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_fee_overflow_exits_4(self, command, tmp_path, mnist_config_path):
+        # the mnist curve times 1e160 is finite, increasing and convex, so
+        # the config is valid, but the fee recursion squares theta R.  In a
+        # subprocess, so a numpy RuntimeWarning would reach stderr
+        payload = json.loads(mnist_config_path.read_text())
+        payload["curve"]["values"] = [v * 1e160 for v in payload["curve"]["values"]]
+        payload["out_dir"] = str(tmp_path / "out")
+        config = write_config(tmp_path, payload)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedpact", command, "--config", str(config)],
+            capture_output=True, text=True, env=src_env(),
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == [
+            "error: menu fees overflow: (theta R)^2 / (2c) is not a finite float"
+        ], proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_audit_rejects_misplaced_index(self, tmp_path, mnist_config_path, capsys):
         # the solved mnist menu with 7 as every item's index
         out = tmp_path / "out"

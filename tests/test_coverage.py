@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedpact.coverage import PointCloud, coverage_quality
+from fedpact.coverage import PointCloud, coverage_quality, quality_draws, subcube_quality_ceiling
 
 
 def cloud1d(*xs: float) -> PointCloud:
@@ -76,6 +78,47 @@ class TestCoverageQuality:
         for _ in range(5):
             cloud = PointCloud(2, rng.random((3, 2)))
             assert 0.0 <= coverage_quality(cloud, 500, seed=14) <= 1.0
+
+
+# sides from the calibration's lower end 1e-3 up to the full cube
+SIDES = st.one_of(st.floats(1e-3, 2e-3), st.floats(1e-3, 1.0))
+
+
+class TestQualityBounds:
+    """The two facts calibration skips evaluations on, checked on the draws
+    ``coverage_quality`` uses."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dimension=st.integers(1, 3), n_points=st.integers(1, 8), side=SIDES,
+           seed=st.integers(0, 2**31 - 1))
+    def test_ceiling_bounds_subcube_clouds(self, dimension, n_points, side, seed):
+        rng = np.random.default_rng(seed)
+        cloud = PointCloud(dimension, rng.random((n_points, dimension)) * side)
+        draws = quality_draws(dimension, 500, seed)
+        assert subcube_quality_ceiling(draws, side) >= coverage_quality(cloud, 500, seed)
+
+    def test_ceiling_is_tight_for_a_corner_point(self):
+        # a cloud at the origin is as near to a sample as [0, 1e-3]^d up to 1e-3 * sqrt(d)
+        for dimension in (1, 2, 3):
+            draws = quality_draws(dimension, 2000, 4)
+            q = coverage_quality(PointCloud(dimension, np.zeros((1, dimension))), 2000, 4)
+            assert subcube_quality_ceiling(draws, 1e-3) - q <= 1e-3
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dimension=st.integers(1, 3), n_points=st.integers(1, 8), side=SIDES, other=SIDES,
+           seed=st.integers(0, 2**31 - 1))
+    def test_quality_is_lipschitz_in_the_side(self, dimension, n_points, side, other, seed):
+        units = np.random.default_rng(seed).random((n_points, dimension))
+        slope = float(np.max(np.linalg.norm(units, axis=1))) / math.sqrt(dimension)
+        q, q_other = (coverage_quality(PointCloud(dimension, units * s), 500, seed)
+                      for s in (side, other))
+        assert abs(q - q_other) <= slope * abs(side - other) + 1e-12
+
+    def test_draws_are_those_of_coverage_quality(self):
+        cloud = PointCloud(2, [[0.2, 0.7], [0.9, 0.1]])
+        draws = quality_draws(2, 300, 6)
+        expected = 1.0 - float(np.mean(cloud.nearest_distances(draws))) / math.sqrt(2)
+        assert coverage_quality(cloud, 300, 6) == expected
 
 
 class TestPointCloud:

@@ -4,12 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedpact import learning
 from fedpact.config import ConfigError, ExperimentConfig
 from fedpact.contracts import solve_optimal_menu
+from fedpact.coverage import PointCloud, coverage_quality
 from fedpact.learning import (
+    CALIBRATION_TOLERANCE,
+    MAX_BISECTIONS,
+    QUALITY_SAMPLES,
     ArchitectureMismatchError,
     CalibrationError,
+    ClientDataset,
     ClientRecord,
     ModelArch,
     ModelVector,
@@ -25,7 +33,7 @@ from fedpact.learning import (
     server_test,
 )
 from fedpact.seeding import child_rng
-from fedpact.simulation import choose_contract
+from fedpact.simulation import choose_contract, sample_population
 
 from conftest import CONFIGS, menu_rows, reference_local_train
 
@@ -138,6 +146,138 @@ class TestGenerateClientDataset:
     def test_near_full_cube(self, task2d):
         ds = generate_client_dataset(task2d, 0.95, 400, seed=26)
         assert ds.measured_quality >= 0.93
+
+
+def reference_calibration(
+    task: SyntheticTask, target_theta: float, n_points: int, seed: int, calls: list[int]
+) -> ClientDataset:
+    """``generate_client_dataset`` as a bisection that evaluates every side;
+    ``calls[0]`` counts its ``coverage_quality`` evaluations."""
+    unit_draws = child_rng(seed, 1).random((n_points, task.dimension))
+    quality_seed = int(child_rng(seed, 2).integers(2**31))
+
+    def quality(side: float) -> float:
+        calls[0] += 1
+        cloud = PointCloud(task.dimension, unit_draws * side)
+        return coverage_quality(cloud, QUALITY_SAMPLES, quality_seed)
+
+    lo, hi = 1e-3, 1.0
+    q_hi = quality(hi)
+    if target_theta > q_hi + CALIBRATION_TOLERANCE:
+        raise CalibrationError(target_theta, q_hi)
+    q_lo = quality(lo)
+    if target_theta < q_lo - CALIBRATION_TOLERANCE:
+        raise CalibrationError(target_theta, q_lo)
+
+    best_side, best_q = (hi, q_hi) if abs(q_hi - target_theta) < abs(q_lo - target_theta) else (lo, q_lo)
+    for _ in range(MAX_BISECTIONS):
+        if abs(best_q - target_theta) <= 0.25 * CALIBRATION_TOLERANCE:
+            break
+        mid = 0.5 * (lo + hi)
+        q_mid = quality(mid)
+        if abs(q_mid - target_theta) < abs(best_q - target_theta):
+            best_side, best_q = mid, q_mid
+        if q_mid < target_theta:
+            lo = mid
+        else:
+            hi = mid
+    if abs(best_q - target_theta) > CALIBRATION_TOLERANCE:
+        raise CalibrationError(target_theta, best_q)
+
+    points = unit_draws * best_side
+    return ClientDataset(
+        cloud=PointCloud(task.dimension, points),
+        labels=task.label(points),
+        measured_quality=best_q,
+        subcube_side=best_side,
+    )
+
+
+def calibration_outcome(calibrate, task, target, n_points, seed) -> tuple:
+    """What a calibration returns or raises, comparable with ``==``."""
+    try:
+        ds = calibrate(task, target, n_points, seed)
+    except CalibrationError as err:
+        return ("error", err.target, err.best)
+    return ("data", ds.subcube_side, ds.measured_quality, ds.points.tobytes(), ds.labels.tobytes())
+
+
+def assert_matches_reference(task, target, n_points, seed) -> tuple[int, int]:
+    """Same outcome as ``reference_calibration``, in no more evaluations;
+    returns both evaluation counts."""
+    ref_calls, calls = [0], [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return coverage_quality(*args, **kwargs)
+
+    expected = calibration_outcome(
+        lambda *args: reference_calibration(*args, ref_calls), task, target, n_points, seed
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "coverage_quality", counted)
+        got = calibration_outcome(generate_client_dataset, task, target, n_points, seed)
+    assert got == expected
+    assert calls[0] <= ref_calls[0]
+    return calls[0], ref_calls[0]
+
+
+TASKS = {d: SyntheticTask.generate(d, 2, seed=7, test_size=50) for d in (1, 2, 3)}
+
+
+def quality_at_side(task: SyntheticTask, n_points: int, seed: int, side: float) -> float:
+    """The quality ``generate_client_dataset`` measures at ``side``."""
+    unit_draws = child_rng(seed, 1).random((n_points, task.dimension))
+    quality_seed = int(child_rng(seed, 2).integers(2**31))
+    return coverage_quality(PointCloud(task.dimension, unit_draws * side), QUALITY_SAMPLES, quality_seed)
+
+
+class TestCalibrationSkips:
+    """Skipping evaluations that the quality bounds decide changes nothing
+    but the number of evaluations."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dimension=st.sampled_from([1, 2, 3]), n_points=st.integers(1, 200),
+           target=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2**31 - 1))
+    def test_matches_reference(self, dimension, n_points, target, seed):
+        assert_matches_reference(TASKS[dimension], target, n_points, seed)
+
+    @pytest.mark.parametrize("dimension, n_points, seed", [(1, 10, 1), (2, 1, 1), (2, 200, 2), (3, 40, 4)])
+    @pytest.mark.parametrize("end, offset", [
+        (1.0, 0.006), (1.0, 0.01), (1.0, 0.015), (1.0, 0.0199), (1e-3, -0.006), (1e-3, -0.0199),
+    ])
+    def test_matches_reference_without_convergence(self, dimension, n_points, seed, end, offset):
+        # a target just out of reach at either end: every bisection runs, and
+        # the skipped sides are evaluated before the winner is picked (in some
+        # of these clouds a skipped side near 1 covers more than the full cube)
+        task = TASKS[dimension]
+        target = quality_at_side(task, n_points, seed, end) + offset
+        _, ref_calls = assert_matches_reference(task, target, n_points, seed)
+        assert ref_calls == MAX_BISECTIONS + 2
+
+    @pytest.mark.parametrize("n_points, seed", [(1, 1), (1, 3), (1, 4), (2, 1)])
+    @pytest.mark.parametrize("target", [0.51, 0.54, 0.57])
+    def test_matches_reference_on_tight_bounds(self, n_points, seed, target):
+        # one or two points on a line: the ceiling is close to the quality,
+        # so sides just beyond the stop width get skipped
+        assert_matches_reference(TASKS[1], target, n_points, seed)
+
+    def test_shipped_seed_needs_fewer_evaluations(self):
+        # the 30 datasets of seed 1 of the shipped synthetic config
+        config = ExperimentConfig.from_json(CONFIGS / "synthetic_default.json")
+        task = SyntheticTask.generate(
+            config.task.dimension, config.task.classes, config.task.seed, config.task.test_size
+        )
+        draws = sample_population(config.build_profile(), config.population, child_rng(1, 10))
+        calls = ref_calls = 0
+        for cid, type_idx in enumerate(draws.tolist()):
+            seed = int(child_rng(1, 20, cid).integers(2**31))
+            got, ref = assert_matches_reference(
+                task, config.thetas[type_idx], config.training.n_points, seed
+            )
+            calls, ref_calls = calls + got, ref_calls + ref
+        assert len(draws) == 30
+        assert calls <= 0.7 * ref_calls
 
 
 class TestLocalTrain:

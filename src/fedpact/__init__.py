@@ -9,14 +9,12 @@ federated training experiment.
 from .config import ConfigError, ExperimentConfig, TaskSpec, TrainingSpec
 from .contracts import (
     ContractMenu,
-    EffortResponse,
     FeasibilityReport,
     GridSearchResult,
     GridSpec,
     MenuMismatchError,
     RevenueCurve,
     TypeProfile,
-    best_response_effort,
     envelope_utilities,
     grid_search_menu,
     server_expected_utility,
@@ -41,7 +39,6 @@ from .learning import (
     server_test,
 )
 from .simulation import (
-    ContractChoice,
     RoundOutcome,
     choose_contract,
     realize_success,

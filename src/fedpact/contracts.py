@@ -30,7 +30,8 @@ beta-weighted average and the fees are rebuilt by the same recursion.
 
 ``envelope_utilities`` is the one definition of the type-by-item utility
 table: ``verify_feasibility`` reads IR and every ordered IC pair from it,
-and ``simulation.choose_contract`` a type's row.  ``grid_search_menu``
+and ``simulation.choose_contract`` a type's whole response (its item,
+clamped effort and tie flag) from that type's row.  ``grid_search_menu``
 provides an independent brute-force optimality oracle for small
 instances.
 """
@@ -270,25 +271,6 @@ class RevenueCurve:
 # utilities of the two sides
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EffortResponse:
-    """Best-response effort: the value used physically (clamped to [0, 1])
-    and the raw stationary point theta*R/c used by the envelope algebra."""
-
-    effort: float
-    raw: float
-
-
-def best_response_effort(theta: float, reward: float, c: float) -> EffortResponse:
-    """Effort maximizing theta*e*R - (c/2)e^2, clamped to the feasible [0, 1]."""
-    if c <= 0.0:
-        raise ValueError(f"unit cost must be positive, got {c}")
-    if theta < 0.0 or reward < 0.0:
-        raise ValueError("theta and reward must be non-negative")
-    raw = theta * reward / c
-    return EffortResponse(effort=min(max(raw, 0.0), 1.0), raw=raw)
-
-
 def envelope_utilities(thetas: Sequence[float], menu: ContractMenu, c: float) -> np.ndarray:
     """Type-by-item envelope utilities u[i, j] = (theta_i R_j)^2 / (2c) - f_j
     at the raw (unclamped) best response.
@@ -344,7 +326,7 @@ def server_expected_utility(
         profile.thetas.tolist(), profile.betas.tolist(),
         menu.fees.tolist(), menu.rewards.tolist(), menu.benchmarks.tolist(),
     ):
-        e = best_response_effort(theta, reward, c).raw
+        e = theta * reward / c
         total += beta * (fee + theta * e * (curve(benchmark) - reward))
     return total
 

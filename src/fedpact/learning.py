@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,13 +42,18 @@ class ArchitectureMismatchError(ValueError):
 
 
 class CalibrationError(ValueError):
-    """The requested coverage quality is not reachable; carries the best value."""
+    """The bisection found no side within tolerance of the target quality.
+
+    ``best`` is the measured quality closest to ``target``; quality need
+    not grow with the side, so an unmeasured side may come closer.
+    """
 
     def __init__(self, target: float, best: float):
         self.target = target
         self.best = best
         super().__init__(
-            f"coverage quality {target:.4f} unreachable; best achievable is {best:.4f}"
+            f"coverage quality {target:.4f} not reached by bisection on the side; "
+            f"closest measured is {best:.4f}"
         )
 
 
@@ -212,11 +217,11 @@ def generate_client_dataset(
 
     Points are ``n_points`` fixed unit draws u_j scaled into the sub-cube
     [0, s]^d; the side s is found by bisection on [1e-3, 1] against the
-    coverage module, which takes quality to grow with s (for a handful of
-    points it need not), stopping once a side's quality is within
-    ``CALIBRATION_STOP`` of the target.  Raises
-    ``CalibrationError`` when the target is outside what ``n_points``
-    samples can reach, naming the best achievable value.
+    coverage module, which takes quality to grow with s (it need not, even
+    for a few hundred points), stopping once a side's quality is within
+    ``CALIBRATION_STOP`` of the target.  Raises ``CalibrationError`` when no
+    side it measures is within ``CALIBRATION_TOLERANCE``, naming the
+    closest quality measured; an unmeasured side may come closer.
 
     A side is evaluated only when two exact bounds on its quality q(s),
     both over the same quality draws, leave its bisection step open:
@@ -346,7 +351,7 @@ def local_train(
         raise ArchitectureMismatchError(
             f"data dimension {x.shape} does not match input_dim {arch.input_dim}"
         )
-    epochs = int(math.floor(effort * max_epochs + 0.5))
+    epochs = _epochs(effort, max_epochs)
     if epochs == 0:
         return models
     n_clients, n, d = x.shape
@@ -372,6 +377,11 @@ def local_train(
         ModelVector(arch=arch, parameters=np.concatenate([wi.ravel(), bi]))
         for wi, bi in zip(w, b)
     )
+
+
+def _epochs(effort: float, max_epochs: int) -> int:
+    """Epochs an effort buys: effort * max_epochs, rounded half up."""
+    return int(math.floor(effort * max_epochs + 0.5))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -488,37 +498,25 @@ class SchemeReport:
         }
 
     def rounds_to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["seed", "c", "scheme", "accuracy", "participants", "successes",
-                 "total_fees", "total_rewards"]
-            )
-            for r in self.rounds:
-                writer.writerow(
-                    [r.seed, repr(r.c), r.scheme, repr(r.accuracy), r.participants,
-                     r.successes, repr(r.total_fees), repr(r.total_rewards)]
-                )
+        _records_to_csv(self.rounds, SchemeRound, path)
 
     def clients_to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["seed", "c", "scheme", "client_id", "type_index", "theta_target",
-                 "theta_measured", "chosen_index", "effort", "epochs",
-                 "local_accuracy", "server_accuracy", "passed"]
-            )
-            for r in self.clients:
-                writer.writerow(
-                    [r.seed, repr(r.c), r.scheme, r.client_id, r.type_index,
-                     repr(r.theta_target), repr(r.theta_measured),
-                     r.chosen_index if r.chosen_index is not None else "reject",
-                     repr(r.effort), r.epochs, repr(r.local_accuracy),
-                     repr(r.server_accuracy), r.passed]
-                )
+        _records_to_csv(self.clients, ClientRecord, path)
 
     def summary_to_json(self, path: str | Path) -> None:
         _write_json(self.summary(), path)
+
+
+def _records_to_csv(records: Sequence, record_type: type, path: str | Path) -> None:
+    """One row per record, columns in ``record_type``'s field order; None is
+    written as ``reject`` (a client that signed no item)."""
+    names = [field.name for field in fields(record_type)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for record in records:
+            values = (getattr(record, name) for name in names)
+            writer.writerow(["reject" if v is None else v for v in values])
 
 
 def _c_key(c: float) -> str:
@@ -636,9 +634,7 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
             ]
             for scheme in config.schemes:
                 signup = signed["flat" if scheme == "flat" else "contract"]
-                type_epochs = [
-                    int(math.floor(e * train.max_epochs + 0.5)) for e in signup.type_effort.tolist()
-                ]
+                type_epochs = [_epochs(e, train.max_epochs) for e in signup.type_effort.tolist()]
                 booked.append((c, scheme, signup, gates, type_epochs))
                 ptypes = signup.participant_types.tolist()
                 for cid, t in zip(signup.participant_ids.tolist(), ptypes):

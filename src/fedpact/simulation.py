@@ -13,9 +13,11 @@ successes from the seed, ``analytic`` books every client at its
 expected values, so the per-client mean converges to the server's
 expected utility as the population grows.
 
-A client's choice, effort and pass probability depend only on its type,
-so ``RoundOutcome.sign_up`` chooses once per type and books clients as
-arrays indexed by their type; the ledger is derived from those columns.
+A client's choice, effort and pass probability depend only on its type:
+``RoundOutcome.sign_up`` takes each type's ``(row, effort, tied)`` column
+entries from one ``choose_contract`` call, computes the pass probability
+min(1, theta * effort) once per type, and books clients as arrays indexed
+by their type; the ledger is derived from those columns.
 ``learning.run_scheme_comparison`` settles its rounds with the same
 engine, deciding passes by a trained model's server test.
 """
@@ -31,12 +33,10 @@ import numpy as np
 
 from .config import MODES
 from .contracts import (
-    DEFAULT_TOLERANCE,
     ContractMenu,
     RevenueCurve,
     TypeProfile,
     _write_json,
-    best_response_effort,
     envelope_utilities,
     utility_tolerance,
     verify_feasibility,
@@ -44,52 +44,31 @@ from .contracts import (
 from .seeding import as_generator, child_rng
 
 
-@dataclass(frozen=True)
-class ContractChoice:
-    """Outcome of one client's menu scan.
+def choose_contract(theta: float, menu: ContractMenu, c: float) -> tuple[int, float, bool]:
+    """A type's whole response to ``menu``: ``(row, effort, tied)``.
 
-    ``index`` is the 1-based item index, or None for rejection.  ``tied``
-    flags an exact indifference (within tolerance) between several items;
-    the lowest tied index wins deterministically.
+    ``row`` is the 0-based menu row of the best item by envelope utility,
+    -1 when even that maximum is negative (a maximum of exactly zero is
+    accepted, participation at the outside option's value).  Items within
+    ``DEFAULT_TOLERANCE`` of the maximum, scaled to the menu's utilities by
+    ``utility_tolerance``, tie: the lowest row wins and ``tied`` is set.
+    ``effort`` is the best response theta R / c clamped to [0, 1], 0.0 on
+    rejection.  These are the type's entries of ``RoundOutcome``'s
+    ``type_choice``, ``type_effort`` and ``type_tied``.
+
+    The benchmark tracer (``perfbench/tracer.py``) wraps this function by
+    name and reads ``(theta, menu, c)`` from its positional arguments, so
+    both stay as they are; ``RoundOutcome.sign_up`` calls it once per type.
     """
-
-    index: int | None
-    effort: float
-    tied: bool
-    tie_indices: tuple[int, ...]
-
-    @property
-    def rejected(self) -> bool:
-        return self.index is None
-
-
-def choose_contract(
-    theta: float,
-    menu: ContractMenu,
-    c: float,
-    tie_tolerance: float = DEFAULT_TOLERANCE,
-) -> ContractChoice:
-    """Best item by envelope utility; reject when the maximum is negative.
-
-    A maximum of exactly zero is accepted (participation at the outside
-    option's value).  Ties within ``tie_tolerance`` of the maximum, scaled
-    to the menu's utilities by ``utility_tolerance``, are broken to the
-    lowest index and flagged.
-    """
+    if theta < 0.0:
+        raise ValueError(f"theta must be non-negative, got {theta}")
     utilities = envelope_utilities((theta,), menu, c)[0]
     best = utilities.max()
-    tol = utility_tolerance((theta,), menu, c, tie_tolerance)
-    tied_indices = tuple((np.flatnonzero(best - utilities <= tol) + 1).tolist())
     if best < 0.0:
-        return ContractChoice(index=None, effort=0.0, tied=False, tie_indices=())
-    index = tied_indices[0]
-    effort = best_response_effort(theta, float(menu.rewards[index - 1]), c).effort
-    return ContractChoice(
-        index=index,
-        effort=effort,
-        tied=len(tied_indices) > 1,
-        tie_indices=tied_indices if len(tied_indices) > 1 else (),
-    )
+        return -1, 0.0, False
+    tied = np.flatnonzero(best - utilities <= utility_tolerance((theta,), menu, c))
+    row = int(tied[0])
+    return row, min(max(theta * float(menu.rewards[row]) / c, 0.0), 1.0), len(tied) > 1
 
 
 def sample_population(
@@ -102,22 +81,18 @@ def sample_population(
 
 
 def realize_success(
-    theta: float | np.ndarray,
-    effort: float | np.ndarray,
-    seed: int | np.random.Generator,
+    p: float | np.ndarray, seed: int | np.random.Generator
 ) -> bool | np.ndarray:
-    """Bernoulli trials at probability min(1, theta * effort), element-wise.
+    """Bernoulli trials at success probability ``p``, element-wise.
 
     One uniform draw per element, in order, so an array of k trials equals
     k scalar calls on the same generator.  Scalars give a bool, arrays a
     bool array.
     """
-    theta = np.asarray(theta, dtype=float)
-    effort = np.asarray(effort, dtype=float)
-    outside = ~((effort >= 0.0) & (effort <= 1.0))
+    p = np.asarray(p, dtype=float)
+    outside = ~((p >= 0.0) & (p <= 1.0))
     if outside.any():
-        raise ValueError(f"effort must lie in [0, 1], got {effort[outside].flat[0]}")
-    p = np.minimum(1.0, theta * effort)
+        raise ValueError(f"success probability must lie in [0, 1], got {p[outside].flat[0]}")
     success = as_generator(seed).random(p.shape) < p
     return bool(success) if success.ndim == 0 else success
 
@@ -173,18 +148,19 @@ class RoundOutcome:
     ) -> "RoundOutcome":
         """Each type picks from ``menu`` once; the round is booked at its
         expected values (``analytic``) until ``with_passes`` realizes it."""
-        c = profile.unit_cost
-        choices = [choose_contract(theta, menu, c) for theta in profile.thetas.tolist()]
-        effort = np.array([ch.effort for ch in choices])
+        rows, efforts, tied = zip(*(
+            choose_contract(theta, menu, profile.unit_cost) for theta in profile.thetas.tolist()
+        ))
+        effort = np.array(efforts)
         return cls(
             profile=profile,
             menu=menu,
             curve=curve,
             client_type=client_type,
-            type_choice=np.array([-1 if ch.rejected else ch.index - 1 for ch in choices]),
+            type_choice=np.array(rows),
             type_effort=effort,
             type_success_prob=np.minimum(1.0, profile.thetas * effort),
-            type_tied=np.array([ch.tied for ch in choices]),
+            type_tied=np.array(tied),
             mode="analytic",
             succeeded=np.zeros(len(client_type), dtype=bool),
         )
@@ -350,7 +326,6 @@ def run_round(
     outcome = RoundOutcome.sign_up(profile, menu, curve, client_type)
     if mode == "analytic":
         return outcome
-    ptype = outcome.participant_types
-    return outcome.with_passes(
-        realize_success(profile.thetas[ptype], outcome.type_effort[ptype], child_rng(seed, 1))
-    )
+    return outcome.with_passes(realize_success(
+        outcome.type_success_prob[outcome.participant_types], child_rng(seed, 1)
+    ))

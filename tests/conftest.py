@@ -10,6 +10,8 @@ from fedpact.contracts import (
     ContractMenu,
     RevenueCurve,
     TypeProfile,
+    envelope_utilities,
+    utility_tolerance,
     verify_feasibility,
 )
 from fedpact.learning import ArchitectureMismatchError, ModelVector
@@ -135,6 +137,17 @@ def clamped_expected_utility(profile: TypeProfile, menu: ContractMenu, curve: Re
             profile.thetas.tolist(), profile.betas.tolist(), menu_rows(menu)
         )
     )
+
+
+def best_rows(theta: float, menu: ContractMenu, c: float) -> tuple[int, ...]:
+    """0-based rows whose envelope utility for ``theta`` lies within
+    ``utility_tolerance`` of the best, lowest first; () when the best is
+    negative (the type rejects)."""
+    utilities = envelope_utilities((theta,), menu, c)[0]
+    if utilities.max() < 0.0:
+        return ()
+    tol = utility_tolerance((theta,), menu, c)
+    return tuple(np.flatnonzero(utilities.max() - utilities <= tol).tolist())
 
 
 def menu_of(*rows: tuple[float, float, float]) -> ContractMenu:

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and the per-instance oracle gaps.
 """
+import hashlib
 import json
 import subprocess
 import sys
@@ -25,8 +26,9 @@ from fedpact.contracts import (
 )
 from fedpact.coverage import PointCloud, coverage_quality
 from fedpact.learning import run_scheme_comparison
-from fedpact.simulation import choose_contract, run_round
+from fedpact.simulation import run_round
 from conftest import (
+    best_rows,
     clamped_expected_utility,
     random_benchmarks,
     random_increasing_convex_curve,
@@ -187,10 +189,9 @@ def test_criterion_5_truthful_selection(mnist_config_path):
         else:
             tie_count += 1
             tied_ids.add(cid)
-            choice = choose_contract(float(profile.thetas[t]), menu, profile.unit_cost)
-            assert choice.tie_indices == (i - 1, i), (
-                f"type {i} tied on {choice.tie_indices}, not its adjacent boundary"
-            )
+            tie = tuple(k + 1 for k in best_rows(float(profile.thetas[t]), menu, profile.unit_cost))
+            assert tie == (i - 1, i), f"type {i} tied on {tie}, not its adjacent boundary"
+            assert chosen == i - 1, f"tied client of type {i} chose {chosen}, not the lower item"
     elapsed = time.time() - start
     assert elapsed < 5.0
     logged = outcome.to_dict()["tied_types"]
@@ -270,7 +271,13 @@ def test_criterion_8_local_vs_server_gap(default_comparison):
     )
 
 
-def test_criterion_9_cli_determinism(tmp_path, mnist_config_path):
+CLI_DIGESTS = Path(__file__).parent / "fixtures" / "cli_output_digests.json"
+
+
+def cli_output_digests(tmp_path: Path, mnist_config_path: Path) -> dict[str, dict[str, str]]:
+    """Run solve, audit, simulate and compare twice each on small configs;
+    check the reruns write the same bytes and return the sha256 of every
+    file the first run wrote, per command."""
     def run(cmd: list[str]) -> None:
         proc = subprocess.run(
             [sys.executable, "-m", "fedpact", *cmd], capture_output=True, text=True, env=src_env()
@@ -296,7 +303,7 @@ def test_criterion_9_cli_determinism(tmp_path, mnist_config_path):
                      "batch_size": 16},
     }
 
-    checked = []
+    digests = {}
     for command, payload in (("solve", base), ("audit", base),
                              ("simulate", base), ("compare", compare_payload)):
         snaps = []
@@ -315,5 +322,19 @@ def test_criterion_9_cli_determinism(tmp_path, mnist_config_path):
             snaps.append(snapshot(out))
         assert snaps[0] == snaps[1], f"{command} outputs differ between reruns"
         assert snaps[0], f"{command} wrote no files"
-        checked.append(command)
-    print(f"\n[PASS] criterion 9: byte-identical reruns for {', '.join(checked)}")
+        digests[command] = {
+            name: hashlib.sha256(data).hexdigest() for name, data in snaps[0].items()
+        }
+    return digests
+
+
+def test_criterion_9_cli_determinism(tmp_path, mnist_config_path):
+    """Reruns are byte-identical, and the bytes are the pinned ones.
+
+    ``fixtures/cli_output_digests.json`` holds the sha256 of every output
+    file of ``cli_output_digests``.  A change that alters these outputs on
+    purpose updates the fixture and says so in CHANGES.md.
+    """
+    digests = cli_output_digests(tmp_path, mnist_config_path)
+    assert digests == json.loads(CLI_DIGESTS.read_text()), f"outputs differ from {CLI_DIGESTS.name}"
+    print(f"\n[PASS] criterion 9: byte-identical, pinned outputs for {', '.join(digests)}")

@@ -23,7 +23,6 @@ from fedpact.contracts import (
     MenuMismatchError,
     RevenueCurve,
     TypeProfile,
-    best_response_effort,
     envelope_utilities,
     grid_search_menu,
     server_expected_utility,
@@ -32,6 +31,7 @@ from fedpact.contracts import (
 )
 from fedpact.simulation import choose_contract
 from conftest import (
+    best_rows,
     clamped_expected_utility,
     fee_recursion,
     menu_of,
@@ -53,28 +53,36 @@ def utility(theta, it, c):
     return envelope_utilities([theta], menu_of(it), c)[0, 0]
 
 
+def response(theta, it, c):
+    """``choose_contract`` of a one-item menu: (row, effort, tied)."""
+    return choose_contract(theta, menu_of(it), c)
+
+
 class TestEffortAndUtilities:
     def test_zero_quality_zero_effort(self):
-        assert best_response_effort(0.0, 5.0, 1.0).effort == 0.0
+        assert response(0.0, item(0.0, 5.0), 1.0) == (0, 0.0, False)
 
     def test_interior_effort(self):
-        r = best_response_effort(0.5, 1.0, 1.0)
-        assert r.effort == 0.5
-        assert r.raw == 0.5
+        assert response(0.5, item(0.0, 1.0), 1.0) == (0, 0.5, False)
 
     def test_clamped_effort_keeps_raw(self):
-        r = best_response_effort(1.0, 2.0, 1.0)
-        assert r.effort == 1.0
-        assert r.raw == 2.0
+        # the envelope utility is at the raw best response theta R / c = 2,
+        # (c/2) 2^2 = 2.0, not at the clamped effort 1 (2 - 1/2 = 1.5)
+        assert response(1.0, item(0.0, 2.0), 1.0) == (0, 1.0, False)
+        assert utility(1.0, item(0.0, 2.0), 1.0) == 2.0
 
     def test_reference_effort_ratio(self, mnist_settings):
         theta = mnist_settings["thetas"][0]
         ratio = mnist_settings["optimal_efforts"][0] / theta
-        assert best_response_effort(theta, ratio, 1.0).effort == pytest.approx(0.279, abs=1e-12)
+        assert response(theta, item(0.0, ratio), 1.0)[1] == pytest.approx(0.279, abs=1e-12)
 
     def test_cost_must_be_positive(self):
         with pytest.raises(ValueError):
-            best_response_effort(0.5, 1.0, 0.0)
+            response(0.5, item(0.0, 1.0), 0.0)
+
+    def test_quality_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="theta"):
+            response(-0.5, item(0.0, 1.0), 1.0)
 
     def test_zero_effort_pays_the_fee(self):
         # zero reward, zero best-response effort: the fee is all that is left
@@ -271,11 +279,12 @@ class TestUtilityMatrix:
             menu = solve_optimal_menu(profile, RevenueCurve.exponential(scale * a, b), benchmarks)
             report = verify_feasibility(profile, menu)
             assert report.feasible, (scale, report.violations())
-            choices = [choose_contract(theta, menu, profile.unit_cost) for theta in profile.thetas.tolist()]
+            c = profile.unit_cost
             decisions.append((
                 report.ir_binding,
                 report.ic_binding,
-                [(ch.index, ch.tie_indices) for ch in choices],
+                [choose_contract(theta, menu, c)[::2] for theta in profile.thetas.tolist()],
+                [best_rows(theta, menu, c) for theta in profile.thetas.tolist()],
             ))
         assert decisions[0] == decisions[1]
 
@@ -654,7 +663,7 @@ class TestReferenceSettings:
         menu = solve_optimal_menu(profile, curve, mnist_settings["benchmarks"])
         assert np.all(np.diff(menu.rewards) > 0)
         efforts = [
-            best_response_effort(theta, reward, 1.0).effort
+            response(theta, item(0.0, reward), 1.0)[1]
             for theta, reward in zip(profile.thetas.tolist(), menu.rewards.tolist())
         ]
         np.testing.assert_allclose(efforts, mnist_settings["optimal_efforts"], atol=1e-12)

@@ -128,7 +128,26 @@ class TestGenerateClientDataset:
         with pytest.raises(CalibrationError) as err:
             generate_client_dataset(task2d, 0.999, 3, seed=23)
         assert err.value.best < 0.999
-        assert "best achievable" in str(err.value)
+        assert "closest measured" in str(err.value)
+
+    def test_error_names_only_what_it_measured(self):
+        # one point: quality is not monotone in the side, so the bisection
+        # ends on 0.5942 (side 1) while the unmeasured side 0.559 reaches
+        # 0.7477, closer to the target; the message claims no bound
+        task = SyntheticTask.generate(1, 2, seed=7, test_size=50)
+        with pytest.raises(CalibrationError) as err:
+            generate_client_dataset(task, 0.7, 1, seed=2)
+        assert err.value.target == 0.7
+        assert err.value.best == pytest.approx(0.5942, abs=5e-5)
+        assert str(err.value) == (
+            "coverage quality 0.7000 not reached by bisection on the side; "
+            "closest measured is 0.5942"
+        )
+        unit = child_rng(2, 1).random((1, 1))
+        cloud = PointCloud(1, unit * 0.559)
+        closer = coverage_quality(cloud, QUALITY_SAMPLES, int(child_rng(2, 2).integers(2**31)))
+        assert closer == pytest.approx(0.7477, abs=5e-5)
+        assert abs(closer - 0.7) < abs(err.value.best - 0.7)
 
     def test_unreachable_low_target(self, task2d):
         # even a collapsed-to-corner sample covers a fair share of the square
@@ -552,17 +571,17 @@ def reference_comparison(config: ExperimentConfig) -> SchemeReport:
             (flat_fee, flat_reward, _), = menu_rows(flat)
             signups = {"contract": [], "flat": []}
             for type_idx, theta in enumerate(config.thetas):
-                choice = choose_contract(theta, menu, c)
-                if choice.rejected:
+                row, effort, _ = choose_contract(theta, menu, c)
+                if row < 0:
                     gate = float(config.benchmarks[type_idx])
                     signups["contract"].append(None)
                 else:
-                    fee, reward, gate = rows[choice.index - 1]
-                    signups["contract"].append((choice.index, choice.effort, fee, reward, gate))
-                flat_choice = choose_contract(theta, flat, c)
+                    fee, reward, gate = rows[row]
+                    signups["contract"].append((row + 1, effort, fee, reward, gate))
+                flat_row, flat_effort, _ = choose_contract(theta, flat, c)
                 signups["flat"].append(
-                    None if flat_choice.rejected
-                    else (1, flat_choice.effort, flat_fee, flat_reward, gate)
+                    None if flat_row < 0
+                    else (1, flat_effort, flat_fee, flat_reward, gate)
                 )
 
             for scheme in config.schemes:

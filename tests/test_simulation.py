@@ -27,6 +27,7 @@ from fedpact.simulation import (
     sample_population,
 )
 from conftest import (
+    best_rows,
     clamped_expected_utility,
     menu_of,
     menu_rows,
@@ -49,37 +50,35 @@ def canonical_menu(canonical_profile, canonical_curve, canonical_benchmarks):
 
 class TestChooseContract:
     def test_bottom_type_truthful(self, canonical_menu):
-        choice = choose_contract(0.5, canonical_menu, 1.0)
-        assert choice.index == 1
-        assert choice.effort == pytest.approx(0.5)
+        row, effort, tied = choose_contract(0.5, canonical_menu, 1.0)
+        assert row == 0
+        assert effort == pytest.approx(0.5)
         assert envelope_utilities([0.5], canonical_menu, 1.0)[0, 0] == pytest.approx(0.0)
-        assert not choice.tied
+        assert not tied
 
     def test_top_type_indifferent_breaks_low(self, canonical_menu):
         # (theta 1 R1)^2/2 - f1 = 0.375 = (theta 1 R2)^2/2 - f2: an exact tie,
-        # broken to the lower index and flagged
-        choice = choose_contract(1.0, canonical_menu, 1.0)
-        assert choice.tied
-        assert choice.tie_indices == (1, 2)
-        assert choice.index == 1
-        assert choice.effort == pytest.approx(1.0)
+        # broken to the lower row and flagged
+        row, effort, tied = choose_contract(1.0, canonical_menu, 1.0)
+        assert tied
+        assert best_rows(1.0, canonical_menu, 1.0) == (0, 1)
+        assert row == 0
+        assert effort == pytest.approx(1.0)
         assert envelope_utilities([1.0], canonical_menu, 1.0)[0, 0] == pytest.approx(0.375)
 
     def test_low_quality_rejects(self, canonical_menu):
-        choice = choose_contract(0.1, canonical_menu, 1.0)
-        assert choice.rejected
-        assert choice.effort == 0.0
+        assert choose_contract(0.1, canonical_menu, 1.0) == (-1, 0.0, False)
 
     def test_accepts_at_exactly_zero(self):
         menu = menu_of((0.0, 0.0, 0.5))
-        choice = choose_contract(0.5, menu, 1.0)
-        assert choice.index == 1
+        row, _, _ = choose_contract(0.5, menu, 1.0)
+        assert row == 0
         assert envelope_utilities([0.5], menu, 1.0)[0, 0] == 0.0
 
     def test_effort_clamped(self, canonical_menu):
-        choice = choose_contract(1.0, rebated(canonical_menu), 0.4)
-        assert choice.index == 2
-        assert choice.effort == 1.0  # raw best response would be 2/0.4 = 5
+        row, effort, _ = choose_contract(1.0, rebated(canonical_menu), 0.4)
+        assert row == 1
+        assert effort == 1.0  # raw best response would be 2/0.4 = 5
 
 
 class TestSamplePopulation:
@@ -111,28 +110,30 @@ class TestSamplePopulation:
 
 class TestRealizeSuccess:
     def test_zero_quality_never_succeeds(self):
-        assert not any(realize_success(0.0, 1.0, seed=s) for s in range(50))
+        assert not any(realize_success(0.0, seed=s) for s in range(50))
 
     def test_certain_success(self):
-        assert all(realize_success(1.0, 1.0, seed=s) for s in range(50))
+        assert all(realize_success(1.0, seed=s) for s in range(50))
 
     def test_frequency(self):
         rng = np.random.default_rng(4)
-        hits = sum(realize_success(0.8, 0.5, rng) for _ in range(100_000))
+        hits = sum(realize_success(0.4, rng) for _ in range(100_000))
         assert hits / 100_000 == pytest.approx(0.40, abs=0.005)
 
     def test_effort_domain(self):
+        # the probability's domain; the effort's is [0, 1] by its clamp
         with pytest.raises(ValueError):
-            realize_success(0.5, 1.2, seed=0)
+            realize_success(1.2, seed=0)
         with pytest.raises(ValueError):
-            realize_success(np.array([0.5, 0.5]), np.array([0.2, -0.1]), seed=0)
+            realize_success(np.array([0.5, -0.1]), seed=0)
+        with pytest.raises(ValueError):
+            realize_success(np.nan, seed=0)
 
     def test_array_equals_scalar_calls(self):
-        rng = np.random.default_rng(16)
-        thetas, efforts = rng.uniform(0.0, 1.0, (2, 1000))
-        batch = realize_success(thetas, efforts, np.random.default_rng(17))
+        probs = np.random.default_rng(16).uniform(0.0, 1.0, 1000)
+        batch = realize_success(probs, np.random.default_rng(17))
         one = np.random.default_rng(17)
-        assert batch.tolist() == [realize_success(t, e, one) for t, e in zip(thetas, efforts)]
+        assert batch.tolist() == [realize_success(p, one) for p in probs]
 
 
 def passer_weights(profile, menu, client_type, passed):
@@ -263,6 +264,51 @@ class TestRunRound:
         outcome = RoundOutcome.sign_up(profile, rebated(menu, delta), curve, np.arange(len(profile)))
         assert outcome.type_choice.tolist() == list(range(len(profile)))
         assert not outcome.type_tied.any()
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["solved", "rebated", "rescaled", "duplicated", "random"]),
+    )
+    def test_sign_up_follows_the_choice_rule(self, seed, kind):
+        # the rule any sign-up must reproduce, computed here from the rows of
+        # the utility table: the argmax, ties within the scaled tolerance to
+        # the lowest row, rejection exactly when the maximum is below 0, the
+        # clamped effort and p = min(1, theta e).  Solved menus tie at binding
+        # adjacent IC, also in revenue units k times larger (utilities k^2),
+        # duplicated rows tie every accepting type, and random fees make
+        # some types reject.
+        rng = np.random.default_rng(seed)
+        profile = random_profile(rng)
+        n, c = len(profile), profile.unit_cost
+        benchmarks = random_benchmarks(rng, n)
+        curve = random_increasing_convex_curve(rng, benchmarks)
+        menu = solve_optimal_menu(profile, curve, benchmarks)
+        if kind == "rebated":
+            menu = rebated(menu, 2.0 * utility_tolerance(profile.thetas, menu, c))
+        elif kind == "rescaled":
+            k = 10.0 ** rng.uniform(2.0, 6.0)
+            menu = ContractMenu(k * k * menu.fees, k * menu.rewards, menu.benchmarks)
+        elif kind == "duplicated":
+            menu = ContractMenu(*np.repeat(np.array(menu_rows(menu)), 2, axis=0).T)
+        elif kind == "random":
+            fees, rewards = rng.uniform(0.0, 3.0, (2, n))
+            menu = ContractMenu(fees, rewards, np.full(n, 0.5))
+        outcome = RoundOutcome.sign_up(profile, menu, curve, np.arange(n))
+        utilities = envelope_utilities(profile.thetas, menu, c)
+        for t, theta in enumerate(profile.thetas.tolist()):
+            u = utilities[t]
+            if u.max() < 0.0:
+                expected = (-1, 0.0, False, 0.0)
+            else:
+                best = np.flatnonzero(u.max() - u <= utility_tolerance((theta,), menu, c))
+                row = int(best[0])
+                effort = float(np.clip(theta * menu.rewards[row] / c, 0.0, 1.0))
+                expected = (row, effort, len(best) > 1, min(1.0, theta * effort))
+            assert (
+                int(outcome.type_choice[t]), float(outcome.type_effort[t]),
+                bool(outcome.type_tied[t]), float(outcome.type_success_prob[t]),
+            ) == expected, (kind, t)
 
     def test_ties_logged_on_tight_menu(self, canonical_profile, canonical_curve, canonical_menu):
         outcome = run_round(canonical_profile, canonical_menu, canonical_curve, 2000, "analytic", seed=10)
@@ -406,14 +452,14 @@ def reference_round(profile, menu, curve, n, mode, seed):
     succeeded_items, expected_shares = [], []
     for cid, k in enumerate(draws.tolist()):
         theta = thetas[k]
-        choice = choose_contract(theta, menu, c)
-        if choice.rejected:
+        row, effort, tied = choose_contract(theta, menu, c)
+        if row < 0:
             clients.append(ReferenceClient(cid, k + 1, None, 0.0, 0.0, 0.0, False, 0.0, False))
             continue
-        fee, reward, benchmark = rows[choice.index - 1]
-        if choice.tied:
+        fee, reward, benchmark = rows[row]
+        if tied:
             ties.append(cid)
-        p = min(1.0, theta * choice.effort)
+        p = min(1.0, theta * effort)
         margin = curve(benchmark) - reward
         if mode == "ml":
             success = bool(success_rng.random() < p)
@@ -434,14 +480,14 @@ def reference_round(profile, menu, curve, n, mode, seed):
             if p * reward > 0.0:
                 expected_shares.append((cid, p * reward))
         clients.append(ReferenceClient(
-            cid, k + 1, choice.index, fee, reward, choice.effort, success, p, choice.tied
+            cid, k + 1, row + 1, fee, reward, effort, success, p, tied
         ))
     if mode == "ml":
         weights = reference_weights(succeeded_items)
     else:
         total = math.fsum(share for _, share in expected_shares)
         weights = {cid: share / total for cid, share in expected_shares} if total > 0.0 else {}
-    tied_types = [k + 1 for k, theta in enumerate(thetas) if choose_contract(theta, menu, c).tied]
+    tied_types = [k + 1 for k, theta in enumerate(thetas) if choose_contract(theta, menu, c)[2]]
     return clients, fees, rewards, forfeits, utility, weights, tuple(ties), tied_types
 
 

@@ -56,11 +56,15 @@ class MenuMismatchError(ValueError):
 # domain types
 # ---------------------------------------------------------------------------
 
+# the layout of every JSON output: two-space indent, sorted keys, and
+# NaN or infinity raises ValueError
+_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+
+
 def _write_json(payload, path: str | Path) -> None:
-    """``payload`` as every JSON output is written: two-space indent, sorted
-    keys, a final newline; NaN or infinity raises ValueError."""
+    """``payload`` in the ``_JSON`` layout, with a final newline."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.writelines(_JSON.iterencode(payload))
         fh.write("\n")
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -42,7 +42,8 @@ class ArchitectureMismatchError(ValueError):
 
 
 class CalibrationError(ValueError):
-    """The bisection found no side within tolerance of the target quality.
+    """Neither the bisection nor the grid scan found a side within
+    tolerance of the target quality.
 
     ``best`` is the measured quality closest to ``target``; quality need
     not grow with the side, so an unmeasured side may come closer.
@@ -52,8 +53,8 @@ class CalibrationError(ValueError):
         self.target = target
         self.best = best
         super().__init__(
-            f"coverage quality {target:.4f} not reached by bisection on the side; "
-            f"closest measured is {best:.4f}"
+            f"coverage quality {target:.4f} not reached by bisection or grid scan on the "
+            f"side; closest measured is {best:.4f}"
         )
 
 
@@ -205,6 +206,7 @@ CALIBRATION_TOLERANCE = 0.02  # largest accepted |measured - target| quality
 CALIBRATION_STOP = 0.25 * CALIBRATION_TOLERANCE  # bisection ends within this of the target
 QUALITY_SAMPLES = 4000  # Monte Carlo draws per coverage_quality evaluation
 MAX_BISECTIONS = 40
+CALIBRATION_GRID = np.linspace(1e-3, 1.0, 100).tolist()  # sides scanned when bisection fails
 
 
 def generate_client_dataset(
@@ -219,9 +221,11 @@ def generate_client_dataset(
     [0, s]^d; the side s is found by bisection on [1e-3, 1] against the
     coverage module, which takes quality to grow with s (it need not, even
     for a few hundred points), stopping once a side's quality is within
-    ``CALIBRATION_STOP`` of the target.  Raises ``CalibrationError`` when no
-    side it measures is within ``CALIBRATION_TOLERANCE``, naming the
-    closest quality measured; an unmeasured side may come closer.
+    ``CALIBRATION_STOP`` of the target.  When no side it measures is within
+    ``CALIBRATION_TOLERANCE``, the sides of ``CALIBRATION_GRID`` are scanned
+    and the first closest is taken if it is within the tolerance; otherwise
+    ``CalibrationError`` names the closest quality measured (an unmeasured
+    side may come closer).
 
     A side is evaluated only when two exact bounds on its quality q(s),
     both over the same quality draws, leave its bisection step open:
@@ -235,8 +239,8 @@ def generate_client_dataset(
     as its quality would, and can neither end the search nor win it.  If
     the bisections run out first, the skipped sides are evaluated after all
     and the winner is the first closest side in bisection order, so the
-    side, the quality and any error are bit for bit those of evaluating
-    every side.
+    bisection's side and quality are bit for bit those of evaluating every
+    side.
     """
     if not 0.0 < target_theta <= 1.0:
         raise ValueError(f"target_theta must lie in (0, 1], got {target_theta}")
@@ -246,13 +250,41 @@ def generate_client_dataset(
     quality_seed = int(child_rng(seed, 2).integers(2**31))
     draws = quality_draws(task.dimension, QUALITY_SAMPLES, quality_seed)
     slope = float(np.max(np.linalg.norm(unit_draws, axis=1))) / math.sqrt(task.dimension)
-    # 1e-9 absorbs the rounding of the bounds and of the measured qualities
-    below = target_theta - CALIBRATION_STOP - 1e-9
-    above = target_theta + CALIBRATION_STOP + 1e-9
 
     def quality(side: float) -> float:
         cloud = PointCloud(task.dimension, unit_draws * side)
         return coverage_quality(cloud, QUALITY_SAMPLES, quality_seed)
+
+    def miss(pair: tuple[float, float]) -> float:
+        return abs(pair[1] - target_theta)
+
+    best = _bisect_side(quality, draws, slope, target_theta)
+    if miss(best) > CALIBRATION_TOLERANCE:
+        # quality need not grow with the side: scan a fixed grid before giving up
+        best = min([best, *((side, quality(side)) for side in CALIBRATION_GRID)], key=miss)
+        if miss(best) > CALIBRATION_TOLERANCE:
+            raise CalibrationError(target_theta, best[1])
+
+    best_side, best_q = best
+    points = unit_draws * best_side
+    return ClientDataset(
+        cloud=PointCloud(task.dimension, points),
+        labels=task.label(points),
+        measured_quality=best_q,
+        subcube_side=best_side,
+    )
+
+
+def _bisect_side(
+    quality: Callable[[float], float], draws: np.ndarray, slope: float, target_theta: float
+) -> tuple[float, float]:
+    """The bounded bisection of ``generate_client_dataset``: the first side
+    closest to the target among those it measures, and its quality.  It
+    stops after one end when the target lies beyond that end's quality by
+    more than ``CALIBRATION_TOLERANCE``."""
+    # 1e-9 absorbs the rounding of the bounds and of the measured qualities
+    below = target_theta - CALIBRATION_STOP - 1e-9
+    above = target_theta + CALIBRATION_STOP + 1e-9
 
     def error(q: float) -> float:
         return abs(q - target_theta)
@@ -260,13 +292,13 @@ def generate_client_dataset(
     lo, hi = 1e-3, 1.0
     q_hi = quality(hi)
     if target_theta > q_hi + CALIBRATION_TOLERANCE:
-        raise CalibrationError(target_theta, q_hi)
+        return hi, q_hi
     lo_ceiling = subcube_quality_ceiling(draws, lo)  # upper bound on q(lo)
     q_lo = None
     if lo_ceiling >= below:
         q_lo = lo_ceiling = quality(lo)
         if target_theta < q_lo - CALIBRATION_TOLERANCE:
-            raise CalibrationError(target_theta, q_lo)
+            return lo, q_lo
     hi_floor = q_hi  # lower bound on q(hi)
     tried = [(lo, q_lo), (hi, q_hi)]  # every side in bisection order, None if skipped
 
@@ -294,19 +326,7 @@ def generate_client_dataset(
     if not settled():
         # no side within CALIBRATION_STOP: a skipped side may be the closest
         tried = [(side, quality(side) if q is None else q) for side, q in tried]
-    best_side, best_q = min(
-        ((side, q) for side, q in tried if q is not None), key=lambda pair: error(pair[1])
-    )
-    if error(best_q) > CALIBRATION_TOLERANCE:
-        raise CalibrationError(target_theta, best_q)
-
-    points = unit_draws * best_side
-    return ClientDataset(
-        cloud=PointCloud(task.dimension, points),
-        labels=task.label(points),
-        measured_quality=best_q,
-        subcube_side=best_side,
-    )
+    return min(((side, q) for side, q in tried if q is not None), key=lambda pair: error(pair[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ A client's choice, effort and pass probability depend only on its type:
 ``RoundOutcome.sign_up`` takes each type's ``(row, effort, tied)`` column
 entries from one ``choose_contract`` call, computes the pass probability
 min(1, theta * effort) once per type, and books clients as arrays indexed
-by their type; the ledger is derived from those columns.
+by their type; the ledger is derived from those columns, and its files
+are written from per-type text.
 ``learning.run_scheme_comparison`` settles its rounds with the same
 engine, deciding passes by a trained model's server test.
 """
@@ -33,10 +34,10 @@ import numpy as np
 
 from .config import MODES
 from .contracts import (
+    _JSON,
     ContractMenu,
     RevenueCurve,
     TypeProfile,
-    _write_json,
     envelope_utilities,
     utility_tolerance,
     verify_feasibility,
@@ -97,20 +98,20 @@ def realize_success(
     return bool(success) if success.ndim == 0 else success
 
 
-def _reward_shares(ids: list[int], rewards: np.ndarray) -> dict[int, float]:
-    """Reward-share weights over the passers' parallel id and reward columns.
+_ROWS_PER_WRITE = 1024  # clients formatted per write when streaming the ledger files
 
-    Each weight is the client's reward over the total reward paid this
-    round.  Equal rewards short-circuit to exactly 1/k so the weights are
-    bit-identical to a uniform scheme; an all-zero reward total falls
-    back to uniform as well.  No passers give an empty map.
+
+def _decimal_order(ids: np.ndarray) -> np.ndarray:
+    """The permutation sorting non-negative integers by their decimal text,
+    the order of JSON's sorted keys ("10" before "9").
+
+    Right-padding every id with zeros to the widest one's digit count and
+    breaking ties by digit count puts a prefix before its extensions.
     """
-    if not ids:
-        return {}
-    total = float(rewards.sum())
-    if total <= 0.0 or np.all(rewards == rewards[0]):
-        return dict.fromkeys(ids, 1.0 / len(ids))
-    return dict(zip(ids, (rewards / total).tolist()))
+    digits = np.ones_like(ids)
+    for k in range(1, len(str(int(ids.max())))):
+        digits += ids >= 10**k
+    return np.lexsort((digits, ids * 10 ** (digits.max() - digits)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,10 +190,13 @@ class RoundOutcome:
     def successes(self) -> int:
         return int(np.count_nonzero(self.succeeded))
 
+    def _type_values(self, column: np.ndarray) -> np.ndarray:
+        """Each type's entry of a menu ``column`` at its row, 0.0 for a rejecting type."""
+        return np.where(self.type_choice >= 0, column[self.type_choice], 0.0)
+
     def _participant_values(self, column: np.ndarray) -> np.ndarray:
         """Each participant's entry of a menu ``column``, at its type's row."""
-        per_type = np.where(self.type_choice >= 0, column[self.type_choice], 0.0)
-        return per_type[self.participant_types]
+        return self._type_values(column)[self.participant_types]
 
     @property
     def _pass_weight(self) -> np.ndarray:
@@ -228,20 +232,52 @@ class RoundOutcome:
         )
 
     @cached_property
-    def aggregation_weights(self) -> dict[int, float]:
-        """Reward shares of the passers; expected-reward shares in analytic mode."""
-        share = self._pass_weight * self._participant_values(self.menu.rewards)
-        if self.mode != "analytic":
-            passed = self._pass_weight > 0.0
-            return _reward_shares(self.participant_ids[passed].tolist(), share[passed])
-        positive = share > 0.0
-        total = math.fsum(share[positive].tolist())
-        if total <= 0.0:
-            return {}
-        ids = self.participant_ids[positive].tolist()
-        return dict(zip(ids, (share[positive] / total).tolist()))
+    def _type_share(self) -> np.ndarray:
+        """Per type: the reward a passer earns (``ml``), or a participant's
+        expected reward p R (``analytic``)."""
+        reward = self._type_values(self.menu.rewards)
+        return self.type_success_prob * reward if self.mode == "analytic" else reward
 
-    def to_dict(self) -> dict:
+    @cached_property
+    def _weight_holders(self) -> np.ndarray:
+        """Ids of the clients that get an aggregation weight, in client order:
+        the passers (``ml``), or the participants with a positive expected
+        reward (``analytic``)."""
+        if self.mode == "analytic":
+            return self.participant_ids[self._type_share[self.participant_types] > 0.0]
+        return np.flatnonzero(self.succeeded)
+
+    @cached_property
+    def type_weight(self) -> np.ndarray:
+        """Per type: the aggregation weight of each of its clients that gets
+        one, 0.0 for a type with none.
+
+        A passer's weight is its reward over the total reward paid, the sum
+        over the passers in client order; equal rewards, or a total of zero,
+        give exactly 1/k for k passers, bit-identical to a uniform scheme.
+        In ``analytic`` mode a weight is the expected-reward share, over the
+        exact (``math.fsum``) total of the positive expected rewards.
+        """
+        holder_types = self.client_type[self._weight_holders]
+        held = np.bincount(holder_types, minlength=len(self.profile)) > 0
+        shares = self._type_share[holder_types]
+        if not len(shares):
+            return np.zeros(len(held))
+        if self.mode == "analytic":
+            return np.where(held, self._type_share / math.fsum(shares.tolist()), 0.0)
+        total = float(shares.sum())
+        if total <= 0.0 or np.all(shares == shares[0]):
+            return np.where(held, 1.0 / len(shares), 0.0)
+        return np.where(held, self._type_share / total, 0.0)
+
+    @property
+    def aggregation_weights(self) -> dict[int, float]:
+        """Client id -> weight, in client order: the dict view of ``type_weight``."""
+        ids = self._weight_holders
+        return dict(zip(ids.tolist(), self.type_weight[self.client_type[ids]].tolist()))
+
+    def _ledger_fields(self) -> dict:
+        """The ledger's fields except ``aggregation_weights``."""
         n = len(self.client_type)
         return {
             "mode": self.mode,
@@ -253,38 +289,92 @@ class RoundOutcome:
             "fees_forfeited": self.fees_forfeited,
             "realized_server_utility": self.realized_server_utility,
             "mean_server_utility_per_client": self.realized_server_utility / n,
-            "aggregation_weights": {str(k): v for k, v in self.aggregation_weights.items()},
             "tied_types": (np.flatnonzero(self.type_tied) + 1).tolist(),
         }
 
+    def to_dict(self) -> dict:
+        return {
+            **self._ledger_fields(),
+            "aggregation_weights": {str(k): v for k, v in self.aggregation_weights.items()},
+        }
+
     def to_json(self, path: str | Path) -> None:
-        _write_json(self.to_dict(), path)
+        """The ledger, byte for byte as ``_write_json(self.to_dict(), path)``
+        writes it, without building ``to_dict``'s per-client weight map.
+
+        Keys and field values are encoded by ``_JSON``, the encoder of every
+        JSON output, and laid out with its indent and separators.  The
+        ``aggregation_weights`` object is streamed from per-type text: each
+        type's weight is encoded once, and the weight holders'
+        ``"<id>": <weight>`` members are written in chunks, in the decimal
+        text order of the ids that sorted keys give ("10" before "9").
+        """
+        fields = self._ledger_fields()
+        pad = " " * _JSON.indent
+        with open(path, "w") as fh:
+            fh.write("{")
+            for n, key in enumerate(sorted([*fields, "aggregation_weights"])):
+                fh.write(f"{_JSON.item_separator * bool(n)}\n{pad}{_JSON.encode(key)}")
+                fh.write(_JSON.key_separator)
+                if key in fields:
+                    fh.write(_JSON.encode(fields[key]).replace("\n", "\n" + pad))
+                else:
+                    self._write_weights(fh, pad)
+            fh.write("\n}\n")
+
+    def _write_weights(self, fh, pad: str) -> None:
+        """``aggregation_weights`` as the JSON object at nesting level 1."""
+        ids = self._weight_holders
+        if not len(ids):
+            fh.write("{}")
+            return
+        ids = ids[_decimal_order(ids)]
+        # a digit string needs no escaping, so a key is its digits in quotes
+        member = [f'"{_JSON.key_separator}{_JSON.encode(w)}' for w in self.type_weight.tolist()]
+        sep = f"{_JSON.item_separator}\n{pad}{pad}"
+        fh.write(f"{{\n{pad}{pad}")
+        for start in range(0, len(ids), _ROWS_PER_WRITE):
+            block = ids[start:start + _ROWS_PER_WRITE]
+            if start:
+                fh.write(sep)
+            fh.write(sep.join([
+                f'"{cid}{member[t]}'
+                for cid, t in zip(block.tolist(), self.client_type[block].tolist())
+            ]))
+        fh.write(f"\n{pad}}}")
 
     def clients_to_csv(self, path: str | Path) -> None:
         """Per-client rows: id, type, choice, effort, succeeded, fee, reward, success_prob.
 
         Every column but id and succeeded is a function of the client's
-        type, so each type's text is formatted once.  No field holds a
-        comma, quote or line break, so rows are joined in the csv module's
-        default dialect (',' between fields, '\\r\\n' after each row)
-        without quoting.
+        type, so the text after the id is formatted once per (type,
+        succeeded) pair, 2I tails, and the rows ``f"{id}{tail}"`` are
+        streamed in chunks; no per-client list of the round is built.  No
+        field holds a comma, quote or line break, so the bytes are those of
+        the csv module's default dialect (',' between fields, '\\r\\n'
+        after each row, nothing quoted).
         """
         fees, rewards = self.menu.fees.tolist(), self.menu.rewards.tolist()
-        heads, tails = [], []
+        tails = []
         for t, (j, effort, prob) in enumerate(zip(
             self.type_choice.tolist(), self.type_effort.tolist(), self.type_success_prob.tolist()
         )):
-            heads.append(f"{t + 1},{'reject' if j < 0 else j + 1},{effort!r},")
             fee, reward = (0.0, 0.0) if j < 0 else (fees[j], rewards[j])
-            tails.append(f",{fee!r},{reward!r},{prob!r}\r\n")
+            for success in (False, True):
+                tails.append(
+                    f",{t + 1},{'reject' if j < 0 else j + 1},{effort!r},{success},"
+                    f"{fee!r},{reward!r},{prob!r}\r\n"
+                )
+        tail_index = 2 * self.client_type + self.succeeded
         with open(path, "w", newline="") as fh:
             fh.write("id,type,choice,effort,succeeded,fee,reward,success_prob\r\n")
-            fh.writelines(
-                f"{cid},{heads[t]}{success}{tails[t]}"
-                for cid, (t, success) in enumerate(
-                    zip(self.client_type.tolist(), self.succeeded.tolist())
-                )
-            )
+            for start in range(0, len(tail_index), _ROWS_PER_WRITE):
+                fh.write("".join([
+                    f"{cid}{tails[k]}"
+                    for cid, k in enumerate(
+                        tail_index[start:start + _ROWS_PER_WRITE].tolist(), start
+                    )
+                ]))
 
 
 def _running_total(terms: np.ndarray) -> float:

@@ -12,6 +12,7 @@ from fedpact.config import ConfigError, ExperimentConfig
 from fedpact.contracts import solve_optimal_menu
 from fedpact.coverage import PointCloud, coverage_quality
 from fedpact.learning import (
+    CALIBRATION_GRID,
     CALIBRATION_TOLERANCE,
     MAX_BISECTIONS,
     QUALITY_SAMPLES,
@@ -131,23 +132,25 @@ class TestGenerateClientDataset:
         assert "closest measured" in str(err.value)
 
     def test_error_names_only_what_it_measured(self):
-        # one point: quality is not monotone in the side, so the bisection
-        # ends on 0.5942 (side 1) while the unmeasured side 0.559 reaches
-        # 0.7477, closer to the target; the message claims no bound
+        # one point: quality is not monotone in the side (it peaks at 0.7477
+        # near side 0.559), so the bisection ends on 0.5942 at side 1; the
+        # grid scan then finds the first side within tolerance of 0.7
         task = SyntheticTask.generate(1, 2, seed=7, test_size=50)
+        assert quality_at_side(task, 1, 2, 1.0) == pytest.approx(0.5942, abs=5e-5)
+        ds = generate_client_dataset(task, 0.7, 1, seed=2)
+        assert ds.subcube_side == CALIBRATION_GRID[31]
+        assert ds.measured_quality == quality_at_side(task, 1, 2, ds.subcube_side)
+        assert ds.measured_quality == pytest.approx(0.7005, abs=5e-5)
+        # above the peak no side is within tolerance: the error names the
+        # closest quality the bisection and the scan measured
         with pytest.raises(CalibrationError) as err:
-            generate_client_dataset(task, 0.7, 1, seed=2)
-        assert err.value.target == 0.7
-        assert err.value.best == pytest.approx(0.5942, abs=5e-5)
+            generate_client_dataset(task, 0.9, 1, seed=2)
+        assert err.value.target == 0.9
+        assert err.value.best == pytest.approx(0.7477, abs=5e-5)
         assert str(err.value) == (
-            "coverage quality 0.7000 not reached by bisection on the side; "
-            "closest measured is 0.5942"
+            "coverage quality 0.9000 not reached by bisection or grid scan on the side; "
+            "closest measured is 0.7477"
         )
-        unit = child_rng(2, 1).random((1, 1))
-        cloud = PointCloud(1, unit * 0.559)
-        closer = coverage_quality(cloud, QUALITY_SAMPLES, int(child_rng(2, 2).integers(2**31)))
-        assert closer == pytest.approx(0.7477, abs=5e-5)
-        assert abs(closer - 0.7) < abs(err.value.best - 0.7)
 
     def test_unreachable_low_target(self, task2d):
         # even a collapsed-to-corner sample covers a fair share of the square
@@ -170,8 +173,9 @@ class TestGenerateClientDataset:
 def reference_calibration(
     task: SyntheticTask, target_theta: float, n_points: int, seed: int, calls: list[int]
 ) -> ClientDataset:
-    """``generate_client_dataset`` as a bisection that evaluates every side;
-    ``calls[0]`` counts its ``coverage_quality`` evaluations."""
+    """``generate_client_dataset`` as a bisection that evaluates every side,
+    then, if no side it measured is within tolerance, a scan of every grid
+    side; ``calls[0]`` counts its ``coverage_quality`` evaluations."""
     unit_draws = child_rng(seed, 1).random((n_points, task.dimension))
     quality_seed = int(child_rng(seed, 2).integers(2**31))
 
@@ -180,28 +184,36 @@ def reference_calibration(
         cloud = PointCloud(task.dimension, unit_draws * side)
         return coverage_quality(cloud, QUALITY_SAMPLES, quality_seed)
 
-    lo, hi = 1e-3, 1.0
-    q_hi = quality(hi)
-    if target_theta > q_hi + CALIBRATION_TOLERANCE:
-        raise CalibrationError(target_theta, q_hi)
-    q_lo = quality(lo)
-    if target_theta < q_lo - CALIBRATION_TOLERANCE:
-        raise CalibrationError(target_theta, q_lo)
+    def bisect() -> tuple[float, float]:
+        lo, hi = 1e-3, 1.0
+        q_hi = quality(hi)
+        if target_theta > q_hi + CALIBRATION_TOLERANCE:
+            return hi, q_hi
+        q_lo = quality(lo)
+        if target_theta < q_lo - CALIBRATION_TOLERANCE:
+            return lo, q_lo
+        best_side, best_q = (hi, q_hi) if abs(q_hi - target_theta) < abs(q_lo - target_theta) else (lo, q_lo)
+        for _ in range(MAX_BISECTIONS):
+            if abs(best_q - target_theta) <= 0.25 * CALIBRATION_TOLERANCE:
+                break
+            mid = 0.5 * (lo + hi)
+            q_mid = quality(mid)
+            if abs(q_mid - target_theta) < abs(best_q - target_theta):
+                best_side, best_q = mid, q_mid
+            if q_mid < target_theta:
+                lo = mid
+            else:
+                hi = mid
+        return best_side, best_q
 
-    best_side, best_q = (hi, q_hi) if abs(q_hi - target_theta) < abs(q_lo - target_theta) else (lo, q_lo)
-    for _ in range(MAX_BISECTIONS):
-        if abs(best_q - target_theta) <= 0.25 * CALIBRATION_TOLERANCE:
-            break
-        mid = 0.5 * (lo + hi)
-        q_mid = quality(mid)
-        if abs(q_mid - target_theta) < abs(best_q - target_theta):
-            best_side, best_q = mid, q_mid
-        if q_mid < target_theta:
-            lo = mid
-        else:
-            hi = mid
+    best_side, best_q = bisect()
     if abs(best_q - target_theta) > CALIBRATION_TOLERANCE:
-        raise CalibrationError(target_theta, best_q)
+        for side in CALIBRATION_GRID:
+            q_side = quality(side)
+            if abs(q_side - target_theta) < abs(best_q - target_theta):
+                best_side, best_q = side, q_side
+        if abs(best_q - target_theta) > CALIBRATION_TOLERANCE:
+            raise CalibrationError(target_theta, best_q)
 
     points = unit_draws * best_side
     return ClientDataset(

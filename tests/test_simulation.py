@@ -543,6 +543,14 @@ def equivalence_cases():
          menu_of((0.0, 0.0, 0.3), (0.0, 0.0, 0.6)),
          RevenueCurve.from_table([0.3, 0.6], [1.0, 2.0]), 100),
         ("single-client", profile, tight, curve, 1),
+        # ids of 1 to 5 digits: sorted keys put "10" before "9"
+        ("12k-clients", profile, tight, curve, 12_000),
+        # pass probabilities near 5e-5: participants, but no ml passer
+        ("no-passers", TypeProfile.from_arrays([0.01, 0.02], [0.5, 0.5], 1.0),
+         menu_of((0.0, 0.5, 0.3), (0.0, 0.5, 0.5)), curve, 200),
+        # every item pays the same reward: ml weights take the exact 1/k path
+        ("equal-rewards", profile,
+         menu_of((0.01, 0.3, 0.3), (0.01, 0.3, 0.5)), curve, 300),
     ]
     rng = np.random.default_rng(2026)
     for k in range(10):
@@ -581,3 +589,19 @@ class TestPerTypeEngine:
         ref_json, ref_csv = reference_files(clients, ledger, mode, tmp_path)
         assert (tmp_path / "round.json").read_bytes() == ref_json
         assert (tmp_path / "round.csv").read_bytes() == ref_csv
+
+    def test_edge_cases_take_their_path(self, tmp_path):
+        cases = {case[0]: case[1:] for case in equivalence_cases()}
+        run_round(*cases["12k-clients"], "ml", 31).to_json(tmp_path / "round.json")
+        ledger = dict(json.loads(
+            (tmp_path / "round.json").read_text(), object_pairs_hook=lambda pairs: pairs
+        ))
+        keys = [key for key, _ in ledger["aggregation_weights"]]
+        assert keys == sorted(keys) and {len(k) for k in keys} == {1, 2, 3, 4, 5}
+        silent = run_round(*cases["no-passers"], "ml", 31)
+        assert silent.participants == 200 and silent.to_dict()["aggregation_weights"] == {}
+        assert run_round(*cases["no-passers"], "analytic", 31).aggregation_weights
+        equal = run_round(*cases["equal-rewards"], "ml", 31)
+        k = equal.successes
+        assert set(equal.aggregation_weights.values()) == {1.0 / k}
+        assert 0.3 / float(np.full(k, 0.3).sum()) != 1.0 / k  # the reward share differs

@@ -31,7 +31,11 @@ def test_traced_simulate_records_round_spans(tmp_path):
     names = traced_span_names(
         tmp_path, "simulate", "--config", str(config), "--out", str(tmp_path / "out")
     )
-    assert {"simulation.run_round", "simulation.choose_contract"} <= names
+    # the two ledger writers feed simulation.ledger_write_s and ledger_bytes
+    assert {
+        "simulation.run_round", "simulation.choose_contract",
+        "simulation.RoundOutcome.to_json", "simulation.RoundOutcome.clients_to_csv",
+    } <= names
 
 
 def test_traced_compare_records_training_spans(tmp_path):

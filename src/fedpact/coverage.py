@@ -17,9 +17,13 @@ eps > r; since r <= sqrt(d) on the unit cube, it contributes
 sqrt(d) - r to the integral, so theta = 1 - mean(r) / sqrt(d).  Each
 sample's nearest distance comes from one KD-tree query.
 
-A cloud inside the sub-cube [0, s]^d is no nearer to a sample than the
-sub-cube itself, so ``subcube_quality_ceiling`` bounds the quality of every
-such cloud from above on the same samples, with no tree.
+Two bounds hold on the same samples with no tree.  A cloud inside the
+sub-cube [0, s]^d is no nearer to a sample than the sub-cube itself, so
+``subcube_quality_ceiling`` bounds its quality from above.  A cloud that
+contains some points is no farther from a sample than the nearest of them,
+so ``subset_quality_floor`` bounds its quality from below; it sums each
+distance's squared coordinates in order before the square root, as the
+KD-tree does, so the floor is a bound on the computed quality too.
 """
 from __future__ import annotations
 
@@ -94,6 +98,23 @@ def subcube_quality_ceiling(draws: np.ndarray, side: float) -> float:
     gaps = np.maximum(draws - side, 0.0)
     distances = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
     return 1.0 - float(np.mean(distances)) / math.sqrt(draws.shape[1])
+
+
+def subset_quality_floor(draws: np.ndarray, points: np.ndarray) -> float:
+    """Lower bound on ``coverage_quality`` over ``draws`` of any cloud that
+    contains ``points``: 1 - mean distance to the nearest of them / sqrt(d)."""
+    first, *rest = np.ascontiguousarray(draws.T)
+    nearest = np.full(len(draws), np.inf)  # squared distance to the nearest point so far
+    squared, gap = np.empty(len(draws)), np.empty(len(draws))
+    # each squared distance is summed over the coordinates in order, as the KD-tree sums it
+    for head, *tail in np.asarray(points, dtype=float).tolist():
+        np.subtract(first, head, out=squared)
+        squared *= squared
+        for column, coordinate in zip(rest, tail):
+            np.subtract(column, coordinate, out=gap)
+            squared += np.multiply(gap, gap, out=gap)
+        np.minimum(nearest, squared, out=nearest)
+    return 1.0 - float(np.mean(np.sqrt(nearest))) / math.sqrt(draws.shape[1])
 
 
 def coverage_quality(

@@ -23,6 +23,7 @@ Each scheme's round is a ``simulation.RoundOutcome``, the engine of
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
@@ -32,7 +33,13 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, TrainingSpec
 from .contracts import ContractMenu, _write_json, solve_optimal_menu
-from .coverage import PointCloud, coverage_quality, quality_draws, subcube_quality_ceiling
+from .coverage import (
+    PointCloud,
+    coverage_quality,
+    quality_draws,
+    subcube_quality_ceiling,
+    subset_quality_floor,
+)
 from .seeding import as_generator, child_rng
 from .simulation import RoundOutcome, sample_population
 
@@ -205,6 +212,7 @@ class ClientDataset:
 CALIBRATION_TOLERANCE = 0.02  # largest accepted |measured - target| quality
 CALIBRATION_STOP = 0.25 * CALIBRATION_TOLERANCE  # bisection ends within this of the target
 QUALITY_SAMPLES = 4000  # Monte Carlo draws per coverage_quality evaluation
+FLOOR_ANCHORS = 16  # most unit draws the calibration floor measures distances to
 MAX_BISECTIONS = 40
 CALIBRATION_GRID = np.linspace(1e-3, 1.0, 100).tolist()  # sides scanned when bisection fails
 
@@ -227,20 +235,23 @@ def generate_client_dataset(
     ``CalibrationError`` names the closest quality measured (an unmeasured
     side may come closer).
 
-    A side is evaluated only when two exact bounds on its quality q(s),
-    both over the same quality draws, leave its bisection step open:
+    A side is evaluated only when exact bounds on its quality q(s), all
+    over the same quality draws, leave its bisection step open:
 
     * the ceiling ``subcube_quality_ceiling``: the cloud lies in [0, s]^d;
+    * the floor ``subset_quality_floor`` at s a_k: the cloud contains the
+      scaled anchors a_k, at most ``FLOOR_ANCHORS`` unit draws spread over
+      the cube (``_floor_anchors``);
     * Lipschitz: |q(s) - q(s')| <= |s - s'| max_j |u_j| / sqrt(d), since a
       draw's distance to s u_j moves by at most |s - s'| |u_j|.
 
     Carried from ``lo`` (upper) and ``hi`` (lower), they skip a side more
-    than ``CALIBRATION_STOP`` below or above the target: it moves that end
-    as its quality would, and can neither end the search nor win it.  If
-    the bisections run out first, the skipped sides are evaluated after all
-    and the winner is the first closest side in bisection order, so the
-    bisection's side and quality are bit for bit those of evaluating every
-    side.
+    than ``CALIBRATION_STOP`` below or above the target, side 1 included:
+    it moves that end as its quality would, and can neither end the search
+    nor win it.  If the bisections run out first, the skipped sides are
+    evaluated after all and the winner is the first closest side in
+    bisection order, so the bisection's side and quality are bit for bit
+    those of evaluating every side.
     """
     if not 0.0 < target_theta <= 1.0:
         raise ValueError(f"target_theta must lie in (0, 1], got {target_theta}")
@@ -258,7 +269,7 @@ def generate_client_dataset(
     def miss(pair: tuple[float, float]) -> float:
         return abs(pair[1] - target_theta)
 
-    best = _bisect_side(quality, draws, slope, target_theta)
+    best = _bisect_side(quality, draws, _floor_anchors(unit_draws), slope, target_theta)
     if miss(best) > CALIBRATION_TOLERANCE:
         # quality need not grow with the side: scan a fixed grid before giving up
         best = min([best, *((side, quality(side)) for side in CALIBRATION_GRID)], key=miss)
@@ -275,8 +286,26 @@ def generate_client_dataset(
     )
 
 
+def _floor_anchors(unit_draws: np.ndarray) -> np.ndarray:
+    """The rows of ``unit_draws`` nearest the centres of a grid of at most
+    ``FLOOR_ANCHORS`` equal cells of the unit cube, each row once, in index
+    order."""
+    dimension = unit_draws.shape[1]
+    cells = 1  # per axis: the largest count whose d-th power fits
+    while (cells + 1) ** dimension <= FLOOR_ANCHORS:
+        cells += 1
+    axis = ((np.arange(cells) + 0.5) / cells).tolist()
+    centres = np.array(list(itertools.product(axis, repeat=dimension)))
+    squared = sum((u - c[:, None]) ** 2 for u, c in zip(unit_draws.T, centres.T))  # centre x row
+    return unit_draws[np.unique(np.argmin(squared, axis=1))]
+
+
 def _bisect_side(
-    quality: Callable[[float], float], draws: np.ndarray, slope: float, target_theta: float
+    quality: Callable[[float], float],
+    draws: np.ndarray,
+    anchors: np.ndarray,
+    slope: float,
+    target_theta: float,
 ) -> tuple[float, float]:
     """The bounded bisection of ``generate_client_dataset``: the first side
     closest to the target among those it measures, and its quality.  It
@@ -289,17 +318,22 @@ def _bisect_side(
     def error(q: float) -> float:
         return abs(q - target_theta)
 
+    def anchor_floor(side: float) -> float:
+        return subset_quality_floor(draws, anchors * side)
+
     lo, hi = 1e-3, 1.0
-    q_hi = quality(hi)
-    if target_theta > q_hi + CALIBRATION_TOLERANCE:
-        return hi, q_hi
+    hi_floor = anchor_floor(hi)  # lower bound on q(hi)
+    q_hi = None
+    if hi_floor <= above:
+        q_hi = hi_floor = quality(hi)
+        if target_theta > q_hi + CALIBRATION_TOLERANCE:
+            return hi, q_hi
     lo_ceiling = subcube_quality_ceiling(draws, lo)  # upper bound on q(lo)
     q_lo = None
     if lo_ceiling >= below:
         q_lo = lo_ceiling = quality(lo)
         if target_theta < q_lo - CALIBRATION_TOLERANCE:
             return lo, q_lo
-    hi_floor = q_hi  # lower bound on q(hi)
     tried = [(lo, q_lo), (hi, q_hi)]  # every side in bisection order, None if skipped
 
     def settled() -> bool:
@@ -310,11 +344,11 @@ def _bisect_side(
             break
         mid = 0.5 * (lo + hi)
         ceiling = min(subcube_quality_ceiling(draws, mid), lo_ceiling + (mid - lo) * slope)
-        floor = hi_floor - (hi - mid) * slope
         q_mid = None
         if ceiling < below:
             lo, lo_ceiling = mid, ceiling
-        elif floor > above:
+        # the anchor floor costs a pass per anchor: only sides the ceiling leaves open pay it
+        elif (floor := max(hi_floor - (hi - mid) * slope, anchor_floor(mid))) > above:
             hi, hi_floor = mid, floor
         else:
             q_mid = quality(mid)

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedpact.coverage import PointCloud, coverage_quality, quality_draws, subcube_quality_ceiling
+from fedpact.coverage import (
+    PointCloud,
+    coverage_quality,
+    quality_draws,
+    subcube_quality_ceiling,
+    subset_quality_floor,
+)
+from fedpact.learning import FLOOR_ANCHORS, _floor_anchors
 
 
 def cloud1d(*xs: float) -> PointCloud:
@@ -85,8 +92,27 @@ SIDES = st.one_of(st.floats(1e-3, 2e-3), st.floats(1e-3, 1.0))
 
 
 class TestQualityBounds:
-    """The two facts calibration skips evaluations on, checked on the draws
+    """The facts calibration skips evaluations on, checked on the draws
     ``coverage_quality`` uses."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dimension=st.sampled_from([1, 2, 3]), n_points=st.integers(1, 200),
+           side=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2**31 - 1))
+    def test_anchor_floor_and_ceiling_bound_the_quality(self, dimension, n_points, side, seed):
+        units = np.random.default_rng(seed).random((n_points, dimension))
+        cloud = PointCloud(dimension, units * side)
+        draws = quality_draws(dimension, 500, seed)
+        anchors = _floor_anchors(units)
+        assert 1 <= len(anchors) <= FLOOR_ANCHORS
+        # distinct unit draws, in index order, scaled to rows of the cloud
+        rows = [int(np.flatnonzero((units == anchor).all(axis=1))[0]) for anchor in anchors]
+        assert rows == sorted(set(rows))
+        scaled = anchors * side
+        assert cloud.points[rows].tobytes() == scaled.tobytes()
+        q = coverage_quality(cloud, 500, seed)
+        assert subset_quality_floor(draws, scaled) <= q <= subcube_quality_ceiling(draws, side)
+        # distances are those of the KD-tree: the whole cloud's floor is its quality
+        assert subset_quality_floor(draws, cloud.points) == q
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(dimension=st.integers(1, 3), n_points=st.integers(1, 8), side=SIDES,

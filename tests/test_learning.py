@@ -293,22 +293,63 @@ class TestCalibrationSkips:
         # so sides just beyond the stop width get skipped
         assert_matches_reference(TASKS[1], target, n_points, seed)
 
+    @pytest.mark.parametrize("dimension, n_points, seed", [(1, 1, 1), (2, 3, 2), (3, 8, 4)])
+    def test_side_one_within_the_stop_width_is_measured(self, dimension, n_points, seed):
+        # the floor at side 1 is close to q(1) for so few points, but only a
+        # side more than the stop width above the target may be skipped
+        task = TASKS[dimension]
+        target = quality_at_side(task, n_points, seed, 1.0) - 0.004
+        assert_matches_reference(task, target, n_points, seed)
+        assert generate_client_dataset(task, target, n_points, seed).subcube_side == 1.0
+
+    @pytest.mark.parametrize("seed", [1052, 2559])
+    def test_skipped_side_one_wins_the_fallback(self, seed):
+        # one point at u > 0.995: q(1) lies below every other side's quality
+        # and more than the stop width above the target, so side 1 is
+        # skipped, no side settles, and the fallback measures side 1, the winner
+        task = TASKS[1]
+        target = quality_at_side(task, 1, seed, 1.0) - 0.006
+        _, ref_calls = assert_matches_reference(task, target, 1, seed)
+        assert ref_calls == MAX_BISECTIONS + 2
+        assert generate_client_dataset(task, target, 1, seed).subcube_side == 1.0
+
     def test_shipped_seed_needs_fewer_evaluations(self):
-        # the 30 datasets of seed 1 of the shipped synthetic config
-        config = ExperimentConfig.from_json(CONFIGS / "synthetic_default.json")
-        task = SyntheticTask.generate(
-            config.task.dimension, config.task.classes, config.task.seed, config.task.test_size
-        )
-        draws = sample_population(config.build_profile(), config.population, child_rng(1, 10))
+        task, datasets = shipped_seed_datasets()
         calls = ref_calls = 0
-        for cid, type_idx in enumerate(draws.tolist()):
-            seed = int(child_rng(1, 20, cid).integers(2**31))
-            got, ref = assert_matches_reference(
-                task, config.thetas[type_idx], config.training.n_points, seed
-            )
+        for target, n_points, seed in datasets:
+            got, ref = assert_matches_reference(task, target, n_points, seed)
             calls, ref_calls = calls + got, ref_calls + ref
-        assert len(draws) == 30
+        assert len(datasets) == 30
         assert calls <= 0.7 * ref_calls
+
+    def test_shipped_seed_needs_few_evaluations_per_dataset(self):
+        # the anchor floor skips side 1 and most sides above the target
+        task, datasets = shipped_seed_datasets()
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return coverage_quality(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learning, "coverage_quality", counted)
+            for dataset in datasets:
+                generate_client_dataset(task, *dataset)
+        assert calls[0] <= 2.5 * len(datasets)
+
+
+def shipped_seed_datasets() -> tuple[SyntheticTask, list[tuple[float, int, int]]]:
+    """The task and the ``(target, n_points, seed)`` of each of the 30
+    datasets of seed 1 of the shipped synthetic config."""
+    config = ExperimentConfig.from_json(CONFIGS / "synthetic_default.json")
+    task = SyntheticTask.generate(
+        config.task.dimension, config.task.classes, config.task.seed, config.task.test_size
+    )
+    draws = sample_population(config.build_profile(), config.population, child_rng(1, 10))
+    return task, [
+        (config.thetas[type_idx], config.training.n_points, int(child_rng(1, 20, cid).integers(2**31)))
+        for cid, type_idx in enumerate(draws.tolist())
+    ]
 
 
 class TestLocalTrain:

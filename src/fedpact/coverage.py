@@ -14,30 +14,25 @@ The radius coverage is estimated by Monte Carlo (exact union-of-balls
 volume is intractable beyond d = 3), and on those samples the integral
 is exact.  A sample at nearest-point distance r is covered for every
 eps > r; since r <= sqrt(d) on the unit cube, it contributes
-sqrt(d) - r to the integral, so theta = 1 - mean(r) / sqrt(d).  Each
-sample's nearest distance comes from one KD-tree query.
+sqrt(d) - r to the integral, so theta = 1 - mean(r) / sqrt(d), with each
+r from one pass over the points (squares summed in coordinate order).
 
-Two bounds hold on the same samples with no tree.  A cloud inside the
-sub-cube [0, s]^d is no nearer to a sample than the sub-cube itself, so
+Two bounds hold on the same samples.  A cloud inside the sub-cube
+[0, s]^d is no nearer to a sample than the sub-cube itself, so
 ``subcube_quality_ceiling`` bounds its quality from above.  A cloud that
 contains some points is no farther from a sample than the nearest of them,
-so ``subset_quality_floor`` bounds its quality from below; it sums each
-distance's squared coordinates in order before the square root, as the
-KD-tree does, so the floor is a bound on the computed quality too.
+so ``subset_quality_floor`` bounds its quality from below.  Both run the
+same pass (the ceiling over each sample's gaps beyond the sub-cube), so
+by construction they bound the computed quality, rounding included.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .seeding import as_generator
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +52,7 @@ class PointCloud:
             raise ValueError(
                 f"points must have shape (n, {self.dimension}), got {pts.shape}"
             )
-        if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
+        if not ((pts >= 0.0) & (pts <= 1.0)).all():  # NaN fails both
             raise ValueError("every coordinate must lie in [0, 1]")
         pts = pts.copy()
         pts.setflags(write=False)
@@ -70,20 +65,33 @@ class PointCloud:
     def is_empty(self) -> bool:
         return len(self) == 0
 
-    @cached_property
-    def _tree(self) -> cKDTree:
-        # imported here: scipy.spatial costs most of the package's import
-        # time, and only coverage measurement needs it
-        from scipy.spatial import cKDTree
-
-        return cKDTree(self.points)
-
     def nearest_distances(self, queries: np.ndarray) -> np.ndarray:
         """Euclidean distance from each query point to its nearest cloud point."""
         if self.is_empty:
             raise ValueError("empty cloud has no nearest distances")
-        dist, _ = self._tree.query(np.asarray(queries, dtype=float), k=1)
-        return np.atleast_1d(dist)
+        return _nearest_distances(queries, self.points)
+
+
+def _nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distance from each query row to its nearest row of ``points`` (inf if none),
+    each square summed over the coordinates in order: a subset is never nearer."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    points = np.asarray(points, dtype=float)
+    if queries.ndim != 2 or queries.shape[1:] != points.shape[1:]:
+        raise ValueError(f"queries {queries.shape} do not match points {points.shape}")
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite")
+    first, *rest = np.ascontiguousarray(queries.T)
+    nearest = np.full(len(queries), np.inf)  # squared distance to the nearest point so far
+    squared, gap = np.empty(len(queries)), np.empty(len(queries))
+    for head, *tail in points.tolist():
+        np.subtract(first, head, out=squared)
+        squared *= squared
+        for column, coordinate in zip(rest, tail):
+            np.subtract(column, coordinate, out=gap)
+            squared += np.multiply(gap, gap, out=gap)
+        np.minimum(nearest, squared, out=nearest)
+    return np.sqrt(nearest)
 
 
 def quality_draws(dimension: int, samples: int, seed: int | np.random.Generator) -> np.ndarray:
@@ -95,26 +103,16 @@ def quality_draws(dimension: int, samples: int, seed: int | np.random.Generator)
 def subcube_quality_ceiling(draws: np.ndarray, side: float) -> float:
     """Upper bound on ``coverage_quality`` over ``draws`` of any nonempty
     cloud inside [0, side]^d: 1 - mean distance to the sub-cube / sqrt(d)."""
+    # a draw's distance to the sub-cube is that of its gaps beyond it to the origin
     gaps = np.maximum(draws - side, 0.0)
-    distances = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
+    distances = _nearest_distances(gaps, np.zeros((1, draws.shape[1])))
     return 1.0 - float(np.mean(distances)) / math.sqrt(draws.shape[1])
 
 
 def subset_quality_floor(draws: np.ndarray, points: np.ndarray) -> float:
     """Lower bound on ``coverage_quality`` over ``draws`` of any cloud that
     contains ``points``: 1 - mean distance to the nearest of them / sqrt(d)."""
-    first, *rest = np.ascontiguousarray(draws.T)
-    nearest = np.full(len(draws), np.inf)  # squared distance to the nearest point so far
-    squared, gap = np.empty(len(draws)), np.empty(len(draws))
-    # each squared distance is summed over the coordinates in order, as the KD-tree sums it
-    for head, *tail in np.asarray(points, dtype=float).tolist():
-        np.subtract(first, head, out=squared)
-        squared *= squared
-        for column, coordinate in zip(rest, tail):
-            np.subtract(column, coordinate, out=gap)
-            squared += np.multiply(gap, gap, out=gap)
-        np.minimum(nearest, squared, out=nearest)
-    return 1.0 - float(np.mean(np.sqrt(nearest))) / math.sqrt(draws.shape[1])
+    return 1.0 - float(np.mean(_nearest_distances(draws, points))) / math.sqrt(draws.shape[1])
 
 
 def coverage_quality(

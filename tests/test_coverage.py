@@ -6,11 +6,14 @@ Closed-form values used below (one point in [0, 1]):
   point at 0.0:  mu(eps) = min(eps, 1),  quality = int_0^1 e de = 0.5
 """
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from fedpact.coverage import (
     PointCloud,
@@ -20,6 +23,8 @@ from fedpact.coverage import (
     subset_quality_floor,
 )
 from fedpact.learning import FLOOR_ANCHORS
+
+from conftest import src_env
 
 
 def cloud1d(*xs: float) -> PointCloud:
@@ -96,7 +101,7 @@ class TestQualityBounds:
     ``coverage_quality`` uses."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(dimension=st.sampled_from([1, 2, 3]), n_points=st.integers(1, 200),
+    @given(dimension=st.integers(1, 10), n_points=st.integers(1, 200),
            side=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2**31 - 1))
     def test_anchor_floor_and_ceiling_bound_the_quality(self, dimension, n_points, side, seed):
         units = np.random.default_rng(seed).random((n_points, dimension))
@@ -107,8 +112,13 @@ class TestQualityBounds:
         assert scaled.tobytes() == cloud.points[:FLOOR_ANCHORS].tobytes()
         q = coverage_quality(cloud, 500, seed)
         assert subset_quality_floor(draws, scaled) <= q <= subcube_quality_ceiling(draws, side)
-        # distances are those of the KD-tree: the whole cloud's floor is its quality
-        assert subset_quality_floor(draws, cloud.points) == q
+        # distances are a KD-tree's, bit for bit while it sums the squares in
+        # order (up to 7 coordinates; beyond, scipy sums them in four lanes)
+        reference, _ = cKDTree(cloud.points).query(draws)
+        if dimension <= 7:
+            assert cloud.nearest_distances(draws).tobytes() == reference.tobytes()
+        else:
+            np.testing.assert_allclose(cloud.nearest_distances(draws), reference, rtol=1e-14)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(dimension=st.integers(1, 3), n_points=st.integers(1, 8), side=SIDES,
@@ -150,8 +160,54 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             PointCloud(2, [[-0.1, 0.5]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            PointCloud(1, [[bad]])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            PointCloud(2, [[0.5, 0.5], [0.2, bad]])
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             PointCloud(3, [[0.1, 0.2]])
         with pytest.raises(ValueError):
             PointCloud(0, [])
+
+
+class TestNearestDistances:
+    """Both entry points of the nearest-distance pass reject what a KD-tree
+    query rejects."""
+
+    CLOUD = PointCloud(2, [[0.2, 0.7], [0.9, 0.1]])
+
+    @pytest.mark.parametrize("queries", [[[0.5, 0.5, 0.9]], [[0.5]]])
+    def test_rejects_dimension_mismatch(self, queries):
+        with pytest.raises(ValueError, match="do not match"):
+            self.CLOUD.nearest_distances(queries)
+        with pytest.raises(ValueError, match="do not match"):
+            subset_quality_floor(quality_draws(2, 50, 1), queries)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_queries(self, bad):
+        draws = quality_draws(2, 50, 1)
+        draws[7, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            self.CLOUD.nearest_distances(draws)
+        with pytest.raises(ValueError, match="finite"):
+            subset_quality_floor(draws, self.CLOUD.points)
+
+    def test_single_query_row(self):
+        assert self.CLOUD.nearest_distances([0.2, 0.7]).tolist() == [0.0]
+
+
+def test_coverage_does_not_load_scipy():
+    script = (
+        "import sys\n"
+        "import fedpact.cli\n"
+        "from fedpact.coverage import PointCloud, coverage_quality\n"
+        "coverage_quality(PointCloud(2, [[0.3, 0.6]]), 100, seed=0)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=src_env(), check=True)
+    assert proc.stdout.strip() == "[]"

@@ -174,6 +174,8 @@ class ExperimentConfig:
         for s in self.schemes:
             _require(s in SCHEMES, "schemes", f"unknown scheme {s!r}, valid: {SCHEMES}")
         _require_distinct(self.c_values, "c_values")
+        _require(isinstance(self.out_dir, str) and self.out_dir != "", "out_dir",
+                 f"must be a non-empty string, got {self.out_dir!r}")
         kind = self.curve.get("kind")
         _require(isinstance(kind, str) and kind in CURVE_KEYS, "curve.kind",
                  f"must be 'exponential' or 'table', got {kind!r}")
@@ -247,7 +249,7 @@ class ExperimentConfig:
                 mode=payload.get("mode", "analytic"),
                 schemes=tuple(schemes),
                 c_values=_numbers(payload.get("c_values", []), "c_values", float),
-                out_dir=str(payload.get("out_dir", "out")),
+                out_dir=payload.get("out_dir", "out"),
                 task=_spec(TaskSpec, _section(payload, "task", {}), "task"),
                 training=_spec(TrainingSpec, _section(payload, "training", {}), "training"),
                 schema_version=_number(

@@ -185,10 +185,14 @@ def _item_from_dict(payload: dict, k: int) -> list[float]:
     for key in ("index", "f", "R", "M"):
         if key not in payload:
             raise ValueError(f"{where}.{key}: missing")
+        value = payload[key]
         try:
-            values.append(float(payload[key]))
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{where}.{key}: not a number: {payload[key]!r}") from None
+            # a JSON number: a bool or a string is none, as in the config
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError
+            values.append(float(value))
+        except (TypeError, OverflowError):
+            raise ValueError(f"{where}.{key}: not a number: {value!r}") from None
     if values[0] != k + 1:
         raise ValueError(
             f"{where}.index: must be {k + 1}, the item's position, got {payload['index']!r}"

@@ -234,23 +234,19 @@ def generate_client_dataset(
     ``CalibrationError`` names the closest quality measured (an unmeasured
     side may come closer).
 
-    A side is evaluated only when exact bounds on its quality q(s), all
-    over the same quality draws, leave its bisection step open:
-
-    * the ceiling ``subcube_quality_ceiling``: the cloud lies in [0, s]^d;
-    * the floor ``subset_quality_floor`` at s a_k: the cloud contains the
-      scaled anchors a_k, the first ``FLOOR_ANCHORS`` unit draws (i.i.d.
-      uniform, so spread over the cube);
-    * Lipschitz: |q(s) - q(s')| <= |s - s'| max_j |u_j| / sqrt(d), since a
-      draw's distance to s u_j moves by at most |s - s'| |u_j|.
-
-    Carried from ``lo`` (upper) and ``hi`` (lower), they skip a side more
-    than ``CALIBRATION_STOP`` below or above the target, side 1 included:
-    it moves that end as its quality would, and can neither end the search
-    nor win it.  If the bisections run out first, the skipped sides are
-    evaluated after all and the winner is the first closest side in
-    bisection order, so the bisection's side and quality are bit for bit
-    those of evaluating every side.
+    A side is evaluated only when two exact bounds on its quality q(s),
+    over the same quality draws, leave its bisection step open.  It is
+    skipped below when the ceiling ``subcube_quality_ceiling`` (the cloud
+    lies in [0, s]^d) is more than ``CALIBRATION_STOP`` below the target,
+    and above when the floor ``subset_quality_floor`` at s a_k (the cloud
+    contains the scaled anchors a_k, the first ``FLOOR_ANCHORS`` unit
+    draws, i.i.d. uniform so spread over the cube) is more than that
+    above it.  A skipped side, side 1 included, moves its end as its
+    quality would, and can neither end the search nor win it.  If the
+    bisections run out first, the skipped sides are evaluated after all
+    and the winner is the first closest side in bisection order, so the
+    bisection's side and quality are bit for bit those of evaluating
+    every side.
     """
     if not 0.0 < target_theta <= 1.0:
         raise ValueError(f"target_theta must lie in (0, 1], got {target_theta}")
@@ -259,7 +255,6 @@ def generate_client_dataset(
     unit_draws = child_rng(seed, 1).random((n_points, task.dimension))
     quality_seed = int(child_rng(seed, 2).integers(2**31))
     draws = quality_draws(task.dimension, QUALITY_SAMPLES, quality_seed)
-    slope = float(np.max(np.linalg.norm(unit_draws, axis=1))) / math.sqrt(task.dimension)
 
     def quality(side: float) -> float:
         cloud = PointCloud(task.dimension, unit_draws * side)
@@ -268,7 +263,7 @@ def generate_client_dataset(
     def miss(pair: tuple[float, float]) -> float:
         return abs(pair[1] - target_theta)
 
-    best = _bisect_side(quality, draws, unit_draws[:FLOOR_ANCHORS], slope, target_theta)
+    best = _bisect_side(quality, draws, unit_draws[:FLOOR_ANCHORS], target_theta)
     if miss(best) > CALIBRATION_TOLERANCE:
         # quality need not grow with the side: scan a fixed grid before giving up
         best = min([best, *((side, quality(side)) for side in CALIBRATION_GRID)], key=miss)
@@ -289,7 +284,6 @@ def _bisect_side(
     quality: Callable[[float], float],
     draws: np.ndarray,
     anchors: np.ndarray,
-    slope: float,
     target_theta: float,
 ) -> tuple[float, float]:
     """The bounded bisection of ``generate_client_dataset``: the first side
@@ -303,22 +297,21 @@ def _bisect_side(
     def error(q: float) -> float:
         return abs(q - target_theta)
 
-    def anchor_floor(side: float) -> float:
-        return subset_quality_floor(draws, anchors * side)
+    def skipped_below(side: float) -> bool:
+        return subcube_quality_ceiling(draws, side) < below
 
+    def skipped_above(side: float) -> bool:
+        return subset_quality_floor(draws, anchors * side) > above
+
+    # each end tests only the bound on its own side of the target, so a
+    # measured end can still return early for a target it cannot reach
     lo, hi = 1e-3, 1.0
-    hi_floor = anchor_floor(hi)  # lower bound on q(hi)
-    q_hi = None
-    if hi_floor <= above:
-        q_hi = hi_floor = quality(hi)
-        if target_theta > q_hi + CALIBRATION_TOLERANCE:
-            return hi, q_hi
-    lo_ceiling = subcube_quality_ceiling(draws, lo)  # upper bound on q(lo)
-    q_lo = None
-    if lo_ceiling >= below:
-        q_lo = lo_ceiling = quality(lo)
-        if target_theta < q_lo - CALIBRATION_TOLERANCE:
-            return lo, q_lo
+    q_hi = None if skipped_above(hi) else quality(hi)
+    if q_hi is not None and target_theta > q_hi + CALIBRATION_TOLERANCE:
+        return hi, q_hi
+    q_lo = None if skipped_below(lo) else quality(lo)
+    if q_lo is not None and target_theta < q_lo - CALIBRATION_TOLERANCE:
+        return lo, q_lo
     tried = [(lo, q_lo), (hi, q_hi)]  # every side in bisection order, None if skipped
 
     def settled() -> bool:
@@ -328,20 +321,15 @@ def _bisect_side(
         if settled():
             break
         mid = 0.5 * (lo + hi)
-        ceiling = min(subcube_quality_ceiling(draws, mid), lo_ceiling + (mid - lo) * slope)
-        floor = hi_floor - (hi - mid) * slope
         q_mid = None
-        if ceiling < below:
-            lo, lo_ceiling = mid, ceiling
-        # the anchor floor costs a pass per anchor: only sides no cheaper bound decides pay it
-        elif floor > above or (floor := max(floor, anchor_floor(mid))) > above:
-            hi, hi_floor = mid, floor
+        if skipped_below(mid):
+            lo = mid
+        elif skipped_above(mid):
+            hi = mid
+        elif (q_mid := quality(mid)) < target_theta:
+            lo = mid
         else:
-            q_mid = quality(mid)
-            if q_mid < target_theta:
-                lo, lo_ceiling = mid, q_mid
-            else:
-                hi, hi_floor = mid, q_mid
+            hi = mid
         tried.append((mid, q_mid))
     if not settled():
         # no side within CALIBRATION_STOP: a skipped side may be the closest
@@ -433,9 +421,9 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 def aggregate(models: list[tuple[ModelVector, float]]) -> ModelVector:
     """Weighted component-wise mean of parameter vectors.
 
-    Weights must sum to 1 within 1e-9 and architectures must match;
-    inputs are consumed in the given order so the floating-point sum is
-    deterministic.
+    Weights must be non-negative and sum to 1 within 1e-9, and
+    architectures must match; inputs are consumed in the given order so
+    the floating-point sum is deterministic.
     """
     if not models:
         raise ValueError("no models to aggregate")
@@ -444,6 +432,8 @@ def aggregate(models: list[tuple[ModelVector, float]]) -> ModelVector:
         if model.arch != arch:
             raise ArchitectureMismatchError(f"{model.arch} != {arch}")
     weights = np.array([w for _, w in models])
+    if not (weights >= 0).all():  # NaN fails it too
+        raise ValueError(f"weights must be non-negative, got {weights.tolist()!r}")
     if abs(float(weights.sum()) - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {float(weights.sum())!r}")
     stacked = np.stack([m.parameters for m, _ in models])

@@ -159,8 +159,11 @@ class TestConfigValidation:
         ("training.batch_size", 8.0), ("training.learning_rate", "0.8"),
         ("profile.c", "1"), ("profile.c", True), ("profile.thetas", [0.5, "1"]),
         ("benchmarks", [0.3, True]), ("c_values", ["1"]), ("curve.values", [1.0, "2"]),
+        # str(...) wrote to directories named None, 5 and ['a'], and "" to the working one
+        ("out_dir", None), ("out_dir", 5), ("out_dir", ["a"]), ("out_dir", ""),
     ])
-    def test_number_fields_typed(self, path, value, tmp_path, capsys):
+    def test_number_fields_typed(self, path, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         payload = base_payload(task={}, training={})
         *section, key = path.split(".")
         (payload[section[0]] if section else payload)[key] = value
@@ -221,6 +224,8 @@ class TestConfigValidation:
         assert out.seeds == (99,)
         assert out.out_dir == "elsewhere"
         assert config.seeds == (3,)
+        with pytest.raises(ConfigError, match="^out_dir: must be a non-empty string"):
+            config.with_overrides(out_dir="")
 
     def test_build_profile_and_curve(self):
         config = ExperimentConfig.from_dict(base_payload())
@@ -422,6 +427,11 @@ class TestCli:
         pytest.param({"items": [{"index": 1, "f": 0.125, "R": 1.0, "M": 0.3},
                                 {"index": 2, "f": None, "R": 2.0, "M": 0.5}]}, "items[1].f",
                      id="null-fee"),
+        # read as numbers, although the config rejects both
+        pytest.param({"items": [{"index": 1, "f": "0.1", "R": 1.0, "M": 0.3}]}, "items[0].f",
+                     id="string-fee"),
+        pytest.param({"items": [{"index": True, "f": 0.1, "R": 1.0, "M": 0.3}]}, "items[0].index",
+                     id="bool-index"),
     ])
     def test_audit_rejects_malformed_menu(self, payload, where, tmp_path, capsys):
         out = tmp_path / "out"
@@ -429,7 +439,8 @@ class TestCli:
         menu = tmp_path / "bad_menu.json"
         menu.write_text(json.dumps(payload))
         assert main(["audit", str(menu), "--config", str(config)]) == 4
-        assert f"error: {where}" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {where}"), lines
         assert not out.exists()
 
     def test_audit_overflow_exits_4(self, tmp_path):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedpact import learning
@@ -270,6 +270,8 @@ class TestCalibrationSkips:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(dimension=st.sampled_from([1, 2, 3]), n_points=st.integers(1, 200),
            target=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2**31 - 1))
+    # the low end measured, not skipped, returns early for a target below its reach
+    @example(dimension=1, n_points=1, target=0.25, seed=0)
     def test_matches_reference(self, dimension, n_points, target, seed):
         assert_matches_reference(TASKS[dimension], target, n_points, seed)
 
@@ -479,6 +481,13 @@ class TestAggregate:
         model = ModelVector.random(task2d.arch, 22)
         with pytest.raises(ValueError):
             aggregate([(model, 0.5), (model, 0.6)])
+
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0), (2.0, -1.0)])
+    def test_weights_must_be_non_negative(self, task2d, weights):
+        # a NaN weight gave a NaN model; 2 and -1 sum to 1
+        model = ModelVector.random(task2d.arch, 22)
+        with pytest.raises(ValueError, match="non-negative"):
+            aggregate([(model, w) for w in weights])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no models"):

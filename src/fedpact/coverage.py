@@ -17,22 +17,29 @@ eps > r; since r <= sqrt(d) on the unit cube, it contributes
 sqrt(d) - r to the integral, so theta = 1 - mean(r) / sqrt(d), with each
 r from one pass over the points (squares summed in coordinate order).
 
-Two bounds hold on the same samples.  A cloud inside the sub-cube
-[0, s]^d is no nearer to a sample than the sub-cube itself, so
-``subcube_quality_ceiling`` bounds its quality from above.  A cloud that
-contains some points is no farther from a sample than the nearest of them,
-so ``subset_quality_floor`` bounds its quality from below.  Both run the
-same pass (the ceiling over each sample's gaps beyond the sub-cube), so
-by construction they bound the computed quality, rounding included.
+A cloud inside the sub-cube [0, s]^d is no nearer to a sample than the
+sub-cube itself, so ``subcube_quality_ceiling`` bounds its quality from
+above on the same samples; it runs the same pass over each sample's gaps
+beyond the sub-cube, so it bounds the computed quality, rounding included.
+A cloud is no farther from a sample than any subset of its points, so each
+prefix of the cloud bounds its quality from below.  ``coverage_quality``
+keeps a running minimum over the prefixes ending at ``QUALITY_PREFIXES``,
+then over all points, and given ``above`` it stops with ``None`` once a
+prefix's quality exceeds it.  The minimum is exact and the square root
+correctly rounded, hence monotone, so a pass that runs to the end gives the
+bits of one pass over every point.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .seeding import as_generator
+
+QUALITY_PREFIXES = (8, 16, 32, 64)  # prefix ends at which coverage_quality may stop early
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +72,12 @@ class PointCloud:
     def is_empty(self) -> bool:
         return len(self) == 0
 
-    def nearest_distances(self, queries: np.ndarray) -> np.ndarray:
-        """Euclidean distance from each query point to its nearest cloud point."""
+    def nearest_distances(self, queries: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """Euclidean distance from each query point to its nearest cloud point
+        among ``rows`` (all points by default)."""
         if self.is_empty:
             raise ValueError("empty cloud has no nearest distances")
-        return _nearest_distances(queries, self.points)
+        return _nearest_distances(queries, self.points[rows])
 
 
 def _nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -96,8 +104,18 @@ def _nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def quality_draws(dimension: int, samples: int, seed: int | np.random.Generator) -> np.ndarray:
     """The ``samples`` uniform draws from [0, 1]^d that ``coverage_quality``
-    integrates over for ``seed``."""
+    integrates over for ``seed``.  The last integer seed's draws are kept and
+    shared, read-only; a generator is drawn from afresh on every call."""
+    if isinstance(seed, (int, np.integer)):
+        return _seeded_draws(dimension, samples, seed)
     return as_generator(seed).random((samples, dimension))
+
+
+@lru_cache(maxsize=1)
+def _seeded_draws(dimension: int, samples: int, seed: int) -> np.ndarray:
+    draws = as_generator(seed).random((samples, dimension))
+    draws.setflags(write=False)
+    return draws
 
 
 def subcube_quality_ceiling(draws: np.ndarray, side: float) -> float:
@@ -109,26 +127,31 @@ def subcube_quality_ceiling(draws: np.ndarray, side: float) -> float:
     return 1.0 - float(np.mean(distances)) / math.sqrt(draws.shape[1])
 
 
-def subset_quality_floor(draws: np.ndarray, points: np.ndarray) -> float:
-    """Lower bound on ``coverage_quality`` over ``draws`` of any cloud that
-    contains ``points``: 1 - mean distance to the nearest of them / sqrt(d)."""
-    return 1.0 - float(np.mean(_nearest_distances(draws, points))) / math.sqrt(draws.shape[1])
-
-
 def coverage_quality(
     cloud: PointCloud,
     samples: int,
     seed: int | np.random.Generator,
-) -> float:
+    above: float = math.inf,
+) -> float | None:
     """Normalized integral of the radius coverage over eps in [0, sqrt(d)].
 
     Exact on ``samples`` uniform draws from the unit cube:
     1 - mean nearest-point distance / sqrt(d).  Returns a value in
-    [0, 1]; 0 for the empty cloud.
+    [0, 1]; 0 for the empty cloud.  ``None`` instead when the quality of a
+    prefix of the cloud shorter than the whole, ending at one of
+    ``QUALITY_PREFIXES``, exceeds ``above``: the cloud's quality does too.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     if cloud.is_empty:
         return 0.0
     draws = quality_draws(cloud.dimension, samples, seed)
-    return 1.0 - float(np.mean(cloud.nearest_distances(draws))) / math.sqrt(cloud.dimension)
+    nearest = np.full(samples, np.inf)
+    start = 0
+    for end in (*(end for end in QUALITY_PREFIXES if end < len(cloud)), len(cloud)):
+        np.minimum(nearest, cloud.nearest_distances(draws, slice(start, end)), out=nearest)
+        quality = 1.0 - float(np.mean(nearest)) / math.sqrt(cloud.dimension)
+        if quality > above and end < len(cloud):
+            return None
+        start = end
+    return quality

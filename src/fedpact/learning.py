@@ -32,13 +32,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, TrainingSpec
 from .contracts import ContractMenu, _write_json, solve_optimal_menu
-from .coverage import (
-    PointCloud,
-    coverage_quality,
-    quality_draws,
-    subcube_quality_ceiling,
-    subset_quality_floor,
-)
+from .coverage import PointCloud, coverage_quality, quality_draws, subcube_quality_ceiling
 from .seeding import as_generator, child_rng
 from .simulation import RoundOutcome, sample_population
 
@@ -211,7 +205,6 @@ class ClientDataset:
 CALIBRATION_TOLERANCE = 0.02  # largest accepted |measured - target| quality
 CALIBRATION_STOP = 0.25 * CALIBRATION_TOLERANCE  # bisection ends within this of the target
 QUALITY_SAMPLES = 4000  # Monte Carlo draws per coverage_quality evaluation
-FLOOR_ANCHORS = 16  # most unit draws the calibration floor measures distances to
 MAX_BISECTIONS = 40
 CALIBRATION_GRID = np.linspace(1e-3, 1.0, 100).tolist()  # sides scanned when bisection fails
 
@@ -234,19 +227,17 @@ def generate_client_dataset(
     ``CalibrationError`` names the closest quality measured (an unmeasured
     side may come closer).
 
-    A side is evaluated only when two exact bounds on its quality q(s),
-    over the same quality draws, leave its bisection step open.  It is
-    skipped below when the ceiling ``subcube_quality_ceiling`` (the cloud
-    lies in [0, s]^d) is more than ``CALIBRATION_STOP`` below the target,
-    and above when the floor ``subset_quality_floor`` at s a_k (the cloud
-    contains the scaled anchors a_k, the first ``FLOOR_ANCHORS`` unit
-    draws, i.i.d. uniform so spread over the cube) is more than that
-    above it.  A skipped side, side 1 included, moves its end as its
-    quality would, and can neither end the search nor win it.  If the
-    bisections run out first, the skipped sides are evaluated after all
-    and the winner is the first closest side in bisection order, so the
-    bisection's side and quality are bit for bit those of evaluating
-    every side.
+    Over the same quality draws, a side is skipped below when the ceiling
+    ``subcube_quality_ceiling`` (the cloud lies in [0, s]^d) is more than
+    ``CALIBRATION_STOP`` below the target, and its evaluation stops early,
+    returning ``None``, once the quality of a prefix of the cloud (a floor:
+    the cloud contains it) is more than that above it.  The prefixes are of
+    the unit draws, i.i.d. uniform and so spread over the cube.  A skipped
+    side, side 1 included, moves its end as its quality would, and can
+    neither end the search nor win it.  If the bisections run out first,
+    the skipped sides are evaluated after all and the winner is the first
+    closest side in bisection order, so the bisection's side and quality
+    are bit for bit those of evaluating every side.
     """
     if not 0.0 < target_theta <= 1.0:
         raise ValueError(f"target_theta must lie in (0, 1], got {target_theta}")
@@ -256,14 +247,14 @@ def generate_client_dataset(
     quality_seed = int(child_rng(seed, 2).integers(2**31))
     draws = quality_draws(task.dimension, QUALITY_SAMPLES, quality_seed)
 
-    def quality(side: float) -> float:
+    def quality(side: float, above: float = math.inf) -> float | None:
         cloud = PointCloud(task.dimension, unit_draws * side)
-        return coverage_quality(cloud, QUALITY_SAMPLES, quality_seed)
+        return coverage_quality(cloud, QUALITY_SAMPLES, quality_seed, above)
 
     def miss(pair: tuple[float, float]) -> float:
         return abs(pair[1] - target_theta)
 
-    best = _bisect_side(quality, draws, unit_draws[:FLOOR_ANCHORS], target_theta)
+    best = _bisect_side(quality, draws, target_theta)
     if miss(best) > CALIBRATION_TOLERANCE:
         # quality need not grow with the side: scan a fixed grid before giving up
         best = min([best, *((side, quality(side)) for side in CALIBRATION_GRID)], key=miss)
@@ -281,15 +272,15 @@ def generate_client_dataset(
 
 
 def _bisect_side(
-    quality: Callable[[float], float],
+    quality: Callable[..., float | None],
     draws: np.ndarray,
-    anchors: np.ndarray,
     target_theta: float,
 ) -> tuple[float, float]:
     """The bounded bisection of ``generate_client_dataset``: the first side
     closest to the target among those it measures, and its quality.  It
     stops after one end when the target lies beyond that end's quality by
-    more than ``CALIBRATION_TOLERANCE``."""
+    more than ``CALIBRATION_TOLERANCE``.  ``quality(side, above)`` returns
+    ``None`` for a side whose quality it finds to exceed ``above``."""
     # 1e-9 absorbs the rounding of the bounds and of the measured qualities
     below = target_theta - CALIBRATION_STOP - 1e-9
     above = target_theta + CALIBRATION_STOP + 1e-9
@@ -300,13 +291,10 @@ def _bisect_side(
     def skipped_below(side: float) -> bool:
         return subcube_quality_ceiling(draws, side) < below
 
-    def skipped_above(side: float) -> bool:
-        return subset_quality_floor(draws, anchors * side) > above
-
     # each end tests only the bound on its own side of the target, so a
     # measured end can still return early for a target it cannot reach
     lo, hi = 1e-3, 1.0
-    q_hi = None if skipped_above(hi) else quality(hi)
+    q_hi = quality(hi, above)
     if q_hi is not None and target_theta > q_hi + CALIBRATION_TOLERANCE:
         return hi, q_hi
     q_lo = None if skipped_below(lo) else quality(lo)
@@ -324,9 +312,7 @@ def _bisect_side(
         q_mid = None
         if skipped_below(mid):
             lo = mid
-        elif skipped_above(mid):
-            hi = mid
-        elif (q_mid := quality(mid)) < target_theta:
+        elif (q_mid := quality(mid, above)) is not None and q_mid < target_theta:
             lo = mid
         else:
             hi = mid
@@ -698,7 +684,7 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
                 participants=outcome.participants, successes=outcome.successes,
                 total_fees=outcome.fees_collected, total_rewards=outcome.rewards_paid,
             ))
-            if scheme == "fedavg":
+            if scheme == "fedavg" and "contract" in config.schemes:
                 continue  # its clients' rows are the contract scheme's
             passed = outcome.succeeded.tolist()
             for cid, t in enumerate(draws.tolist()):

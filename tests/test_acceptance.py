@@ -271,6 +271,21 @@ def test_criterion_8_local_vs_server_gap(default_comparison):
     )
 
 
+SYNTHETIC_DIGESTS = Path(__file__).parent / "fixtures" / "synthetic_default_digests.json"
+
+
+def test_criterion_7_pinned_bytes(default_comparison, tmp_path):
+    """Criterion 7's run writes the pinned ``compare`` outputs of the shipped
+    synthetic config: 120-point clouds, whose calibration runs every prefix
+    of the quality pass (criterion 9's 60-point compare stops short of 64)."""
+    default_comparison.rounds_to_csv(tmp_path / "comparison.csv")
+    default_comparison.clients_to_csv(tmp_path / "clients.csv")
+    default_comparison.summary_to_json(tmp_path / "summary.json")
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert digests == json.loads(SYNTHETIC_DIGESTS.read_text())
+    print(f"\n[PASS] criterion 7: pinned bytes of {', '.join(digests)} on synthetic_default")
+
+
 CLI_DIGESTS = Path(__file__).parent / "fixtures" / "cli_output_digests.json"
 
 

@@ -11,18 +11,17 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from fedpact.coverage import (
+    QUALITY_PREFIXES,
     PointCloud,
     coverage_quality,
     quality_draws,
     subcube_quality_ceiling,
-    subset_quality_floor,
 )
-from fedpact.learning import FLOOR_ANCHORS
 
 from conftest import src_env
 
@@ -102,16 +101,39 @@ class TestQualityBounds:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(dimension=st.integers(1, 10), n_points=st.integers(1, 200),
-           side=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2**31 - 1))
-    def test_anchor_floor_and_ceiling_bound_the_quality(self, dimension, n_points, side, seed):
+           side=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2**31 - 1),
+           above=st.one_of(st.floats(-0.5, 1.5), st.just(math.inf)))
+    @example(dimension=2, n_points=200, side=0.5, seed=1, above=1.5)  # every prefix runs
+    @example(dimension=3, n_points=9, side=1.0, seed=2, above=-1.0)  # stops at the first
+    def test_bounded_quality_is_exact_or_stops_on_a_prefix_floor(
+        self, dimension, n_points, side, seed, above
+    ):
         units = np.random.default_rng(seed).random((n_points, dimension))
         cloud = PointCloud(dimension, units * side)
         draws = quality_draws(dimension, 500, seed)
-        # the calibration's anchors, scaled by the side, are rows of the cloud
-        scaled = units[:FLOOR_ANCHORS] * side
-        assert scaled.tobytes() == cloud.points[:FLOOR_ANCHORS].tobytes()
+
+        def one_pass(end: int) -> float:
+            # the quality of the first ``end`` points, in a single pass
+            distances = cloud.nearest_distances(draws, slice(0, end))
+            return 1.0 - float(np.mean(distances)) / math.sqrt(dimension)
+
         q = coverage_quality(cloud, 500, seed)
-        assert subset_quality_floor(draws, scaled) <= q <= subcube_quality_ceiling(draws, side)
+        assert q.hex() == one_pass(n_points).hex()
+        # every prefix is a subset of the cloud, so its quality is a floor
+        prefixes = {end: one_pass(end) for end in QUALITY_PREFIXES if end < n_points}
+        assert all(floor <= q for floor in prefixes.values())
+        assert q <= subcube_quality_ceiling(draws, side)
+        bounded = coverage_quality(cloud, 500, seed, above)
+        stops = any(floor > above for floor in prefixes.values())
+        if bounded is None:
+            assert stops and q > above
+        else:
+            assert not stops and bounded.hex() == q.hex()
+        if prefixes:
+            # a floor one ulp above ``above`` stops the pass; none above it does not
+            highest = max(prefixes.values())
+            assert coverage_quality(cloud, 500, seed, math.nextafter(highest, -math.inf)) is None
+            assert coverage_quality(cloud, 500, seed, highest).hex() == q.hex()
         # distances are a KD-tree's, bit for bit while it sums the squares in
         # order (up to 7 coordinates; beyond, scipy sums them in four lanes)
         reference, _ = cKDTree(cloud.points).query(draws)
@@ -175,8 +197,8 @@ class TestPointCloud:
 
 
 class TestNearestDistances:
-    """Both entry points of the nearest-distance pass reject what a KD-tree
-    query rejects."""
+    """The nearest-distance pass rejects what a KD-tree query rejects, over
+    any rows of the cloud and in the ceiling."""
 
     CLOUD = PointCloud(2, [[0.2, 0.7], [0.9, 0.1]])
 
@@ -185,19 +207,38 @@ class TestNearestDistances:
         with pytest.raises(ValueError, match="do not match"):
             self.CLOUD.nearest_distances(queries)
         with pytest.raises(ValueError, match="do not match"):
-            subset_quality_floor(quality_draws(2, 50, 1), queries)
+            self.CLOUD.nearest_distances(queries, slice(1, 2))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_queries(self, bad):
-        draws = quality_draws(2, 50, 1)
+        draws = quality_draws(2, 50, 1).copy()
         draws[7, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             self.CLOUD.nearest_distances(draws)
         with pytest.raises(ValueError, match="finite"):
-            subset_quality_floor(draws, self.CLOUD.points)
+            subcube_quality_ceiling(draws, 0.5)
 
     def test_single_query_row(self):
         assert self.CLOUD.nearest_distances([0.2, 0.7]).tolist() == [0.0]
+        far = self.CLOUD.nearest_distances([0.2, 0.7], slice(1, None))
+        assert far.tolist() == pytest.approx([math.hypot(0.7, 0.6)])
+
+
+class TestQualityDraws:
+    def test_seeded_draws_are_shared_read_only(self):
+        draws = quality_draws(2, 50, 1)
+        assert quality_draws(2, 50, 1) is draws
+        assert not draws.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            draws[0, 0] = 0.5
+        assert draws.tobytes() == np.random.default_rng(1).random((50, 2)).tobytes()
+
+    def test_generator_draws_afresh(self):
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        first, second = quality_draws(2, 50, rng), quality_draws(2, 50, rng)
+        assert first.tobytes() == twin.random((50, 2)).tobytes()
+        assert second.tobytes() == twin.random((50, 2)).tobytes()
+        assert first.tobytes() != second.tobytes()
 
 
 def test_coverage_does_not_load_scipy():

@@ -1,6 +1,7 @@
 """Synthetic task, coverage-calibrated data, local training, aggregation."""
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,15 +234,21 @@ def calibration_outcome(calibrate, task, target, n_points, seed) -> tuple:
     return ("data", ds.subcube_side, ds.measured_quality, ds.points.tobytes(), ds.labels.tobytes())
 
 
-def assert_matches_reference(task, target, n_points, seed) -> tuple[int, int]:
-    """Same outcome as ``reference_calibration``, in no more evaluations;
-    returns both evaluation counts."""
-    ref_calls, calls = [0], [0]
-
+def counting_completed(calls: list[int]):
+    """``coverage_quality`` that adds its completed evaluations (a result,
+    not ``None``) to ``calls[0]``."""
     def counted(*args, **kwargs):
-        calls[0] += 1
-        return coverage_quality(*args, **kwargs)
+        q = coverage_quality(*args, **kwargs)
+        calls[0] += q is not None
+        return q
+    return counted
 
+
+def assert_matches_reference(task, target, n_points, seed) -> tuple[int, int]:
+    """Same outcome as ``reference_calibration``, in no more completed
+    evaluations; returns both evaluation counts."""
+    ref_calls, calls = [0], [0]
+    counted = counting_completed(calls)
     expected = calibration_outcome(
         lambda *args: reference_calibration(*args, ref_calls), task, target, n_points, seed
     )
@@ -295,10 +302,11 @@ class TestCalibrationSkips:
         # so sides just beyond the stop width get skipped
         assert_matches_reference(TASKS[1], target, n_points, seed)
 
-    @pytest.mark.parametrize("dimension, n_points, seed", [(1, 1, 1), (2, 3, 2), (3, 8, 4)])
+    @pytest.mark.parametrize("dimension, n_points, seed",
+                             [(1, 1, 1), (2, 3, 2), (3, 8, 4), (1, 12, 1), (2, 40, 3)])
     def test_side_one_within_the_stop_width_is_measured(self, dimension, n_points, seed):
-        # the floor at side 1 is close to q(1) for so few points, but only a
-        # side more than the stop width above the target may be skipped
+        # side 1 within the stop width above the target is measured in full
+        # (its prefix floors lie below its quality) and settles the search
         task = TASKS[dimension]
         target = quality_at_side(task, n_points, seed, 1.0) - 0.004
         assert_matches_reference(task, target, n_points, seed)
@@ -307,13 +315,30 @@ class TestCalibrationSkips:
     @pytest.mark.parametrize("seed", [1052, 2559])
     def test_skipped_side_one_wins_the_fallback(self, seed):
         # one point at u > 0.995: q(1) lies below every other side's quality
-        # and more than the stop width above the target, so side 1 is
-        # skipped, no side settles, and the fallback measures side 1, the winner
+        # and more than the stop width above the target, so side 1 cannot
+        # settle the search, no side does, and the fallback picks side 1
         task = TASKS[1]
         target = quality_at_side(task, 1, seed, 1.0) - 0.006
         _, ref_calls = assert_matches_reference(task, target, 1, seed)
         assert ref_calls == MAX_BISECTIONS + 2
         assert generate_client_dataset(task, target, 1, seed).subcube_side == 1.0
+
+    def test_stopped_side_wins_the_fallback(self):
+        # a calibrated cloud of more than 8 points seldom lets a stopped side
+        # win, so a quality function stands in: side 1 stops above the
+        # target, every other side lies far below, nothing settles, and the
+        # fallback measures side 1 in full
+        target = 0.6
+        calls = []
+
+        def quality(side: float, above: float = math.inf) -> float | None:
+            calls.append(above)
+            q = target + 0.006 if side == 1.0 else target - 0.05
+            return None if q > above else q
+
+        draws = np.zeros((1, 2))  # a ceiling of 1 skips no side below
+        assert learning._bisect_side(quality, draws, target) == (1.0, target + 0.006)
+        assert len(calls) == MAX_BISECTIONS + 3 and calls[-1] == math.inf
 
     def test_shipped_seed_needs_fewer_evaluations(self):
         task, datasets = shipped_seed_datasets()
@@ -325,19 +350,14 @@ class TestCalibrationSkips:
         assert calls <= 0.7 * ref_calls
 
     def test_shipped_seed_needs_few_evaluations_per_dataset(self):
-        # the anchor floor skips side 1 and most sides above the target
+        # the prefix floors stop side 1 and most sides above the target early
         task, datasets = shipped_seed_datasets()
         calls = [0]
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return coverage_quality(*args, **kwargs)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(learning, "coverage_quality", counted)
+            mp.setattr(learning, "coverage_quality", counting_completed(calls))
             for dataset in datasets:
                 generate_client_dataset(task, *dataset)
-        assert calls[0] <= 2.5 * len(datasets)
+        assert calls[0] <= 2.0 * len(datasets)
 
 
 def shipped_seed_datasets() -> tuple[SyntheticTask, list[tuple[float, int, int]]]:
@@ -533,6 +553,18 @@ class TestSchemeComparison:
             assert acc["contract"] == acc["fedavg"]
         assert report.orderings()["per_c"]["1.0"]["degenerate_equal"]
 
+    def test_fedavg_alone_writes_its_clients(self):
+        # without the contract scheme, fedavg's client rows are its own: the
+        # contract rows of a run with both, relabelled
+        alone = run_scheme_comparison(tiny_ml_config(schemes=["fedavg"]))
+        both = run_scheme_comparison(tiny_ml_config(schemes=["contract", "fedavg"]))
+        expected = [replace(r, scheme="fedavg") for r in both.clients if r.scheme == "contract"]
+        assert [repr(r) for r in alone.clients] == [repr(r) for r in expected]
+        assert len(alone.clients) == 8 * len(alone.rounds)
+        for r in alone.rounds:
+            rows = [row for row in alone.clients if (row.seed, row.c) == (r.seed, r.c)]
+            assert sum(row.chosen_index is not None for row in rows) == r.participants > 0
+
     def test_requires_ml_mode(self):
         config = tiny_ml_config(mode="analytic")
         with pytest.raises(ConfigError, match="ml"):
@@ -648,6 +680,8 @@ def reference_comparison(config: ExperimentConfig) -> SchemeReport:
 
             for scheme in config.schemes:
                 policy = "flat" if scheme == "flat" else "contract"
+                # fedavg's clients are the contract scheme's, written once
+                writes_rows = scheme != "fedavg" or "contract" not in config.schemes
                 passers, participants, total_fees, total_rewards = [], 0, 0.0, 0.0
                 for cid, type_idx in enumerate(draws):
                     signup = signups[policy][type_idx]
@@ -657,7 +691,7 @@ def reference_comparison(config: ExperimentConfig) -> SchemeReport:
                         theta_measured=datasets[cid].measured_quality,
                     )
                     if signup is None:
-                        if scheme != "fedavg":
+                        if writes_rows:
                             client_rows.append(ClientRecord(
                                 **row, chosen_index=None, effort=0.0, epochs=0,
                                 local_accuracy=float("nan"), server_accuracy=float("nan"),
@@ -672,7 +706,7 @@ def reference_comparison(config: ExperimentConfig) -> SchemeReport:
                     if passed:
                         total_rewards += reward
                         passers.append((model, reward))
-                    if scheme != "fedavg":
+                    if writes_rows:
                         client_rows.append(ClientRecord(
                             **row, chosen_index=index, effort=effort, epochs=epochs,
                             local_accuracy=local_acc, server_accuracy=serv_acc, passed=passed,

@@ -1,8 +1,9 @@
 """Command-line harness: solve menus, audit feasibility, simulate, compare.
 
 Exit codes: 0 success, 2 config/validation error, 3 infeasible menu,
-4 runtime failure.  All outputs are deterministic functions of the
-config file and its seeds, so reruns are byte-identical.
+4 runtime failure (an allocation that cannot be satisfied included).
+All outputs are deterministic functions of the config file and its
+seeds, so reruns are byte-identical.
 """
 from __future__ import annotations
 
@@ -166,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, KeyError, OSError, OverflowError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

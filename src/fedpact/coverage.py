@@ -24,10 +24,10 @@ beyond the sub-cube, so it bounds the computed quality, rounding included.
 A cloud is no farther from a sample than any subset of its points, so each
 prefix of the cloud bounds its quality from below.  ``coverage_quality``
 keeps a running minimum over the prefixes ending at ``QUALITY_PREFIXES``,
-then over all points, and given ``above`` it stops with ``None`` once a
-prefix's quality exceeds it.  The minimum is exact and the square root
-correctly rounded, hence monotone, so a pass that runs to the end gives the
-bits of one pass over every point.
+then over all points; the minimum is exact and the square root correctly
+rounded, hence monotone, so a full pass gives the bits of one pass over
+every point.  Given a band, it returns -inf when the ceiling at the cloud's
+largest coordinate lies below it, and inf once a prefix's quality is above.
 """
 from __future__ import annotations
 
@@ -131,27 +131,31 @@ def coverage_quality(
     cloud: PointCloud,
     samples: int,
     seed: int | np.random.Generator,
+    *,
+    below: float = -math.inf,
     above: float = math.inf,
-) -> float | None:
+) -> float:
     """Normalized integral of the radius coverage over eps in [0, sqrt(d)].
 
     Exact on ``samples`` uniform draws from the unit cube:
     1 - mean nearest-point distance / sqrt(d).  Returns a value in
-    [0, 1]; 0 for the empty cloud.  ``None`` instead when the quality of a
-    prefix of the cloud shorter than the whole, ending at one of
-    ``QUALITY_PREFIXES``, exceeds ``above``: the cloud's quality does too.
+    [0, 1]; 0 for the empty cloud.  ``-inf`` instead when the ceiling at
+    the cloud's largest coordinate is below ``below``, ``inf`` when a
+    shorter prefix's quality (see ``QUALITY_PREFIXES``) exceeds ``above``.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     if cloud.is_empty:
         return 0.0
     draws = quality_draws(cloud.dimension, samples, seed)
+    if below > -math.inf and subcube_quality_ceiling(draws, float(cloud.points.max())) < below:
+        return -math.inf
     nearest = np.full(samples, np.inf)
     start = 0
     for end in (*(end for end in QUALITY_PREFIXES if end < len(cloud)), len(cloud)):
         np.minimum(nearest, cloud.nearest_distances(draws, slice(start, end)), out=nearest)
         quality = 1.0 - float(np.mean(nearest)) / math.sqrt(cloud.dimension)
         if quality > above and end < len(cloud):
-            return None
+            return math.inf
         start = end
     return quality

@@ -26,13 +26,14 @@ import csv
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
+from operator import eq, ge
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, TrainingSpec
 from .contracts import ContractMenu, _write_json, solve_optimal_menu
-from .coverage import PointCloud, coverage_quality, quality_draws, subcube_quality_ceiling
+from .coverage import PointCloud, coverage_quality
 from .seeding import as_generator, child_rng
 from .simulation import RoundOutcome, sample_population
 
@@ -227,17 +228,15 @@ def generate_client_dataset(
     ``CalibrationError`` names the closest quality measured (an unmeasured
     side may come closer).
 
-    Over the same quality draws, a side is skipped below when the ceiling
-    ``subcube_quality_ceiling`` (the cloud lies in [0, s]^d) is more than
-    ``CALIBRATION_STOP`` below the target, and its evaluation stops early,
-    returning ``None``, once the quality of a prefix of the cloud (a floor:
-    the cloud contains it) is more than that above it.  The prefixes are of
-    the unit draws, i.i.d. uniform and so spread over the cube.  A skipped
-    side, side 1 included, moves its end as its quality would, and can
-    neither end the search nor win it.  If the bisections run out first,
-    the skipped sides are evaluated after all and the winner is the first
-    closest side in bisection order, so the bisection's side and quality
-    are bit for bit those of evaluating every side.
+    Side 1 is measured against the top of the band ``CALIBRATION_STOP``
+    around the target, side ``1e-3`` against its bottom, and the sides
+    between against both: ``coverage_quality`` returns ``-inf`` below the
+    band (the ceiling at the cloud's largest coordinate, no larger than s)
+    and ``inf`` above it (a prefix of the cloud, a floor).  Such a side
+    moves its end as its quality would, and can neither end the search nor
+    win it.  If the bisections run out first, those sides are measured and
+    the first closest side in bisection order wins, bit for bit the result
+    of measuring every side.
     """
     if not 0.0 < target_theta <= 1.0:
         raise ValueError(f"target_theta must lie in (0, 1], got {target_theta}")
@@ -245,16 +244,15 @@ def generate_client_dataset(
         raise ValueError("n_points must be >= 1")
     unit_draws = child_rng(seed, 1).random((n_points, task.dimension))
     quality_seed = int(child_rng(seed, 2).integers(2**31))
-    draws = quality_draws(task.dimension, QUALITY_SAMPLES, quality_seed)
 
-    def quality(side: float, above: float = math.inf) -> float | None:
+    def quality(side: float, **band: float) -> float:
         cloud = PointCloud(task.dimension, unit_draws * side)
-        return coverage_quality(cloud, QUALITY_SAMPLES, quality_seed, above)
+        return coverage_quality(cloud, QUALITY_SAMPLES, quality_seed, **band)
 
     def miss(pair: tuple[float, float]) -> float:
         return abs(pair[1] - target_theta)
 
-    best = _bisect_side(quality, draws, target_theta)
+    best = _bisect_side(quality, target_theta)
     if miss(best) > CALIBRATION_TOLERANCE:
         # quality need not grow with the side: scan a fixed grid before giving up
         best = min([best, *((side, quality(side)) for side in CALIBRATION_GRID)], key=miss)
@@ -271,16 +269,12 @@ def generate_client_dataset(
     )
 
 
-def _bisect_side(
-    quality: Callable[..., float | None],
-    draws: np.ndarray,
-    target_theta: float,
-) -> tuple[float, float]:
+def _bisect_side(quality: Callable[..., float], target_theta: float) -> tuple[float, float]:
     """The bounded bisection of ``generate_client_dataset``: the first side
     closest to the target among those it measures, and its quality.  It
     stops after one end when the target lies beyond that end's quality by
-    more than ``CALIBRATION_TOLERANCE``.  ``quality(side, above)`` returns
-    ``None`` for a side whose quality it finds to exceed ``above``."""
+    more than ``CALIBRATION_TOLERANCE``.  ``quality(side, below=, above=)``
+    is ``-inf`` or ``inf`` for a side it finds below or above the band."""
     # 1e-9 absorbs the rounding of the bounds and of the measured qualities
     below = target_theta - CALIBRATION_STOP - 1e-9
     above = target_theta + CALIBRATION_STOP + 1e-9
@@ -288,39 +282,34 @@ def _bisect_side(
     def error(q: float) -> float:
         return abs(q - target_theta)
 
-    def skipped_below(side: float) -> bool:
-        return subcube_quality_ceiling(draws, side) < below
-
     # each end tests only the bound on its own side of the target, so a
     # measured end can still return early for a target it cannot reach
     lo, hi = 1e-3, 1.0
-    q_hi = quality(hi, above)
-    if q_hi is not None and target_theta > q_hi + CALIBRATION_TOLERANCE:
+    q_hi = quality(hi, above=above)
+    if target_theta > q_hi + CALIBRATION_TOLERANCE:
         return hi, q_hi
-    q_lo = None if skipped_below(lo) else quality(lo)
-    if q_lo is not None and target_theta < q_lo - CALIBRATION_TOLERANCE:
+    q_lo = quality(lo, below=below)
+    if target_theta < q_lo - CALIBRATION_TOLERANCE:
         return lo, q_lo
-    tried = [(lo, q_lo), (hi, q_hi)]  # every side in bisection order, None if skipped
+    tried = [(lo, q_lo), (hi, q_hi)]  # every side in bisection order
 
     def settled() -> bool:
-        return any(q is not None and error(q) <= CALIBRATION_STOP for _, q in tried)
+        return any(error(q) <= CALIBRATION_STOP for _, q in tried)
 
     for _ in range(MAX_BISECTIONS):
         if settled():
             break
         mid = 0.5 * (lo + hi)
-        q_mid = None
-        if skipped_below(mid):
-            lo = mid
-        elif (q_mid := quality(mid, above)) is not None and q_mid < target_theta:
+        q_mid = quality(mid, below=below, above=above)
+        if q_mid < target_theta:
             lo = mid
         else:
             hi = mid
         tried.append((mid, q_mid))
     if not settled():
-        # no side within CALIBRATION_STOP: a skipped side may be the closest
-        tried = [(side, quality(side) if q is None else q) for side, q in tried]
-    return min(((side, q) for side, q in tried if q is not None), key=lambda pair: error(pair[1]))
+        # no side within CALIBRATION_STOP: a side outside the band may be the closest
+        tried = [(side, q if math.isfinite(q) else quality(side)) for side, q in tried]
+    return min(tried, key=lambda pair: error(pair[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -473,24 +462,28 @@ class SchemeReport:
         return float(np.mean(finite)) if finite else float("nan")
 
     def orderings(self) -> dict:
-        """The directional claims the comparison is designed to probe."""
+        """The directional claims the comparison is designed to probe; a
+        claim on a scheme without a mean (no finite accuracy) is ``None``."""
+        def verdict(claim: Callable[[float, float], bool], a: float, b: float) -> bool | None:
+            return None if math.isnan(a) or math.isnan(b) else claim(a, b)
+
         per_c = {}
         for c in self.c_values:
             means = {s: self.mean_accuracy(c, s) for s in self.schemes}
             entry = {"means": means}
             if {"contract", "fedavg"} <= set(self.schemes):
-                entry["contract_ge_fedavg"] = means["contract"] >= means["fedavg"]
+                entry["contract_ge_fedavg"] = verdict(ge, means["contract"], means["fedavg"])
                 # a single shared contract makes reward weights uniform and
                 # the two schemes coincide exactly
-                entry["degenerate_equal"] = means["contract"] == means["fedavg"]
+                entry["degenerate_equal"] = verdict(eq, means["contract"], means["fedavg"])
             if {"fedavg", "flat"} <= set(self.schemes):
-                entry["fedavg_ge_flat"] = means["fedavg"] >= means["flat"]
+                entry["fedavg_ge_flat"] = verdict(ge, means["fedavg"], means["flat"])
             per_c[_c_key(c)] = entry
         out = {"per_c": per_c}
         if len(self.c_values) >= 2 and "contract" in self.schemes:
             lo, hi = min(self.c_values), max(self.c_values)
-            out["contract_small_c_ge_large_c"] = (
-                self.mean_accuracy(lo, "contract") >= self.mean_accuracy(hi, "contract")
+            out["contract_small_c_ge_large_c"] = verdict(
+                ge, self.mean_accuracy(lo, "contract"), self.mean_accuracy(hi, "contract")
             )
         return out
 

@@ -488,6 +488,16 @@ class TestCli:
         ], proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_unsatisfiable_allocation_exits_4(self, tmp_path, capsys):
+        # 10**15 clients' type draws take 7 PiB, beyond the address space,
+        # so numpy refuses the allocation before making it
+        out = tmp_path / "out"
+        config = write_config(tmp_path, base_payload(population=10**15, out_dir=str(out)))
+        assert main(["simulate", "--config", str(config)]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), lines
+        assert not any(out.iterdir())
+
     def test_audit_rejects_misplaced_index(self, tmp_path, mnist_config_path, capsys):
         # the solved mnist menu with 7 as every item's index
         out = tmp_path / "out"

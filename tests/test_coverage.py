@@ -102,11 +102,13 @@ class TestQualityBounds:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(dimension=st.integers(1, 10), n_points=st.integers(1, 200),
            side=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2**31 - 1),
+           below=st.one_of(st.floats(-0.5, 1.5), st.just(-math.inf)),
            above=st.one_of(st.floats(-0.5, 1.5), st.just(math.inf)))
-    @example(dimension=2, n_points=200, side=0.5, seed=1, above=1.5)  # every prefix runs
-    @example(dimension=3, n_points=9, side=1.0, seed=2, above=-1.0)  # stops at the first
+    @example(dimension=2, n_points=200, side=0.5, seed=1, below=-math.inf, above=1.5)  # every prefix runs
+    @example(dimension=3, n_points=9, side=1.0, seed=2, below=-math.inf, above=-1.0)  # stops at the first
+    @example(dimension=2, n_points=9, side=0.1, seed=3, below=0.9, above=math.inf)  # the ceiling rejects
     def test_bounded_quality_is_exact_or_stops_on_a_prefix_floor(
-        self, dimension, n_points, side, seed, above
+        self, dimension, n_points, side, seed, below, above
     ):
         units = np.random.default_rng(seed).random((n_points, dimension))
         cloud = PointCloud(dimension, units * side)
@@ -119,21 +121,27 @@ class TestQualityBounds:
 
         q = coverage_quality(cloud, 500, seed)
         assert q.hex() == one_pass(n_points).hex()
-        # every prefix is a subset of the cloud, so its quality is a floor
+        # every prefix is a subset of the cloud, so its quality is a floor;
+        # every point lies in [0, m]^d, so that sub-cube's ceiling caps it
         prefixes = {end: one_pass(end) for end in QUALITY_PREFIXES if end < n_points}
         assert all(floor <= q for floor in prefixes.values())
-        assert q <= subcube_quality_ceiling(draws, side)
-        bounded = coverage_quality(cloud, 500, seed, above)
-        stops = any(floor > above for floor in prefixes.values())
-        if bounded is None:
-            assert stops and q > above
+        ceiling = subcube_quality_ceiling(draws, float(cloud.points.max()))
+        assert q <= ceiling <= subcube_quality_ceiling(draws, side)
+        bounded = coverage_quality(cloud, 500, seed, below=below, above=above)
+        if ceiling < below:
+            assert bounded == -math.inf and q < below
+        elif any(floor > above for floor in prefixes.values()):
+            assert bounded == math.inf and q > above
         else:
-            assert not stops and bounded.hex() == q.hex()
+            assert bounded.hex() == q.hex()
+        # a ceiling one ulp below ``below`` rejects the cloud; one at it does not
+        assert coverage_quality(cloud, 500, seed, below=math.nextafter(ceiling, math.inf)) == -math.inf
+        assert coverage_quality(cloud, 500, seed, below=ceiling).hex() == q.hex()
         if prefixes:
             # a floor one ulp above ``above`` stops the pass; none above it does not
             highest = max(prefixes.values())
-            assert coverage_quality(cloud, 500, seed, math.nextafter(highest, -math.inf)) is None
-            assert coverage_quality(cloud, 500, seed, highest).hex() == q.hex()
+            assert coverage_quality(cloud, 500, seed, above=math.nextafter(highest, -math.inf)) == math.inf
+            assert coverage_quality(cloud, 500, seed, above=highest).hex() == q.hex()
         # distances are a KD-tree's, bit for bit while it sums the squares in
         # order (up to 7 coordinates; beyond, scipy sums them in four lanes)
         reference, _ = cKDTree(cloud.points).query(draws)

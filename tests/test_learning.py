@@ -235,11 +235,11 @@ def calibration_outcome(calibrate, task, target, n_points, seed) -> tuple:
 
 
 def counting_completed(calls: list[int]):
-    """``coverage_quality`` that adds its completed evaluations (a result,
-    not ``None``) to ``calls[0]``."""
+    """``coverage_quality`` that adds its completed evaluations (a finite
+    result, not a bound's infinity) to ``calls[0]``."""
     def counted(*args, **kwargs):
         q = coverage_quality(*args, **kwargs)
-        calls[0] += q is not None
+        calls[0] += math.isfinite(q)
         return q
     return counted
 
@@ -282,14 +282,17 @@ class TestCalibrationSkips:
     def test_matches_reference(self, dimension, n_points, target, seed):
         assert_matches_reference(TASKS[dimension], target, n_points, seed)
 
-    @pytest.mark.parametrize("dimension, n_points, seed", [(1, 10, 1), (2, 1, 1), (2, 200, 2), (3, 40, 4)])
+    @pytest.mark.parametrize("dimension, n_points, seed",
+                             [(1, 10, 1), (1, 12, 165), (2, 1, 1), (2, 200, 2), (3, 40, 4)])
     @pytest.mark.parametrize("end, offset", [
         (1.0, 0.006), (1.0, 0.01), (1.0, 0.015), (1.0, 0.0199), (1e-3, -0.006), (1e-3, -0.0199),
     ])
     def test_matches_reference_without_convergence(self, dimension, n_points, seed, end, offset):
         # a target just out of reach at either end: every bisection runs, and
         # the skipped sides are evaluated before the winner is picked (in some
-        # of these clouds a skipped side near 1 covers more than the full cube)
+        # of these clouds a skipped side near 1 covers more than the full cube).
+        # In (1, 12, 165) side 1's ceiling lies below the band at offsets 0.015
+        # and 0.0199: side 1 is tested against the top of the band only
         task = TASKS[dimension]
         target = quality_at_side(task, n_points, seed, end) + offset
         _, ref_calls = assert_matches_reference(task, target, n_points, seed)
@@ -331,13 +334,13 @@ class TestCalibrationSkips:
         target = 0.6
         calls = []
 
-        def quality(side: float, above: float = math.inf) -> float | None:
+        def quality(side: float, *, below: float = -math.inf, above: float = math.inf) -> float:
+            # no ceiling here: no side is rejected below
             calls.append(above)
             q = target + 0.006 if side == 1.0 else target - 0.05
-            return None if q > above else q
+            return math.inf if q > above else q
 
-        draws = np.zeros((1, 2))  # a ceiling of 1 skips no side below
-        assert learning._bisect_side(quality, draws, target) == (1.0, target + 0.006)
+        assert learning._bisect_side(quality, target) == (1.0, target + 0.006)
         assert len(calls) == MAX_BISECTIONS + 3 and calls[-1] == math.inf
 
     def test_shipped_seed_needs_fewer_evaluations(self):
@@ -583,16 +586,21 @@ class TestSchemeComparison:
         assert "orderings" in summary and "flat_items" in summary
 
     def test_summary_writes_null_for_missing_means(self, tmp_path):
-        # nobody passes in the tiny population, so no scheme has an accuracy
-        report = run_scheme_comparison(tiny_ml_config())
+        # nobody passes in the tiny population, so no scheme has an accuracy,
+        # and no ordering verdict compares two means
+        report = run_scheme_comparison(tiny_ml_config(c_values=[1.0, 2.0]))
         report.summary_to_json(tmp_path / "summary.json")
 
         def reject(token):
             raise ValueError(f"invalid JSON token {token}")
 
         summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
-        means = summary["orderings"]["per_c"]["1.0"]["means"]
-        assert means == {"contract": None, "fedavg": None, "flat": None}
+        nothing = {"contract": None, "fedavg": None, "flat": None}
+        assert list(summary["orderings"]["per_c"]) == ["1.0", "2.0"]
+        for entry in summary["orderings"]["per_c"].values():
+            assert entry == {"means": nothing, "contract_ge_fedavg": None,
+                             "degenerate_equal": None, "fedavg_ge_flat": None}
+        assert summary["orderings"]["contract_small_c_ge_large_c"] is None
 
     def test_coverage_accuracy_link(self, task2d):
         # at equal effort, higher measured coverage should rank with higher

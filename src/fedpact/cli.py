@@ -111,17 +111,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
     report.rounds_to_csv(out / "comparison.csv")
     report.clients_to_csv(out / "clients.csv")
     report.summary_to_json(out / "summary.json")
-    orderings = report.orderings()
+    orderings = report.summary()["orderings"]  # what summary.json holds, None as null
     print(f"comparison: {out / 'comparison.csv'}")
     for c_key, entry in orderings["per_c"].items():
-        means = ", ".join(f"{s}={v:.4f}" for s, v in entry["means"].items())
+        means = ", ".join(f"{s}={_shown(v)}" for s, v in entry["means"].items())
         print(f"c={c_key}: {means}")
         for claim in ("contract_ge_fedavg", "fedavg_ge_flat"):
             if claim in entry:
-                print(f"  {claim}: {entry[claim]}")
+                print(f"  {claim}: {_shown(entry[claim])}")
     if "contract_small_c_ge_large_c" in orderings:
-        print(f"contract_small_c_ge_large_c: {orderings['contract_small_c_ge_large_c']}")
+        print(f"contract_small_c_ge_large_c: {_shown(orderings['contract_small_c_ge_large_c'])}")
     return EXIT_OK
+
+
+def _shown(value: float | bool | None) -> str:
+    """A mean to four places or a verdict, ``null`` where summary.json has null."""
+    return "null" if value is None else f"{value:.4f}" if isinstance(value, float) else str(value)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,21 +23,20 @@ above on the same samples; it runs the same pass over each sample's gaps
 beyond the sub-cube, so it bounds the computed quality, rounding included.
 A cloud is no farther from a sample than any subset of its points, so each
 prefix of the cloud bounds its quality from below.  ``coverage_quality``
-keeps a running minimum over the prefixes ending at ``QUALITY_PREFIXES``,
-then over all points; the minimum is exact and the square root correctly
-rounded, hence monotone, so a full pass gives the bits of one pass over
-every point.  Given a band, it returns -inf when the ceiling at the cloud's
-largest coordinate lies below it, and inf once a prefix's quality is above.
+makes one pass, a running minimum of squared distances, and checks both
+bounds against its band, the floor at the prefix ends ``QUALITY_PREFIXES``;
+the square root is correctly rounded, hence monotone, so each floor and the
+quality have the bits of a pass over just those points.  Seeds are integers
+only; the last seed's samples are memoised.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .seeding import as_generator
 
 QUALITY_PREFIXES = (8, 16, 32, 64)  # prefix ends at which coverage_quality may stop early
 
@@ -72,17 +71,17 @@ class PointCloud:
     def is_empty(self) -> bool:
         return len(self) == 0
 
-    def nearest_distances(self, queries: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """Euclidean distance from each query point to its nearest cloud point
-        among ``rows`` (all points by default)."""
+    def nearest_distances(self, queries: np.ndarray) -> np.ndarray:
+        """Euclidean distance from each query point to its nearest cloud point."""
         if self.is_empty:
             raise ValueError("empty cloud has no nearest distances")
-        return _nearest_distances(queries, self.points[rows])
+        *_, nearest = _running_nearest(queries, self.points)
+        return np.sqrt(nearest)
 
 
-def _nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Distance from each query row to its nearest row of ``points`` (inf if none),
-    each square summed over the coordinates in order: a subset is never nearer."""
+def _running_nearest(queries: np.ndarray, points: np.ndarray) -> Iterator[np.ndarray]:
+    """After each row of ``points``, yield (in one array, updated in place) each
+    query row's squared distance to its nearest row so far, summed in order."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     points = np.asarray(points, dtype=float)
     if queries.ndim != 2 or queries.shape[1:] != points.shape[1:]:
@@ -90,7 +89,7 @@ def _nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     if not np.isfinite(queries).all():
         raise ValueError("queries must be finite")
     first, *rest = np.ascontiguousarray(queries.T)
-    nearest = np.full(len(queries), np.inf)  # squared distance to the nearest point so far
+    nearest = np.full(len(queries), np.inf)
     squared, gap = np.empty(len(queries)), np.empty(len(queries))
     for head, *tail in points.tolist():
         np.subtract(first, head, out=squared)
@@ -99,21 +98,20 @@ def _nearest_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
             np.subtract(column, coordinate, out=gap)
             squared += np.multiply(gap, gap, out=gap)
         np.minimum(nearest, squared, out=nearest)
-    return np.sqrt(nearest)
+        yield nearest
 
 
-def quality_draws(dimension: int, samples: int, seed: int | np.random.Generator) -> np.ndarray:
+def _quality(nearest: np.ndarray, dimension: int) -> float:
+    """1 - mean nearest distance / sqrt(d), from the squared distances."""
+    return 1.0 - float(np.mean(np.sqrt(nearest))) / math.sqrt(dimension)
+
+
+@lru_cache(maxsize=1, typed=True)
+def quality_draws(dimension: int, samples: int, seed: int) -> np.ndarray:
     """The ``samples`` uniform draws from [0, 1]^d that ``coverage_quality``
-    integrates over for ``seed``.  The last integer seed's draws are kept and
-    shared, read-only; a generator is drawn from afresh on every call."""
-    if isinstance(seed, (int, np.integer)):
-        return _seeded_draws(dimension, samples, seed)
-    return as_generator(seed).random((samples, dimension))
-
-
-@lru_cache(maxsize=1)
-def _seeded_draws(dimension: int, samples: int, seed: int) -> np.ndarray:
-    draws = as_generator(seed).random((samples, dimension))
+    integrates over for the integer ``seed``; any other seed raises
+    ``TypeError``.  The last call's draws are kept and shared, read-only."""
+    draws = np.random.default_rng(np.random.SeedSequence(seed)).random((samples, dimension))
     draws.setflags(write=False)
     return draws
 
@@ -123,39 +121,35 @@ def subcube_quality_ceiling(draws: np.ndarray, side: float) -> float:
     cloud inside [0, side]^d: 1 - mean distance to the sub-cube / sqrt(d)."""
     # a draw's distance to the sub-cube is that of its gaps beyond it to the origin
     gaps = np.maximum(draws - side, 0.0)
-    distances = _nearest_distances(gaps, np.zeros((1, draws.shape[1])))
-    return 1.0 - float(np.mean(distances)) / math.sqrt(draws.shape[1])
+    *_, nearest = _running_nearest(gaps, np.zeros((1, draws.shape[1])))
+    return _quality(nearest, draws.shape[1])
 
 
 def coverage_quality(
     cloud: PointCloud,
     samples: int,
-    seed: int | np.random.Generator,
+    seed: int,
     *,
     below: float = -math.inf,
     above: float = math.inf,
 ) -> float:
     """Normalized integral of the radius coverage over eps in [0, sqrt(d)].
 
-    Exact on ``samples`` uniform draws from the unit cube:
-    1 - mean nearest-point distance / sqrt(d).  Returns a value in
-    [0, 1]; 0 for the empty cloud.  ``-inf`` instead when the ceiling at
+    Exact on ``samples`` uniform draws from the unit cube for the integer
+    ``seed``: 1 - mean nearest-point distance / sqrt(d).  Returns a value
+    in [0, 1]; 0 for the empty cloud.  ``-inf`` instead when the ceiling at
     the cloud's largest coordinate is below ``below``, ``inf`` when a
     shorter prefix's quality (see ``QUALITY_PREFIXES``) exceeds ``above``.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
+    draws = quality_draws(cloud.dimension, samples, seed)
     if cloud.is_empty:
         return 0.0
-    draws = quality_draws(cloud.dimension, samples, seed)
     if below > -math.inf and subcube_quality_ceiling(draws, float(cloud.points.max())) < below:
         return -math.inf
-    nearest = np.full(samples, np.inf)
-    start = 0
-    for end in (*(end for end in QUALITY_PREFIXES if end < len(cloud)), len(cloud)):
-        np.minimum(nearest, cloud.nearest_distances(draws, slice(start, end)), out=nearest)
-        quality = 1.0 - float(np.mean(nearest)) / math.sqrt(cloud.dimension)
-        if quality > above and end < len(cloud):
+    d = cloud.dimension
+    for count, nearest in enumerate(_running_nearest(draws, cloud.points), 1):
+        if count in QUALITY_PREFIXES and count < len(cloud) and _quality(nearest, d) > above:
             return math.inf
-        start = end
-    return quality
+    return _quality(nearest, d)

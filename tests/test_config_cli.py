@@ -592,6 +592,28 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert "orderings" in summary
 
+    def test_compare_prints_null_where_summary_has_null(self, tmp_path, mnist_config_path, capsys):
+        # criterion 9's small compare: no client passes, so no scheme has a mean
+        out = tmp_path / "out"
+        payload = {
+            **ExperimentConfig.from_json(mnist_config_path).to_dict(),
+            "mode": "ml", "population": 8, "seeds": [1, 2], "c_values": [0.5, 2.0],
+            "profile": {"thetas": [0.55, 0.7, 0.85], "betas": [0.4, 0.3, 0.3], "c": 1.0},
+            "curve": {"kind": "exponential", "a": 0.022, "b": 4.6},
+            "benchmarks": [0.52, 0.58, 0.64],
+            "task": {"dimension": 2, "classes": 2, "test_size": 400, "seed": 7},
+            "training": {"max_epochs": 10, "n_points": 60, "learning_rate": 0.8,
+                         "batch_size": 16},
+            "out_dir": str(out),
+        }
+        assert main(["compare", "--config", str(write_config(tmp_path, payload))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "c=0.5: contract=null, fedavg=null, flat=null" in lines
+        assert "  contract_ge_fedavg: null" in lines
+        orderings = json.loads((out / "summary.json").read_text())["orderings"]
+        assert orderings["per_c"]["0.5"]["means"] == {"contract": None, "fedavg": None, "flat": None}
+        assert orderings["per_c"]["0.5"]["contract_ge_fedavg"] is None
+
     def test_cli_entrypoint_subprocess(self, tmp_path):
         config = write_config(tmp_path, base_payload(out_dir=str(tmp_path / "out")))
         proc = subprocess.run(

@@ -106,6 +106,7 @@ class TestQualityBounds:
            above=st.one_of(st.floats(-0.5, 1.5), st.just(math.inf)))
     @example(dimension=2, n_points=200, side=0.5, seed=1, below=-math.inf, above=1.5)  # every prefix runs
     @example(dimension=3, n_points=9, side=1.0, seed=2, below=-math.inf, above=-1.0)  # stops at the first
+    @example(dimension=3, n_points=8, side=1.0, seed=2, below=-math.inf, above=-1.0)  # no shorter prefix
     @example(dimension=2, n_points=9, side=0.1, seed=3, below=0.9, above=math.inf)  # the ceiling rejects
     def test_bounded_quality_is_exact_or_stops_on_a_prefix_floor(
         self, dimension, n_points, side, seed, below, above
@@ -116,7 +117,7 @@ class TestQualityBounds:
 
         def one_pass(end: int) -> float:
             # the quality of the first ``end`` points, in a single pass
-            distances = cloud.nearest_distances(draws, slice(0, end))
+            distances = PointCloud(dimension, cloud.points[:end]).nearest_distances(draws)
             return 1.0 - float(np.mean(distances)) / math.sqrt(dimension)
 
         q = coverage_quality(cloud, 500, seed)
@@ -205,8 +206,8 @@ class TestPointCloud:
 
 
 class TestNearestDistances:
-    """The nearest-distance pass rejects what a KD-tree query rejects, over
-    any rows of the cloud and in the ceiling."""
+    """The nearest-distance pass rejects what a KD-tree query rejects, for
+    the cloud and in the ceiling."""
 
     CLOUD = PointCloud(2, [[0.2, 0.7], [0.9, 0.1]])
 
@@ -214,8 +215,6 @@ class TestNearestDistances:
     def test_rejects_dimension_mismatch(self, queries):
         with pytest.raises(ValueError, match="do not match"):
             self.CLOUD.nearest_distances(queries)
-        with pytest.raises(ValueError, match="do not match"):
-            self.CLOUD.nearest_distances(queries, slice(1, 2))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_queries(self, bad):
@@ -228,7 +227,7 @@ class TestNearestDistances:
 
     def test_single_query_row(self):
         assert self.CLOUD.nearest_distances([0.2, 0.7]).tolist() == [0.0]
-        far = self.CLOUD.nearest_distances([0.2, 0.7], slice(1, None))
+        far = PointCloud(2, self.CLOUD.points[1:]).nearest_distances([0.2, 0.7])
         assert far.tolist() == pytest.approx([math.hypot(0.7, 0.6)])
 
 
@@ -241,12 +240,14 @@ class TestQualityDraws:
             draws[0, 0] = 0.5
         assert draws.tobytes() == np.random.default_rng(1).random((50, 2)).tobytes()
 
-    def test_generator_draws_afresh(self):
-        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
-        first, second = quality_draws(2, 50, rng), quality_draws(2, 50, rng)
-        assert first.tobytes() == twin.random((50, 2)).tobytes()
-        assert second.tobytes() == twin.random((50, 2)).tobytes()
-        assert first.tobytes() != second.tobytes()
+    @pytest.mark.parametrize("seed", [np.random.default_rng(3), 3.0], ids=["generator", "float"])
+    def test_only_integer_seeds(self, seed):
+        cloud = PointCloud(2, [[0.2, 0.7]])
+        coverage_quality(cloud, 50, 3)  # a float equal to the memoised seed is no hit
+        with pytest.raises(TypeError):
+            coverage_quality(cloud, 50, seed)
+        with pytest.raises(TypeError):
+            coverage_quality(PointCloud(2, []), 50, seed)
 
 
 def test_coverage_does_not_load_scipy():

@@ -48,15 +48,17 @@ class CalibrationError(ValueError):
 
     ``best`` is the measured quality closest to ``target``; quality need
     not grow with the side, so an unmeasured side may come closer.
+    ``where``, if given, names the dataset and leads the message.
     """
 
-    def __init__(self, target: float, best: float):
+    def __init__(self, target: float, best: float, where: str = ""):
         self.target = target
         self.best = best
-        super().__init__(
+        message = (
             f"coverage quality {target:.4f} not reached by bisection or grid scan on the "
             f"side; closest measured is {best:.4f}"
         )
+        super().__init__(f"{where}: {message}" if where else message)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +207,9 @@ class ClientDataset:
 
 CALIBRATION_TOLERANCE = 0.02  # largest accepted |measured - target| quality
 CALIBRATION_STOP = 0.25 * CALIBRATION_TOLERANCE  # bisection ends within this of the target
-QUALITY_SAMPLES = 4000  # Monte Carlo draws per coverage_quality evaluation
+# shifted R_d draws per coverage_quality evaluation: the fewest, in powers of
+# two, whose RMS quality error is no larger than 4,000 i.i.d. draws' at d = 1-5
+QUALITY_SAMPLES = 512
 MAX_BISECTIONS = 40
 CALIBRATION_GRID = np.linspace(1e-3, 1.0, 100).tolist()  # sides scanned when bisection fails
 
@@ -596,7 +600,8 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
     the aggregation weights.  A seed's rounds are all signed up before
     any client trains, so every client of the seed trains in one
     lockstep run (``_epoch_snapshots``).  Everything is deterministic
-    per config.
+    per config.  A dataset that cannot be calibrated raises
+    ``CalibrationError`` naming its seed, client, type and dimension.
     """
     if config.mode != "ml":
         raise ConfigError("mode: compare requires mode='ml' (trains real models)")
@@ -612,15 +617,18 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
 
     for seed in config.seeds:
         draws = sample_population(config.build_profile(), config.population, child_rng(seed, 10))
-        datasets = [
-            generate_client_dataset(
-                task,
-                target_theta=config.thetas[type_idx],
-                n_points=train.n_points,
-                seed=int(child_rng(seed, 20, cid).integers(2**31)),
-            )
-            for cid, type_idx in enumerate(draws)
-        ]
+        datasets = []
+        for cid, type_idx in enumerate(draws.tolist()):
+            try:
+                datasets.append(generate_client_dataset(
+                    task,
+                    target_theta=config.thetas[type_idx],
+                    n_points=train.n_points,
+                    seed=int(child_rng(seed, 20, cid).integers(2**31)),
+                ))
+            except CalibrationError as err:
+                where = f"seed {seed}, client {cid}, type {type_idx + 1}, dimension {task.dimension}"
+                raise CalibrationError(err.target, err.best, where) from err
 
         booked = []
         wanted: dict[int, set[int]] = {}  # the epoch counts each participant trains

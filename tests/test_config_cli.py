@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fedpact.cli import main
 from fedpact.config import ConfigError, ExperimentConfig
 from fedpact.contracts import solve_optimal_menu, verify_feasibility
+from fedpact.learning import CalibrationError, run_scheme_comparison
 from fedpact.simulation import run_round
 from conftest import random_benchmarks, random_curve_section, random_profile, src_env
 
@@ -497,6 +498,23 @@ class TestCli:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), lines
         assert not any(out.iterdir())
+
+    def test_calibration_error_names_its_client(self, tmp_path, synthetic_config_path, capsys):
+        # the shipped thetas at d = 5: 120 points cannot reach the top type's
+        # 0.91, and the error says which seed, client, type and dimension
+        payload = json.loads(synthetic_config_path.read_text())
+        payload["task"]["dimension"] = 5
+        payload.update(seeds=[1, 2], population=10, out_dir=str(tmp_path / "out"))
+        config = write_config(tmp_path, payload)
+        assert main(["compare", "--config", str(config)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: seed 1, client 9, type 10, dimension 5: coverage quality 0.9100 not "
+            "reached by bisection or grid scan on the side; closest measured is 0.8742"
+        ]
+        with pytest.raises(CalibrationError) as err:
+            run_scheme_comparison(ExperimentConfig.from_json(config))
+        assert err.value.target == 0.91
+        assert err.value.best == pytest.approx(0.8742, abs=5e-5)
 
     def test_audit_rejects_misplaced_index(self, tmp_path, mnist_config_path, capsys):
         # the solved mnist menu with 7 as every item's index

@@ -22,6 +22,7 @@ from fedpact.coverage import (
     quality_draws,
     subcube_quality_ceiling,
 )
+from fedpact.learning import QUALITY_SAMPLES
 
 from conftest import src_env
 
@@ -34,7 +35,7 @@ def reference_quality(cloud: PointCloud, samples: int, seed: int, steps: int = 2
     """Brute-force nearest distances on the same draws, then a fine trapezoid
     of the empirical radius coverage mu(eps) over [0, sqrt(d)]."""
     diameter = math.sqrt(cloud.dimension)
-    draws = np.random.default_rng(seed).random((samples, cloud.dimension))
+    draws = quality_draws(cloud.dimension, samples, seed)
     gaps = draws[:, None, :] - cloud.points[None, :, :]
     dist = np.sort(np.sqrt((gaps**2).sum(axis=2).min(axis=1)))
     radii = np.linspace(0.0, diameter, steps)
@@ -238,7 +239,36 @@ class TestQualityDraws:
         assert not draws.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             draws[0, 0] = 0.5
-        assert draws.tobytes() == np.random.default_rng(1).random((50, 2)).tobytes()
+        # the R_2 sequence, shifted: alpha = (1/phi, 1/phi^2) for the plastic
+        # number phi (phi^3 = phi + 1), the shift a uniform draw from the seed
+        phi = 1.324717957244746
+        alpha = np.array([1.0 / phi, 1.0 / phi / phi])
+        shift = np.random.default_rng(1).random(2)
+        expected = (np.arange(1, 51)[:, None] * alpha + shift) % 1.0
+        assert draws.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dimension=st.integers(1, 10), samples=st.integers(1, 3000),
+           more=st.integers(1, 1000), seed=st.integers(0, 2**31 - 1))
+    def test_draws_are_a_deterministic_prefix_in_the_unit_cube(self, dimension, samples, more, seed):
+        draws = quality_draws(dimension, samples, seed).copy()
+        assert draws.shape == (samples, dimension)
+        assert ((draws >= 0.0) & (draws < 1.0)).all()
+        assert quality_draws(dimension, samples + more, seed)[:samples].tobytes() == draws.tobytes()
+        assert quality_draws(dimension, samples, seed + 1).tobytes() != draws.tobytes()
+        quality_draws.cache_clear()  # a fresh computation gives the same bits
+        assert quality_draws(dimension, samples, seed).tobytes() == draws.tobytes()
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5])
+    def test_calibration_draws_are_accurate(self, dimension):
+        # fixed 120-point clouds in sub-cubes of sides 0.3-1: the quality on
+        # QUALITY_SAMPLES draws lies within 3e-3 of a 2^16-draw reference
+        rng = np.random.default_rng(50 + dimension)
+        for side in (0.3, 0.65, 1.0):
+            cloud = PointCloud(dimension, rng.random((120, dimension)) * side)
+            seed = int(rng.integers(2**31))
+            reference = coverage_quality(cloud, 2**16, seed + 1)
+            assert coverage_quality(cloud, QUALITY_SAMPLES, seed) == pytest.approx(reference, abs=3e-3)
 
     @pytest.mark.parametrize("seed", [np.random.default_rng(3), 3.0], ids=["generator", "float"])
     def test_only_integer_seeds(self, seed):
@@ -248,6 +278,8 @@ class TestQualityDraws:
             coverage_quality(cloud, 50, seed)
         with pytest.raises(TypeError):
             coverage_quality(PointCloud(2, []), 50, seed)
+        with pytest.raises(TypeError):
+            quality_draws(2, 50, seed)
 
 
 def test_coverage_does_not_load_scipy():

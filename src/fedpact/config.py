@@ -264,11 +264,13 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
         except FileNotFoundError as exc:
             raise ConfigError(f"{path}: no such config file") from exc
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(payload, dict):
             raise ConfigError(f"{path}: top level must be an object")

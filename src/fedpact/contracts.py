@@ -172,8 +172,12 @@ class ContractMenu:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ContractMenu":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        return cls.from_dict(payload)
 
 
 def _item_from_dict(payload: dict, k: int) -> list[float]:

@@ -276,10 +276,18 @@ class RoundOutcome:
         ids = self._weight_holders
         return dict(zip(ids.tolist(), self.type_weight[self.client_type[ids]].tolist()))
 
-    def _ledger_fields(self) -> dict:
-        """The ledger's fields except ``aggregation_weights``."""
+    def to_json(self, path: str | Path) -> None:
+        """The ledger in the ``_JSON`` layout, the encoder of every JSON output.
+
+        One ``_JSON.encode`` call lays out the fields, ``aggregation_weights``
+        encoded empty; the weight holders' ``"<id>": <weight>`` members are
+        streamed into that object from per-type text, each type's weight
+        encoded once, in the decimal text order of the ids that sorted keys
+        give ("10" before "9").
+        """
         n = len(self.client_type)
-        return {
+        empty = _JSON.encode("aggregation_weights") + _JSON.key_separator + "{}"
+        head, tail = _JSON.encode({
             "mode": self.mode,
             "n_clients": n,
             "participants": self.participants,
@@ -289,59 +297,24 @@ class RoundOutcome:
             "fees_forfeited": self.fees_forfeited,
             "realized_server_utility": self.realized_server_utility,
             "mean_server_utility_per_client": self.realized_server_utility / n,
+            "aggregation_weights": {},
             "tied_types": (np.flatnonzero(self.type_tied) + 1).tolist(),
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            **self._ledger_fields(),
-            "aggregation_weights": {str(k): v for k, v in self.aggregation_weights.items()},
-        }
-
-    def to_json(self, path: str | Path) -> None:
-        """The ledger, byte for byte as ``_write_json(self.to_dict(), path)``
-        writes it, without building ``to_dict``'s per-client weight map.
-
-        Keys and field values are encoded by ``_JSON``, the encoder of every
-        JSON output, and laid out with its indent and separators.  The
-        ``aggregation_weights`` object is streamed from per-type text: each
-        type's weight is encoded once, and the weight holders'
-        ``"<id>": <weight>`` members are written in chunks, in the decimal
-        text order of the ids that sorted keys give ("10" before "9").
-        """
-        fields = self._ledger_fields()
-        pad = " " * _JSON.indent
-        with open(path, "w") as fh:
-            fh.write("{")
-            for n, key in enumerate(sorted([*fields, "aggregation_weights"])):
-                fh.write(f"{_JSON.item_separator * bool(n)}\n{pad}{_JSON.encode(key)}")
-                fh.write(_JSON.key_separator)
-                if key in fields:
-                    fh.write(_JSON.encode(fields[key]).replace("\n", "\n" + pad))
-                else:
-                    self._write_weights(fh, pad)
-            fh.write("\n}\n")
-
-    def _write_weights(self, fh, pad: str) -> None:
-        """``aggregation_weights`` as the JSON object at nesting level 1."""
+        }).split(empty)
         ids = self._weight_holders
-        if not len(ids):
-            fh.write("{}")
-            return
-        ids = ids[_decimal_order(ids)]
-        # a digit string needs no escaping, so a key is its digits in quotes
-        member = [f'"{_JSON.key_separator}{_JSON.encode(w)}' for w in self.type_weight.tolist()]
-        sep = f"{_JSON.item_separator}\n{pad}{pad}"
-        fh.write(f"{{\n{pad}{pad}")
-        for start in range(0, len(ids), _ROWS_PER_WRITE):
-            block = ids[start:start + _ROWS_PER_WRITE]
-            if start:
-                fh.write(sep)
-            fh.write(sep.join([
-                f'"{cid}{member[t]}'
-                for cid, t in zip(block.tolist(), self.client_type[block].tolist())
-            ]))
-        fh.write(f"\n{pad}}}")
+        with open(path, "w") as fh:
+            fh.write(head + empty[:-1])  # up to the weights' closing brace
+            if len(ids):
+                ids = ids[_decimal_order(ids)]
+                # a digit string needs no escaping, so a key is its digits in quotes
+                member = "\n" + " " * 2 * _JSON.indent + '"'
+                fh.write(member)
+                _write_rows(
+                    fh, ids, self.client_type[ids],
+                    [f'"{_JSON.key_separator}{_JSON.encode(w)}' for w in self.type_weight.tolist()],
+                    _JSON.item_separator + member,
+                )
+                fh.write("\n" + " " * _JSON.indent)
+            fh.write("}" + tail + "\n")
 
     def clients_to_csv(self, path: str | Path) -> None:
         """Per-client rows: id, type, choice, effort, succeeded, fee, reward, success_prob.
@@ -365,16 +338,20 @@ class RoundOutcome:
                     f",{t + 1},{'reject' if j < 0 else j + 1},{effort!r},{success},"
                     f"{fee!r},{reward!r},{prob!r}\r\n"
                 )
-        tail_index = 2 * self.client_type + self.succeeded
         with open(path, "w", newline="") as fh:
             fh.write("id,type,choice,effort,succeeded,fee,reward,success_prob\r\n")
-            for start in range(0, len(tail_index), _ROWS_PER_WRITE):
-                fh.write("".join([
-                    f"{cid}{tails[k]}"
-                    for cid, k in enumerate(
-                        tail_index[start:start + _ROWS_PER_WRITE].tolist(), start
-                    )
-                ]))
+            keys = 2 * self.client_type + self.succeeded
+            _write_rows(fh, np.arange(len(keys)), keys, tails, "")
+
+
+def _write_rows(fh, ids: np.ndarray, keys: np.ndarray, texts: list[str], sep: str) -> None:
+    """``fh.write(sep.join(f"{id}{texts[key]}" for id, key in zip(ids, keys)))``,
+    ``_ROWS_PER_WRITE`` rows per write, so no per-row list of a file is built."""
+    for start in range(0, len(keys), _ROWS_PER_WRITE):
+        stop = start + _ROWS_PER_WRITE
+        fh.write(sep * bool(start) + sep.join([
+            f"{i}{texts[k]}" for i, k in zip(ids[start:stop].tolist(), keys[start:stop].tolist())
+        ]))
 
 
 def _running_total(terms: np.ndarray) -> float:

@@ -172,7 +172,7 @@ def test_criterion_4_coverage_oracle():
     )
 
 
-def test_criterion_5_truthful_selection(mnist_config_path):
+def test_criterion_5_truthful_selection(mnist_config_path, tmp_path):
     config = ExperimentConfig.from_json(mnist_config_path)
     profile = config.build_profile()
     curve = config.build_curve()
@@ -194,7 +194,8 @@ def test_criterion_5_truthful_selection(mnist_config_path):
             assert chosen == i - 1, f"tied client of type {i} chose {chosen}, not the lower item"
     elapsed = time.time() - start
     assert elapsed < 5.0
-    logged = outcome.to_dict()["tied_types"]
+    outcome.to_json(tmp_path / "round.json")
+    logged = json.loads((tmp_path / "round.json").read_text())["tied_types"]
     assert {cid for cid, t in enumerate(types) if t + 1 in logged} == tied_ids
     print(
         f"\n[PASS] criterion 5: 10000 clients truthful off ties; {tie_count} ties, "

@@ -361,6 +361,19 @@ class TestCli:
         assert not (tmp_path / "out").exists()
         assert "profile.thetas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    def test_unreadable_config_exits_2(self, kind, tmp_path, capsys):
+        # a path that is no file, or a file that is not UTF-8, is named by its path
+        config = tmp_path / "config.json"
+        if kind == "directory":
+            config.mkdir()
+        else:
+            config.write_bytes(b'{"schema_version": 1,\xff}')
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {config}: "), lines
+        assert not (tmp_path / "out").exists()
+
     def test_audit_feasible_and_tampered(self, tmp_path):
         out = tmp_path / "out"
         config = write_config(tmp_path, base_payload(out_dir=str(out)))
@@ -442,6 +455,18 @@ class TestCli:
         assert main(["audit", str(menu), "--config", str(config)]) == 4
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {where}"), lines
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [b'{"items": [\n', b'{"items": \xff}'],
+                             ids=["truncated", "undecodable"])
+    def test_audit_names_an_undecodable_menu(self, text, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, base_payload(out_dir=str(out)))
+        menu = tmp_path / "bad_menu.json"
+        menu.write_bytes(text)
+        assert main(["audit", str(menu), "--config", str(config)]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {menu}: not valid JSON ("), lines
         assert not out.exists()
 
     def test_audit_overflow_exits_4(self, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedpact.contracts import (
+    _JSON,
     ContractMenu,
     RevenueCurve,
     TypeProfile,
@@ -20,6 +21,7 @@ from fedpact.contracts import (
 )
 from fedpact.seeding import child_rng
 from fedpact.simulation import (
+    _ROWS_PER_WRITE,
     RoundOutcome,
     choose_contract,
     realize_success,
@@ -35,6 +37,12 @@ from conftest import (
     random_increasing_convex_curve,
     random_profile,
 )
+
+
+def written_ledger(outcome: RoundOutcome, path) -> bytes:
+    """The ledger as ``to_json`` writes it to ``path``."""
+    outcome.to_json(path)
+    return path.read_bytes()
 
 
 def rebated(menu: ContractMenu, delta: float = 1e-6) -> ContractMenu:
@@ -310,7 +318,9 @@ class TestRunRound:
                 bool(outcome.type_tied[t]), float(outcome.type_success_prob[t]),
             ) == expected, (kind, t)
 
-    def test_ties_logged_on_tight_menu(self, canonical_profile, canonical_curve, canonical_menu):
+    def test_ties_logged_on_tight_menu(
+        self, canonical_profile, canonical_curve, canonical_menu, tmp_path
+    ):
         outcome = run_round(canonical_profile, canonical_menu, canonical_curve, 2000, "analytic", seed=10)
         types = outcome.client_type.tolist()
         top = [cid for cid, t in enumerate(types) if t == 1]
@@ -318,15 +328,21 @@ class TestRunRound:
         assert all(outcome.type_tied[types[cid]] for cid in top)
         assert all(not outcome.type_tied[types[cid]] for cid in bottom)
         assert all(outcome.type_choice[types[cid]] == 0 for cid in bottom)
-        logged = outcome.to_dict()["tied_types"]
+        logged = json.loads(written_ledger(outcome, tmp_path / "round.json"))["tied_types"]
         assert {cid for cid, t in enumerate(types) if t + 1 in logged} == set(top)
 
-    def test_deterministic_bit_for_bit(self, canonical_profile, canonical_curve, canonical_menu):
-        a = run_round(canonical_profile, canonical_menu, canonical_curve, 300, "ml", seed=11)
-        b = run_round(canonical_profile, canonical_menu, canonical_curve, 300, "ml", seed=11)
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
-        c = run_round(canonical_profile, canonical_menu, canonical_curve, 300, "ml", seed=12)
-        assert json.dumps(a.to_dict(), sort_keys=True) != json.dumps(c.to_dict(), sort_keys=True)
+    def test_deterministic_bit_for_bit(
+        self, canonical_profile, canonical_curve, canonical_menu, tmp_path
+    ):
+        a, b, c = (
+            written_ledger(
+                run_round(canonical_profile, canonical_menu, canonical_curve, 300, "ml", seed),
+                tmp_path / f"round_{k}.json",
+            )
+            for k, seed in enumerate((11, 11, 12))
+        )
+        assert a == b
+        assert a != c
 
     def test_infeasible_menu_warns(self, canonical_profile, canonical_curve):
         menu = menu_of((0.125, 1.0, 0.3), (2.625, 2.0, 0.5))
@@ -397,6 +413,32 @@ class TestRunRound:
         weights = ledger["aggregation_weights"].values()
         if weights:
             assert math.isclose(math.fsum(weights), 1.0, abs_tol=1e-9)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        mode=st.sampled_from(["analytic", "ml"]),
+        silent=st.booleans(),
+    )
+    def test_ledger_has_the_json_layout(self, seed, n, mode, silent, tmp_path_factory):
+        # the streamed ledger is _JSON's encoding of what it decodes to; a
+        # zero menu (every type takes effort 0) leaves no weight holder
+        rng = np.random.default_rng(seed)
+        profile = random_profile(rng)
+        benchmarks = random_benchmarks(rng, len(profile))
+        curve = random_increasing_convex_curve(rng, benchmarks)
+        if silent:
+            menu = menu_of(*[(0.0, 0.0, m) for m in benchmarks.tolist()])
+        else:
+            menu = solve_optimal_menu(profile, curve, benchmarks)
+        outcome = run_round(profile, menu, curve, n, mode, seed=seed)
+        text = written_ledger(outcome, tmp_path_factory.mktemp("ledger") / "round.json").decode()
+        ledger = json.loads(text)
+        assert text == _JSON.encode(ledger) + "\n"
+        assert len(ledger["aggregation_weights"]) == len(outcome.aggregation_weights)
+        if silent:
+            assert ledger["aggregation_weights"] == {}
 
     def test_analytic_expected_accounting(self):
         profile = TypeProfile.from_arrays([0.6], [1.0], 1.0)
@@ -552,6 +594,13 @@ def equivalence_cases():
         ("equal-rewards", profile,
          menu_of((0.01, 0.3, 0.3), (0.01, 0.3, 0.5)), curve, 300),
     ]
+    # one type: in analytic mode every client holds a weight, so both files
+    # fill exactly one write, or spill one row past it
+    single = TypeProfile.from_arrays([0.8], [1.0], 1.0)
+    single_curve = RevenueCurve.from_table([0.4], [1.0])
+    single_menu = solve_optimal_menu(single, single_curve, [0.4])
+    for n in (_ROWS_PER_WRITE, _ROWS_PER_WRITE + 1):
+        cases.append((f"one-type-{n}", single, single_menu, single_curve, n))
     rng = np.random.default_rng(2026)
     for k in range(10):
         random = random_profile(rng)
@@ -583,8 +632,8 @@ class TestPerTypeEngine:
         assert outcome.aggregation_weights == weights
         assert list(outcome.aggregation_weights) == list(weights)
         assert tuple(np.flatnonzero(outcome.type_tied[outcome.client_type]).tolist()) == ties
-        assert outcome.to_dict()["tied_types"] == tied_types
         outcome.to_json(tmp_path / "round.json")
+        assert json.loads((tmp_path / "round.json").read_text())["tied_types"] == tied_types
         outcome.clients_to_csv(tmp_path / "round.csv")
         ref_json, ref_csv = reference_files(clients, ledger, mode, tmp_path)
         assert (tmp_path / "round.json").read_bytes() == ref_json
@@ -599,7 +648,8 @@ class TestPerTypeEngine:
         keys = [key for key, _ in ledger["aggregation_weights"]]
         assert keys == sorted(keys) and {len(k) for k in keys} == {1, 2, 3, 4, 5}
         silent = run_round(*cases["no-passers"], "ml", 31)
-        assert silent.participants == 200 and silent.to_dict()["aggregation_weights"] == {}
+        assert silent.participants == 200
+        assert json.loads(written_ledger(silent, tmp_path / "silent.json"))["aggregation_weights"] == {}
         assert run_round(*cases["no-passers"], "analytic", 31).aggregation_weights
         equal = run_round(*cases["equal-rewards"], "ml", 31)
         k = equal.successes

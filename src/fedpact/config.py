@@ -270,7 +270,7 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: no such config file") from exc
         except OSError as exc:
             raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(payload, dict):
             raise ConfigError(f"{path}: top level must be an object")

@@ -175,7 +175,7 @@ class ContractMenu:
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
         return cls.from_dict(payload)
 
@@ -399,11 +399,25 @@ class FeasibilityReport:
         return out
 
     def to_dict(self) -> dict:
+        """The written report, O(I) apart from ``binding``: ``ir``, each type's
+        worst IC slack ``ic_min`` over the other items, the 1-based item
+        ``ic_argmin`` that first reaches it (both ``[None]`` at I = 1, which
+        has no IC pair) and ``binding``, the pairs of ``ic_binding``.  Every
+        IC slack is at least its row's ``ic_min``, so ``feasible`` is true
+        iff every ``ir`` and ``ic_min`` entry is >= -tolerance."""
+        others = self.ic_slacks.copy()
+        np.fill_diagonal(others, np.inf)
+        if len(others) == 1:
+            ic_min, ic_argmin = [None], [None]
+        else:
+            ic_min, ic_argmin = others.min(axis=1).tolist(), (others.argmin(axis=1) + 1).tolist()
         return {
             "feasible": self.feasible,
             "tolerance": self.tolerance,
             "ir": self.ir_slacks.tolist(),
-            "ic": self.ic_slacks.tolist(),
+            "ic_min": ic_min,
+            "ic_argmin": ic_argmin,
+            "binding": [list(pair) for pair in self.ic_binding],
         }
 
     def to_json(self, path: str | Path) -> None:

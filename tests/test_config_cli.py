@@ -374,6 +374,15 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith(f"config error: {config}: "), lines
         assert not (tmp_path / "out").exists()
 
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        # deeper than the JSON decoder's recursion limit
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {config}: not valid JSON ("), lines
+        assert not (tmp_path / "out").exists()
+
     def test_audit_feasible_and_tampered(self, tmp_path):
         out = tmp_path / "out"
         config = write_config(tmp_path, base_payload(out_dir=str(out)))
@@ -386,7 +395,29 @@ class TestCli:
         tampered.write_text(json.dumps(menu))
         assert main(["audit", str(tampered), "--config", str(config)]) == 3
         audit = json.loads((out / "audit.json").read_text())
-        assert audit["ic"][1][0] == pytest.approx(-1.0)  # IC slack of type 2 vs item 1
+        # type 2's worst IC slack, against item 1
+        assert audit["ic_min"][1] == pytest.approx(-1.0)
+        assert audit["ic_argmin"][1] == 1
+
+    def test_reports_stay_small_at_2000_types(self, tmp_path, capsys):
+        # the shape of the benchmark's generated menu_scale config, at I = 2,000
+        rng = np.random.default_rng(2000)
+        n = 2000
+        payload = base_payload(
+            profile={"thetas": np.sort(rng.uniform(0.05, 1.0, n)).tolist(),
+                     "betas": rng.dirichlet(np.ones(n)).tolist(), "c": rng.uniform(0.5, 2.0)},
+            curve={"kind": "exponential", "a": rng.uniform(0.3, 1.0), "b": rng.uniform(0.5, 2.0)},
+            benchmarks=np.sort(rng.uniform(0.0, 1.0, n)).tolist(),
+            out_dir=str(tmp_path / "solve"),
+        )
+        config = write_config(tmp_path, payload)
+        assert main(["solve", "--config", str(config)]) == 0
+        menu = tmp_path / "solve" / "menu.json"
+        assert main(["audit", str(menu), "--config", str(config), "--out", str(tmp_path / "audit")]) == 0
+        assert capsys.readouterr().out.count("feasible: True") == 2
+        for report in (tmp_path / "solve" / "feasibility.json", tmp_path / "audit" / "audit.json"):
+            assert json.loads(report.read_text())["feasible"] is True
+            assert report.stat().st_size < 1_000_000
 
     def test_audit_stdout(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -457,8 +488,10 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith(f"error: {where}"), lines
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", [b'{"items": [\n', b'{"items": \xff}'],
-                             ids=["truncated", "undecodable"])
+    @pytest.mark.parametrize(
+        "text", [b'{"items": [\n', b'{"items": \xff}', b"[" * 100_000 + b"]" * 100_000],
+        ids=["truncated", "undecodable", "deeply-nested"],
+    )
     def test_audit_names_an_undecodable_menu(self, text, tmp_path, capsys):
         out = tmp_path / "out"
         config = write_config(tmp_path, base_payload(out_dir=str(out)))

@@ -218,11 +218,14 @@ class TestFeasibility:
         path = tmp_path / "report.json"
         report.to_json(path)
         payload = json.loads(path.read_text())
-        assert set(payload) == {"feasible", "tolerance", "ir", "ic"}
+        assert set(payload) == {"feasible", "tolerance", "ir", "ic_min", "ic_argmin", "binding"}
         assert payload["feasible"] is True
         assert abs(payload["ir"][0]) <= payload["tolerance"]  # IR binds at type 1
-        assert [len(row) for row in payload["ic"]] == [2, 2]
-        assert payload["ic"][0][0] == payload["ic"][1][1] == 0.0
+        assert len(payload["ic_min"]) == len(payload["ic_argmin"]) == 2
+        # the zero diagonal is no constraint: each row's worst slack is off it
+        assert payload["ic_argmin"] == [2, 1]
+        assert payload["ic_min"] == [report.ic_slack(1, 2), report.ic_slack(2, 1)]
+        assert payload["binding"] == [[2, 1]]
 
 
 def scalar_slacks(profile, menu):
@@ -237,6 +240,46 @@ def scalar_slacks(profile, menu):
     own = [u(theta, row) for theta, row in zip(thetas, rows)]
     ic = [[own[i] - u(theta, row) for row in rows] for i, theta in enumerate(thetas)]
     return own, ic
+
+
+class TestReportSummary:
+    """The written report's O(I) summary against the dense scalar slacks."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), kind=st.sampled_from(["solved", "random", "identical"]),
+           n=st.integers(1, 12))
+    def test_summary_matches_dense_slacks(self, data, kind, n):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        profile = random_profile(rng, n)
+        if kind == "solved":
+            benchmarks = random_benchmarks(rng, n)
+            menu = solve_optimal_menu(profile, random_increasing_convex_curve(rng, benchmarks), benchmarks)
+        elif kind == "random":
+            # rows drawn from a pool, so repeated items tie a row's minimum
+            pool = rng.uniform(0.0, 3.0, (data.draw(st.integers(1, n)), 2))
+            menu = menu_of(*(item(*pool[k]) for k in rng.integers(0, len(pool), n)))
+        else:  # every IC pair binds
+            menu = menu_of(*[item(data.draw(st.floats(0.0, 3.0)), data.draw(st.floats(0.0, 3.0)))] * n)
+        report = verify_feasibility(profile, menu)
+        payload = report.to_dict()
+        assert json.loads(contracts._JSON.encode(payload)) == payload
+
+        own, ic = scalar_slacks(profile, menu)
+        tol = report.tolerance
+        for i, (worst, argmin) in enumerate(zip(payload["ic_min"], payload["ic_argmin"])):
+            others = [(ic[i][j], j + 1) for j in range(n) if j != i]
+            # the lowest slack, and the lowest item index among its ties
+            assert (worst, argmin) == (min(others) if others else (None, None))
+        binding = [[i + 1, j + 1] for i in range(n) for j in range(n)
+                   if i != j and abs(ic[i][j]) <= tol]
+        assert payload["binding"] == binding == [list(pair) for pair in report.ic_binding]
+        if kind == "identical":
+            assert len(binding) == n * (n - 1)
+        verdict = all(s >= -tol for s in payload["ir"]) and all(
+            s >= -tol for s in payload["ic_min"] if s is not None
+        )
+        assert verdict == payload["feasible"] == report.feasible
+        assert payload["ir"] == own
 
 
 class TestUtilityMatrix:

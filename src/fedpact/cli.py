@@ -72,11 +72,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
     ir_binding, ic_binding = set(report.ir_binding), set(report.ic_binding)
     for i, slack in enumerate(report.ir_slacks.tolist(), start=1):
         print(f"  IR type {i}: slack {slack:.6g}{' (binding)' if i in ir_binding else ''}")
-    shown = report.ic_slacks <= report.tolerance  # binding or violated
-    np.fill_diagonal(shown, False)
-    for i, j in zip(*np.nonzero(shown)):
-        state = "binding" if (i + 1, j + 1) in ic_binding else "VIOLATED"
-        print(f"  IC {i + 1} vs {j + 1}: slack {report.ic_slacks[i, j]:.6g} ({state})")
+    for i, j, slack in report.tight:  # binding or violated
+        state = "binding" if (i, j) in ic_binding else "VIOLATED"
+        print(f"  IC {i} vs {j}: slack {slack:.6g} ({state})")
     if not report.feasible:
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -136,30 +134,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, fn, summary: str, *, seeds: bool = False, mode: bool = False):
+        """A subcommand with the flags its ``fn`` reads and no others."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed-override", dest="seed_override", type=int, default=None,
-                       help="replace the config's seed list with this single seed")
-        p.add_argument("--mode", choices=MODES, default=None,
-                       help="override the config's mode")
+        if seeds:
+            p.add_argument("--seed-override", dest="seed_override", type=int, default=None,
+                           help="replace the config's seed list with this single seed")
+        if mode:
+            p.add_argument("--mode", choices=MODES, default=None,
+                           help="override the config's mode")
+        p.set_defaults(fn=fn)
+        return p
 
-    p_solve = sub.add_parser("solve", help="solve the optimal menu for a config")
-    common(p_solve)
-    p_solve.set_defaults(fn=cmd_solve)
-
-    p_audit = sub.add_parser("audit", help="audit a menu file against a config's profile")
-    p_audit.add_argument("menu", help="menu JSON to audit")
-    common(p_audit)
-    p_audit.set_defaults(fn=cmd_audit)
-
-    p_sim = sub.add_parser("simulate", help="run contracting rounds per seed")
-    common(p_sim)
-    p_sim.set_defaults(fn=cmd_simulate)
-
-    p_cmp = sub.add_parser("compare", help="run the aggregation-scheme comparison")
-    common(p_cmp)
-    p_cmp.set_defaults(fn=cmd_compare)
+    command("solve", cmd_solve, "solve the optimal menu for a config")
+    command("audit", cmd_audit, "audit a menu file against a config's profile").add_argument(
+        "menu", help="menu JSON to audit")
+    command("simulate", cmd_simulate, "run contracting rounds per seed", seeds=True, mode=True)
+    command("compare", cmd_compare, "run the aggregation-scheme comparison", seeds=True)
 
     return parser
 

@@ -173,6 +173,7 @@ class ExperimentConfig:
         _require(len(self.schemes) >= 1, "schemes", "at least one scheme required")
         for s in self.schemes:
             _require(s in SCHEMES, "schemes", f"unknown scheme {s!r}, valid: {SCHEMES}")
+        _require_distinct(self.schemes, "schemes")
         _require_distinct(self.c_values, "c_values")
         _require(isinstance(self.out_dir, str) and self.out_dir != "", "out_dir",
                  f"must be a non-empty string, got {self.out_dir!r}")

@@ -29,8 +29,11 @@ benchmarks are not sorted), adjacent violating runs are pooled to their
 beta-weighted average and the fees are rebuilt by the same recursion.
 
 ``envelope_utilities`` is the one definition of the type-by-item utility
-table: ``verify_feasibility`` reads IR and every ordered IC pair from it,
-and ``simulation.choose_contract`` a type's whole response (its item,
+table.  ``verify_feasibility`` turns it in place into the I x I IC slack
+matrix, the only place that matrix exists, and returns a
+``FeasibilityReport`` of what ``solve`` and ``audit`` report: the IR slacks,
+each type's worst IC slack and every IC pair within tolerance of binding.
+``simulation.choose_contract`` reads a type's whole response (its item,
 clamped effort and tie flag) from that type's row.  ``grid_search_menu``
 provides an independent brute-force optimality oracle for small
 instances.
@@ -164,6 +167,7 @@ class ContractMenu:
         items = payload.get("items") if isinstance(payload, dict) else None
         if not isinstance(items, list):
             raise ValueError("menu: must be an object whose 'items' is a list")
+        _reject_unknown_keys(payload, ("items",), "menu: ")
         rows = [_item_from_dict(p, k) for k, p in enumerate(items)]
         return cls(*np.array(rows, dtype=np.float64).reshape(-1, 3).T)
 
@@ -180,13 +184,21 @@ class ContractMenu:
         return cls.from_dict(payload)
 
 
+def _reject_unknown_keys(payload: dict, known: tuple[str, ...], where: str) -> None:
+    for key in payload:
+        if key not in known:
+            raise ValueError(f"{where}{key}: unknown key, valid: {sorted(known)}")
+
+
 def _item_from_dict(payload: dict, k: int) -> list[float]:
     """Item ``k``'s (f, R, M) row, its index checked against its position."""
     where = f"items[{k}]"
     if not isinstance(payload, dict):
         raise ValueError(f"{where}: must be an object, got {payload!r}")
+    keys = ("index", "f", "R", "M")
+    _reject_unknown_keys(payload, keys, f"{where}.")
     values = []
-    for key in ("index", "f", "R", "M"):
+    for key in keys:
         if key not in payload:
             raise ValueError(f"{where}.{key}: missing")
         value = payload[key]
@@ -349,26 +361,29 @@ def server_expected_utility(
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityReport:
-    """IR and pairwise IC slacks for a menu against a type profile.
+    """IR slacks, and the IC slacks that decide a menu, against a type profile.
 
     Slack conventions (envelope utilities, raw best response):
       IR slack of type i:        ir_slacks[i - 1] = u_i(i)
-      IC slack of pair (i, j):   ic_slacks[i - 1, j - 1] = u_i(i) - u_i(j)
-    The diagonal of ``ic_slacks`` is zero and is not a constraint.
-    Feasible iff every slack >= -tolerance; a constraint binds when its
-    slack lies within tolerance of zero.  Pairs are listed in row-major
-    (i, j) order.
+      IC slack of pair (i, j):   u_i(i) - u_i(j), for every item j != i
+    ``ic_min[i - 1]`` is type i's worst IC slack and ``ic_argmin[i - 1]`` the
+    1-based item that first reaches it (both None at I = 1, which has no IC
+    pair).  ``tight`` holds the 1-based ``(i, j, slack)`` of every IC pair
+    whose slack is at most ``tolerance``, in row-major order.  Feasible iff
+    every IR slack and every ``ic_min`` is >= -tolerance; a constraint binds
+    when its slack lies within tolerance of zero.
     """
 
     ir_slacks: np.ndarray  # (I,)
-    ic_slacks: np.ndarray  # (I, I)
+    ic_min: tuple[float | None, ...]
+    ic_argmin: tuple[int | None, ...]
+    tight: tuple[tuple[int, int, float], ...]
     tolerance: float
 
     @property
     def feasible(self) -> bool:
-        return bool(
-            np.all(self.ir_slacks >= -self.tolerance)
-            and np.all(self.ic_slacks >= -self.tolerance)
+        return bool(np.all(self.ir_slacks >= -self.tolerance)) and all(
+            slack >= -self.tolerance for slack in self.ic_min if slack is not None
         )
 
     @property
@@ -379,55 +394,31 @@ class FeasibilityReport:
     @property
     def ic_binding(self) -> tuple[tuple[int, int], ...]:
         """(i, j) pairs (1-based) whose IC constraint binds."""
-        binding = np.abs(self.ic_slacks) <= self.tolerance
-        np.fill_diagonal(binding, False)
-        return _pairs(binding)
-
-    def ic_slack(self, i: int, j: int) -> float:
-        n = len(self.ir_slacks)
-        if i == j or not (1 <= i <= n and 1 <= j <= n):
-            raise KeyError(f"no IC pair ({i}, {j})")
-        return float(self.ic_slacks[i - 1, j - 1])
+        return tuple((i, j) for i, j, slack in self.tight if slack >= -self.tolerance)
 
     def violations(self) -> list[str]:
         out = [
             f"IR type {i + 1}: slack {float(self.ir_slacks[i]):.6g}"
             for i in np.flatnonzero(self.ir_slacks < -self.tolerance).tolist()
         ]
-        for i, j in _pairs(self.ic_slacks < -self.tolerance):
-            out.append(f"IC type {i} vs item {j}: slack {self.ic_slack(i, j):.6g}")
+        out += [f"IC type {i} vs item {j}: slack {slack:.6g}"
+                for i, j, slack in self.tight if slack < -self.tolerance]
         return out
 
     def to_dict(self) -> dict:
-        """The written report, O(I) apart from ``binding``: ``ir``, each type's
-        worst IC slack ``ic_min`` over the other items, the 1-based item
-        ``ic_argmin`` that first reaches it (both ``[None]`` at I = 1, which
-        has no IC pair) and ``binding``, the pairs of ``ic_binding``.  Every
-        IC slack is at least its row's ``ic_min``, so ``feasible`` is true
-        iff every ``ir`` and ``ic_min`` entry is >= -tolerance."""
-        others = self.ic_slacks.copy()
-        np.fill_diagonal(others, np.inf)
-        if len(others) == 1:
-            ic_min, ic_argmin = [None], [None]
-        else:
-            ic_min, ic_argmin = others.min(axis=1).tolist(), (others.argmin(axis=1) + 1).tolist()
+        """The written report: ``ir``, ``ic_min``, ``ic_argmin`` and
+        ``binding``, the pairs of ``ic_binding``."""
         return {
             "feasible": self.feasible,
             "tolerance": self.tolerance,
             "ir": self.ir_slacks.tolist(),
-            "ic_min": ic_min,
-            "ic_argmin": ic_argmin,
+            "ic_min": list(self.ic_min),
+            "ic_argmin": list(self.ic_argmin),
             "binding": [list(pair) for pair in self.ic_binding],
         }
 
     def to_json(self, path: str | Path) -> None:
         _write_json(self.to_dict(), path)
-
-
-def _pairs(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """1-based (i, j) of the true entries of ``mask``, in row-major order."""
-    rows, cols = np.nonzero(mask)
-    return tuple(zip((rows + 1).tolist(), (cols + 1).tolist()))
 
 
 def verify_feasibility(
@@ -437,19 +428,27 @@ def verify_feasibility(
 ) -> FeasibilityReport:
     """Check IR for every type and IC for every ordered pair of types.
 
-    ``tolerance`` is scaled to the menu's utilities by ``utility_tolerance``;
-    the report carries the effective value.
+    The one place that builds the I x I IC slack matrix; the report keeps
+    its row minima and its tight pairs.  ``tolerance`` is scaled to the
+    menu's utilities by ``utility_tolerance``; the report carries the
+    effective value.
     """
     if len(menu) != len(profile):
         raise MenuMismatchError(f"menu has {len(menu)} items for {len(profile)} types")
     thetas, c = profile.thetas, profile.unit_cost
-    utilities = envelope_utilities(thetas, menu, c)
-    own = utilities.diagonal().copy()
-    return FeasibilityReport(
-        ir_slacks=own,
-        ic_slacks=own[:, None] - utilities,
-        tolerance=utility_tolerance(thetas, menu, c, tolerance),
-    )
+    # first, so a utility overflow raises its ValueError before the tolerance does
+    slacks = envelope_utilities(thetas, menu, c)
+    tol = utility_tolerance(thetas, menu, c, tolerance)
+    own = slacks.diagonal().copy()
+    np.subtract(own[:, None], slacks, out=slacks)
+    np.fill_diagonal(slacks, np.inf)  # a type's own item is no IC constraint
+    if len(own) == 1:
+        ic_min, ic_argmin = [None], [None]
+    else:
+        ic_min, ic_argmin = slacks.min(axis=1).tolist(), (slacks.argmin(axis=1) + 1).tolist()
+    rows, cols = np.nonzero(slacks <= tol)
+    tight = zip((rows + 1).tolist(), (cols + 1).tolist(), slacks[rows, cols].tolist())
+    return FeasibilityReport(own, tuple(ic_min), tuple(ic_argmin), tuple(tight), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,12 @@ def best_rows(theta: float, menu: ContractMenu, c: float) -> tuple[int, ...]:
     return tuple(np.flatnonzero(utilities.max() - utilities <= tol).tolist())
 
 
+def dense_ic_slacks(profile: TypeProfile, menu: ContractMenu) -> np.ndarray:
+    """Every IC slack u_i(i) - u_i(j) at [i - 1, j - 1], the diagonal zero."""
+    utilities = envelope_utilities(profile.thetas, menu, profile.unit_cost)
+    return utilities.diagonal()[:, None] - utilities
+
+
 def menu_of(*rows: tuple[float, float, float]) -> ContractMenu:
     """A menu from its (f, R, M) rows, item 1 first."""
     fees, rewards, benchmarks = zip(*rows)

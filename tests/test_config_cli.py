@@ -191,15 +191,17 @@ class TestConfigValidation:
         assert f"config error: {path}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key, values", [("seeds", [1, 2, 1]), ("c_values", [0.5, 0.5])])
+    @pytest.mark.parametrize("key, values", [
+        ("seeds", [1, 2, 1]), ("c_values", [0.5, 0.5]), ("schemes", ["contract", "contract", "flat"]),
+    ])
     def test_duplicates_rejected(self, key, values, tmp_path, capsys):
-        # compare booked a repeated seed or c value twice and counted the
-        # copies in the means
+        # compare booked a repeated seed, c value or scheme twice and counted
+        # the copies in the means
         payload = ml_payload(out_dir=str(tmp_path / "out"), **{key: values})
         assert main(["compare", "--config", str(write_config(tmp_path, payload))]) == 2
-        first = values.index(values[-1])
+        repeat = next(i for i, value in enumerate(values) if value in values[:i])
         assert (
-            f"config error: {key}[{len(values) - 1}]: duplicates {key}[{first}]"
+            f"config error: {key}[{repeat}]: duplicates {key}[{values.index(values[repeat])}]"
             in capsys.readouterr().err
         )
         assert not (tmp_path / "out").exists()
@@ -477,6 +479,11 @@ class TestCli:
                      id="string-fee"),
         pytest.param({"items": [{"index": True, "f": 0.1, "R": 1.0, "M": 0.3}]}, "items[0].index",
                      id="bool-index"),
+        # audited as a valid one-item menu, although the config rejects unknown keys
+        pytest.param({"items": [{"index": 1, "f": 0.1, "R": 1.0, "M": 0.3, "fee": 99}]},
+                     "items[0].fee: unknown key", id="unknown-item-key"),
+        pytest.param({"items": [{"index": 1, "f": 0.1, "R": 1.0, "M": 0.3}], "note": "x"},
+                     "menu: note: unknown key", id="unknown-menu-key"),
     ])
     def test_audit_rejects_malformed_menu(self, payload, where, tmp_path, capsys):
         out = tmp_path / "out"
@@ -654,6 +661,22 @@ class TestCli:
         assert main(["simulate", "--config", str(config), "--seed-override", "11"]) == 0
         assert (out / "round_seed11.json").exists()
         assert not (out / "round_seed3.json").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("solve", ["--seed-override", "1"]), ("solve", ["--mode", "ml"]),
+        ("audit", ["--seed-override", "1"]), ("audit", ["--mode", "analytic"]),
+        ("compare", ["--mode", "ml"]),
+    ])
+    def test_unread_flags_rejected(self, command, flag, tmp_path, capsys):
+        # solve and audit read neither flag, and compare's --mode could only
+        # repeat the ml it requires
+        config = write_config(tmp_path, ml_payload(out_dir=str(tmp_path / "out")))
+        menu = [str(tmp_path / "menu.json")] if command == "audit" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *menu, "--config", str(config), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_compare_requires_ml(self, tmp_path):
         config = write_config(tmp_path, base_payload(out_dir=str(tmp_path / "out")))

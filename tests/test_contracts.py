@@ -7,8 +7,12 @@ equal shares, c = 1, revenues (1, 2)):
            f2 = (1*2)^2/2 - (1*1)^2/2 + 0.125 = 2 - 0.5 + 0.125 = 1.625
   envelope utilities: type 1 at item 1: 0, type 2 at items 1 and 2: 0.375
 """
+import contextlib
+import io
 import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedpact import contracts
+from fedpact.cli import main
 from fedpact.contracts import (
     ContractMenu,
     FeasibilityReport,
@@ -27,12 +32,14 @@ from fedpact.contracts import (
     grid_search_menu,
     server_expected_utility,
     solve_optimal_menu,
+    utility_tolerance,
     verify_feasibility,
 )
 from fedpact.simulation import choose_contract
 from conftest import (
     best_rows,
     clamped_expected_utility,
+    dense_ic_slacks,
     fee_recursion,
     menu_of,
     menu_rows,
@@ -199,14 +206,16 @@ class TestFeasibility:
         menu = menu_of(item(0.125, 1.0, 0.3), item(2.625, 2.0, 0.5))
         report = verify_feasibility(canonical_profile, menu)
         assert not report.feasible
-        assert report.ic_slack(2, 1) == pytest.approx(-1.0)
+        assert dense_ic_slacks(canonical_profile, menu)[1, 0] == pytest.approx(-1.0)
+        assert (report.ic_min[1], report.ic_argmin[1]) == (pytest.approx(-1.0), 1)
 
     def test_degenerate_zero_menu(self, canonical_profile):
         menu = menu_of(item(0.0, 0.0, 0.3), item(0.0, 0.0, 0.5))
         report = verify_feasibility(canonical_profile, menu)
         assert report.feasible
         assert all(s == 0.0 for s in report.ir_slacks)
-        assert np.all(report.ic_slacks == 0.0)
+        assert np.all(dense_ic_slacks(canonical_profile, menu) == 0.0)
+        assert report.tight == ((1, 2, 0.0), (2, 1, 0.0))
 
     def test_length_mismatch(self, canonical_profile):
         with pytest.raises(MenuMismatchError):
@@ -224,7 +233,8 @@ class TestFeasibility:
         assert len(payload["ic_min"]) == len(payload["ic_argmin"]) == 2
         # the zero diagonal is no constraint: each row's worst slack is off it
         assert payload["ic_argmin"] == [2, 1]
-        assert payload["ic_min"] == [report.ic_slack(1, 2), report.ic_slack(2, 1)]
+        slacks = dense_ic_slacks(canonical_profile, menu)
+        assert payload["ic_min"] == [slacks[0, 1], slacks[1, 0]]
         assert payload["binding"] == [[2, 1]]
 
 
@@ -242,6 +252,30 @@ def scalar_slacks(profile, menu):
     return own, ic
 
 
+def tight_pairs(ic, tol):
+    """1-based (i, j, slack) of every IC pair of ``ic`` with slack <= tol, row-major."""
+    n = len(ic)
+    return [(i + 1, j + 1, ic[i][j]) for i in range(n) for j in range(n)
+            if i != j and ic[i][j] <= tol]
+
+
+def drawn_instance(data, kind, n):
+    """A random profile and a menu of ``kind``: ``solved`` (feasible),
+    ``random`` (rows from a pool, so repeated items tie a row's minimum;
+    mostly infeasible) or ``identical`` (every IC pair binds)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    profile = random_profile(rng, n)
+    if kind == "solved":
+        benchmarks = random_benchmarks(rng, n)
+        menu = solve_optimal_menu(profile, random_increasing_convex_curve(rng, benchmarks), benchmarks)
+    elif kind == "random":
+        pool = rng.uniform(0.0, 3.0, (data.draw(st.integers(1, n)), 2))
+        menu = menu_of(*(item(*pool[k]) for k in rng.integers(0, len(pool), n)))
+    else:
+        menu = menu_of(*[item(data.draw(st.floats(0.0, 3.0)), data.draw(st.floats(0.0, 3.0)))] * n)
+    return profile, menu
+
+
 class TestReportSummary:
     """The written report's O(I) summary against the dense scalar slacks."""
 
@@ -249,17 +283,7 @@ class TestReportSummary:
     @given(data=st.data(), kind=st.sampled_from(["solved", "random", "identical"]),
            n=st.integers(1, 12))
     def test_summary_matches_dense_slacks(self, data, kind, n):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        profile = random_profile(rng, n)
-        if kind == "solved":
-            benchmarks = random_benchmarks(rng, n)
-            menu = solve_optimal_menu(profile, random_increasing_convex_curve(rng, benchmarks), benchmarks)
-        elif kind == "random":
-            # rows drawn from a pool, so repeated items tie a row's minimum
-            pool = rng.uniform(0.0, 3.0, (data.draw(st.integers(1, n)), 2))
-            menu = menu_of(*(item(*pool[k]) for k in rng.integers(0, len(pool), n)))
-        else:  # every IC pair binds
-            menu = menu_of(*[item(data.draw(st.floats(0.0, 3.0)), data.draw(st.floats(0.0, 3.0)))] * n)
+        profile, menu = drawn_instance(data, kind, n)
         report = verify_feasibility(profile, menu)
         payload = report.to_dict()
         assert json.loads(contracts._JSON.encode(payload)) == payload
@@ -273,6 +297,7 @@ class TestReportSummary:
         binding = [[i + 1, j + 1] for i in range(n) for j in range(n)
                    if i != j and abs(ic[i][j]) <= tol]
         assert payload["binding"] == binding == [list(pair) for pair in report.ic_binding]
+        assert list(report.tight) == tight_pairs(ic, tol)
         if kind == "identical":
             assert len(binding) == n * (n - 1)
         verdict = all(s >= -tol for s in payload["ir"]) and all(
@@ -280,6 +305,44 @@ class TestReportSummary:
         )
         assert verdict == payload["feasible"] == report.feasible
         assert payload["ir"] == own
+
+
+class TestAuditStdout:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), kind=st.sampled_from(["solved", "random", "identical"]),
+           n=st.integers(1, 8))
+    def test_ic_lines_match_scalar_slacks(self, data, kind, n):
+        # audit prints every IC pair with slack <= tolerance: binding within
+        # tolerance of zero, VIOLATED below -tolerance
+        profile, menu = drawn_instance(data, kind, n)
+        own, ic = scalar_slacks(profile, menu)
+        tol = utility_tolerance(profile.thetas, menu, profile.unit_cost)
+        expected = [
+            f"  IC {i} vs {j}: slack {slack:.6g} ({'binding' if slack >= -tol else 'VIOLATED'})"
+            for i, j, slack in tight_pairs(ic, tol)
+        ]
+        feasible = all(s >= -tol for s in own) and all(
+            ic[i][j] >= -tol for i in range(n) for j in range(n) if i != j
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            config, menu_path = Path(tmp) / "config.json", Path(tmp) / "menu.json"
+            config.write_text(json.dumps({
+                "schema_version": 1,
+                "profile": {"thetas": profile.thetas.tolist(), "betas": profile.betas.tolist(),
+                            "c": profile.unit_cost},
+                "curve": {"kind": "exponential", "a": 1.0, "b": 1.0},
+                "benchmarks": np.linspace(0.1, 0.9, n).tolist(),
+                "population": 1,
+                "seeds": [1],
+                "mode": "analytic",
+                "out_dir": str(Path(tmp) / "out"),
+            }))
+            menu.to_json(menu_path)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(["audit", str(menu_path), "--config", str(config)])
+        assert code == (0 if feasible else 3)
+        assert [line for line in stdout.getvalue().splitlines() if line.startswith("  IC ")] == expected
 
 
 class TestUtilityMatrix:
@@ -299,8 +362,10 @@ class TestUtilityMatrix:
         report = verify_feasibility(profile, menu)
         own, ic = scalar_slacks(profile, menu)
         assert report.ir_slacks.tolist() == own
-        assert report.ic_slacks.tolist() == ic
-        assert all(report.ic_slacks[i, i] == 0.0 for i in range(n))
+        slacks = dense_ic_slacks(profile, menu)
+        assert slacks.tolist() == ic
+        assert all(slacks[i, i] == 0.0 for i in range(n))
+        assert list(report.tight) == tight_pairs(ic, report.tolerance)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), k=st.floats(1.0, 1e6))
@@ -363,9 +428,9 @@ class TestMonotonicityLemmas:
             benchmarks = random_benchmarks(rng, len(profile))
             curve = random_increasing_convex_curve(rng, benchmarks)
             menu = solve_optimal_menu(profile, curve, benchmarks)
-            report = verify_feasibility(profile, menu)
+            slacks = dense_ic_slacks(profile, menu)
             for i in range(2, len(profile) + 1):
-                assert abs(report.ic_slack(i, i - 1)) <= 1e-9
+                assert abs(slacks[i - 1, i - 2]) <= 1e-9
 
     def test_downward_equality_implies_full_feasibility(self):
         # adjacent downward IC with equality plus monotone rewards gives a

@@ -4,17 +4,19 @@ The schema is versioned and fully explicit: client types, revenue curve,
 benchmarks, population size, seeds, mode, schemes, and the synthetic
 task / training knobs for the learning experiments.  All randomness
 flows from the seeds recorded here; nothing reads the clock or OS
-entropy.  Validation errors name the offending field path.
+entropy.  The file is read, and its objects' keys and its numbers are
+checked, by the same helpers in ``contracts`` that read an audited menu;
+each object's keys are checked before its values.  Every error is a
+``ConfigError`` naming the file or the offending field path.
 """
 from __future__ import annotations
 
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .contracts import RevenueCurve, TypeProfile
+from .contracts import RevenueCurve, TypeProfile, _number, _object, _read_json
 
 SCHEMA_VERSION = 1
 MODES = ("analytic", "ml")
@@ -31,30 +33,17 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
-def _section(payload: dict, key: str, default: dict | None = None) -> dict:
-    value = payload[key] if default is None else payload.get(key, default)
-    _require(isinstance(value, dict), key, f"must be an object, got {value!r}")
-    return value
-
-
-def _number(value, path: str, kind: type):
-    """``value`` as ``kind``: an int field needs a JSON integer, a float
-    field any JSON number; a bool or a string is neither."""
-    ok = isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
-    _require(ok, path, f"must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    return kind(value)
-
-
 def _numbers(values, path: str, kind: type) -> tuple:
     _require(isinstance(values, list), path, f"must be a list, got {values!r}")
     return tuple(_number(v, f"{path}[{i}]", kind) for i, v in enumerate(values))
 
 
 @contextmanager
-def _config_errors(path: str, **paths: str):
+def _config_errors(path: str = "", **paths: str):
     """Raise the block's ValueError, KeyError or OverflowError as a ConfigError
-    at ``path``; a message ``"name: rest"`` whose ``name`` is a keyword of
-    ``paths`` goes to that path instead, as ``rest``."""
+    at ``path`` (as it is, if ``path`` is empty); a message ``"name: rest"``
+    whose ``name`` is a keyword of ``paths`` goes to that path instead, as
+    ``rest``."""
     try:
         yield
     except (ValueError, KeyError, OverflowError) as exc:
@@ -62,7 +51,7 @@ def _config_errors(path: str, **paths: str):
         name, _, rest = message.partition(": ")
         if name in paths:
             path, message = paths[name], rest
-        raise ConfigError(f"{path}: {message}") from None
+        raise ConfigError(f"{path}: {message}" if path else message) from None
 
 
 def _require_distinct(values: tuple, path: str) -> None:
@@ -71,22 +60,13 @@ def _require_distinct(values: tuple, path: str) -> None:
         _require(first == i, f"{path}[{i}]", f"duplicates {path}[{first}] ({value!r})")
 
 
-def _spec(cls, section: dict, path: str):
-    """``cls`` from a config section; each field is typed like its default."""
+def _spec(cls, section, path: str):
+    """``cls`` from a config section; each field is optional and typed like its default."""
+    _object(section, path, (), [f.name for f in fields(cls)])
     return cls(**{
         f.name: _number(section.get(f.name, f.default), f"{path}.{f.name}", type(f.default))
         for f in fields(cls)
     })
-
-
-def _reject_unknown_keys(payload: dict, known: dict, prefix: str = "") -> None:
-    """Every key of ``payload``, and of its profile, task and training
-    sections, must be one that ``known`` (a config's ``to_dict``) has.
-    The curve's keys depend on its kind and are checked by ``validate``."""
-    for key, value in payload.items():
-        _require(key in known, f"{prefix}{key}", f"unknown key, valid: {sorted(known)}")
-        if key in ("profile", "task", "training"):
-            _reject_unknown_keys(value, known[key], f"{key}.")
 
 
 @dataclass(frozen=True)
@@ -140,19 +120,16 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "thetas", tuple(float(v) for v in self.thetas))
-        object.__setattr__(self, "betas", tuple(float(v) for v in self.betas))
-        object.__setattr__(self, "benchmarks", tuple(float(v) for v in self.benchmarks))
-        object.__setattr__(self, "seeds", tuple(int(v) for v in self.seeds))
-        object.__setattr__(self, "schemes", tuple(self.schemes))
-        c_values = tuple(float(v) for v in self.c_values) or (float(self.unit_cost),)
-        object.__setattr__(self, "c_values", c_values)
+        if not self.c_values:
+            object.__setattr__(self, "c_values", (self.unit_cost,))
         self.validate()
 
     def validate(self) -> None:
-        """Check the config's own rules; the profile's and the curve's are
-        those of ``TypeProfile`` and ``RevenueCurve``, which are built here
-        (the profile once per cost) and reported at their config paths."""
+        """Check the config's values against its own rules; their keys and
+        types are checked by ``from_dict``.  The profile's and the curve's
+        rules are those of ``TypeProfile`` and ``RevenueCurve``, which are
+        built here (the profile once per cost) and reported at their config
+        paths."""
         _require(self.schema_version == SCHEMA_VERSION, "schema_version",
                  f"expected {SCHEMA_VERSION}")
         costs = {"profile.c": self.unit_cost} | {
@@ -177,14 +154,6 @@ class ExperimentConfig:
         _require_distinct(self.c_values, "c_values")
         _require(isinstance(self.out_dir, str) and self.out_dir != "", "out_dir",
                  f"must be a non-empty string, got {self.out_dir!r}")
-        kind = self.curve.get("kind")
-        _require(isinstance(kind, str) and kind in CURVE_KEYS, "curve.kind",
-                 f"must be 'exponential' or 'table', got {kind!r}")
-        for key in self.curve:
-            _require(key in CURVE_KEYS[kind], f"curve.{key}",
-                     f"unknown key, valid for kind {kind!r}: {sorted(CURVE_KEYS[kind])}")
-        for key in CURVE_KEYS[kind]:
-            _require(key in self.curve, f"curve.{key}", "missing required field")
         with _config_errors("curve"):
             self.build_curve().check_increasing_convex(self.benchmarks)
         self.task.validate()
@@ -229,9 +198,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        try:
-            profile = _section(payload, "profile")
-            curve = _section(payload, "curve")
+        """The config of a JSON object: each object's keys are checked before
+        its values are typed, and the values' rules (``validate``) last."""
+        with _config_errors():
+            _object(payload, "", ("profile", "curve", "benchmarks", "population", "seeds"),
+                    ("schema_version", "mode", "schemes", "c_values", "out_dir", "task",
+                     "training"))
+            profile = _object(payload["profile"], "profile", ("thetas", "betas", "c"))
+            curve = payload["curve"]
+            # a curve's keys are those of its kind; any kind will do to reject a non-object
+            kind = curve.get("kind") if isinstance(curve, dict) else "table"
+            _require(isinstance(kind, str) and kind in CURVE_KEYS, "curve.kind",
+                     f"must be 'exponential' or 'table', got {kind!r}")
+            _object(curve, "curve", CURVE_KEYS[kind])
             for key, check in (("a", _number), ("b", _number),
                                ("benchmarks", _numbers), ("values", _numbers)):
                 if key in curve:
@@ -239,7 +218,7 @@ class ExperimentConfig:
             schemes = payload.get("schemes", list(SCHEMES))
             _require(isinstance(schemes, list) and all(isinstance(v, str) for v in schemes),
                      "schemes", f"must be a list of strings, got {schemes!r}")
-            config = cls(
+            return cls(
                 thetas=_numbers(profile["thetas"], "profile.thetas", float),
                 betas=_numbers(profile["betas"], "profile.betas", float),
                 unit_cost=_number(profile["c"], "profile.c", float),
@@ -251,30 +230,17 @@ class ExperimentConfig:
                 schemes=tuple(schemes),
                 c_values=_numbers(payload.get("c_values", []), "c_values", float),
                 out_dir=payload.get("out_dir", "out"),
-                task=_spec(TaskSpec, _section(payload, "task", {}), "task"),
-                training=_spec(TrainingSpec, _section(payload, "training", {}), "training"),
+                task=_spec(TaskSpec, payload.get("task", {}), "task"),
+                training=_spec(TrainingSpec, payload.get("training", {}), "training"),
                 schema_version=_number(
                     payload.get("schema_version", SCHEMA_VERSION), "schema_version", int
                 ),
             )
-        except KeyError as exc:
-            raise ConfigError(f"missing required field {exc.args[0]!r}") from exc
-        _reject_unknown_keys(payload, config.to_dict())
-        return config
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"{path}: no such config file") from exc
-        except OSError as exc:
-            raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError(f"{path}: top level must be an object")
+        with _config_errors():
+            payload = _read_json(path)
         return cls.from_dict(payload)
 
     def with_overrides(

@@ -71,6 +71,53 @@ def _write_json(payload, path: str | Path) -> None:
         fh.write("\n")
 
 
+# the input side, for the JSON files that come from outside (a config or an
+# audited menu): each raises ValueError naming the file or the field path
+
+def _read_json(path: str | Path):
+    """The JSON value in the UTF-8 file ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read ({exc.strerror})") from None
+    except (ValueError, RecursionError) as exc:
+        # a decode or UTF-8 error, an integer literal past the int
+        # conversion digit limit, or nesting deeper than the decoder's limit
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+
+
+def _object(value, path: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
+    """``value``, which must be a JSON object holding every ``required``
+    key and no key outside ``required`` and ``optional``.  A key is named
+    ``path.key``, or bare where ``path`` is empty (a file's top level)."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path or 'top level'}: must be an object, got {value!r}")
+    where = f"{path}." if path else ""
+    known = (*required, *optional)
+    for key in value:
+        if key not in known:
+            raise ValueError(f"{where}{key}: unknown key, valid: {sorted(known)}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{where}{key}: missing required field")
+    return value
+
+
+def _number(value, path: str, kind: type):
+    """``value`` as ``kind``: an int field needs a JSON integer, a float
+    field a JSON number within the float range; a bool or a string is neither."""
+    if isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except OverflowError:  # an integer beyond the largest float
+            pass
+    expected = "an integer" if kind is int else "a number"
+    raise ValueError(f"{path}: must be {expected}, got {value!r}")
+
+
 def _column(values: Sequence[float], name: str) -> np.ndarray:
     """A read-only float64 copy of ``values``, which must be one-dimensional."""
     column = np.array(values, dtype=np.float64)
@@ -164,10 +211,9 @@ class ContractMenu:
 
         ``items[k].index`` must be k + 1: an item's index is its position.
         """
-        items = payload.get("items") if isinstance(payload, dict) else None
+        items = _object(payload, "menu", ("items",))["items"]
         if not isinstance(items, list):
-            raise ValueError("menu: must be an object whose 'items' is a list")
-        _reject_unknown_keys(payload, ("items",), "menu: ")
+            raise ValueError(f"menu.items: must be a list, got {items!r}")
         rows = [_item_from_dict(p, k) for k, p in enumerate(items)]
         return cls(*np.array(rows, dtype=np.float64).reshape(-1, 3).T)
 
@@ -176,44 +222,20 @@ class ContractMenu:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ContractMenu":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-        return cls.from_dict(payload)
-
-
-def _reject_unknown_keys(payload: dict, known: tuple[str, ...], where: str) -> None:
-    for key in payload:
-        if key not in known:
-            raise ValueError(f"{where}{key}: unknown key, valid: {sorted(known)}")
+        return cls.from_dict(_read_json(path))
 
 
 def _item_from_dict(payload: dict, k: int) -> list[float]:
     """Item ``k``'s (f, R, M) row, its index checked against its position."""
     where = f"items[{k}]"
-    if not isinstance(payload, dict):
-        raise ValueError(f"{where}: must be an object, got {payload!r}")
     keys = ("index", "f", "R", "M")
-    _reject_unknown_keys(payload, keys, f"{where}.")
-    values = []
-    for key in keys:
-        if key not in payload:
-            raise ValueError(f"{where}.{key}: missing")
-        value = payload[key]
-        try:
-            # a JSON number: a bool or a string is none, as in the config
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError
-            values.append(float(value))
-        except (TypeError, OverflowError):
-            raise ValueError(f"{where}.{key}: not a number: {value!r}") from None
-    if values[0] != k + 1:
+    item = _object(payload, where, keys)
+    index, *row = (_number(item[key], f"{where}.{key}", float) for key in keys)
+    if index != k + 1:
         raise ValueError(
-            f"{where}.index: must be {k + 1}, the item's position, got {payload['index']!r}"
+            f"{where}.index: must be {k + 1}, the item's position, got {item['index']!r}"
         )
-    return values[1:]
+    return row
 
 
 class RevenueCurve:

@@ -138,7 +138,6 @@ class SyntheticTask:
     intercepts: np.ndarray
     test_points: np.ndarray
     test_labels: np.ndarray
-    seed: int
 
     @classmethod
     def generate(
@@ -168,7 +167,6 @@ class SyntheticTask:
             intercepts=intercepts,
             test_points=test_points,
             test_labels=np.empty(0, dtype=int),
-            seed=seed,
         )
         object.__setattr__(task, "test_labels", task.label(test_points))
         return task
@@ -195,14 +193,10 @@ def server_test(model: ModelVector, task: SyntheticTask) -> float:
 class ClientDataset:
     """Labeled local data plus the coverage quality it was calibrated to."""
 
-    cloud: PointCloud
+    points: np.ndarray
     labels: np.ndarray
     measured_quality: float
     subcube_side: float
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.cloud.points
 
 
 CALIBRATION_TOLERANCE = 0.02  # largest accepted |measured - target| quality
@@ -266,7 +260,7 @@ def generate_client_dataset(
     best_side, best_q = best
     points = unit_draws * best_side
     return ClientDataset(
-        cloud=PointCloud(task.dimension, points),
+        points=points,
         labels=task.label(points),
         measured_quality=best_q,
         subcube_side=best_side,

@@ -50,6 +50,12 @@ def ml_payload(**overrides) -> dict:
     return payload
 
 
+# Python 3.10.7 and 3.11 on refuse to convert an integer literal of more
+# than 4,300 digits, so the JSON decoder cannot read such a literal
+DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
+HUGE_INT = "1" * 5000
+
+
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -108,10 +114,13 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(base_payload(curve=curve))
 
     def test_missing_field(self):
-        payload = base_payload()
-        del payload["population"]
-        with pytest.raises(ConfigError, match="population"):
-            ExperimentConfig.from_dict(payload)
+        # a nested field lost its section: "missing required field 'c'"
+        for path in ("population", "profile.c", "curve.a"):
+            payload = base_payload(curve={"kind": "exponential", "a": 0.5, "b": 2.0})
+            *section, key = path.split(".")
+            del (payload[section[0]] if section else payload)[key]
+            with pytest.raises(ConfigError, match=f"^{path}: missing required field$"):
+                ExperimentConfig.from_dict(payload)
 
     @pytest.mark.parametrize("section, key", [
         (None, "modes"), ("profile", "gamma"), ("task", "noise"), ("training", "hidden"),
@@ -162,6 +171,11 @@ class TestConfigValidation:
         ("benchmarks", [0.3, True]), ("c_values", ["1"]), ("curve.values", [1.0, "2"]),
         # str(...) wrote to directories named None, 5 and ['a'], and "" to the working one
         ("out_dir", None), ("out_dir", 5), ("out_dir", ["a"]), ("out_dir", ""),
+        # an integer beyond the largest float exited 4 as "int too large to convert to float"
+        pytest.param("profile.c", 10**400, id="profile.c-1e400"),
+        pytest.param("c_values", [10**400], id="c_values-1e400"),
+        pytest.param("training.learning_rate", 10**400, id="training.learning_rate-1e400"),
+        pytest.param("curve.values", [1.0, 10**400], id="curve.values-1e400"),
     ])
     def test_number_fields_typed(self, path, value, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -363,17 +377,22 @@ class TestCli:
         assert not (tmp_path / "out").exists()
         assert "profile.thetas" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    @pytest.mark.parametrize("kind", ["directory", "undecodable", "huge-integer"])
     def test_unreadable_config_exits_2(self, kind, tmp_path, capsys):
-        # a path that is no file, or a file that is not UTF-8, is named by its path
+        # a path that is no file, or a file that is not UTF-8, is named by its
+        # path; a huge integer literal exited 4 naming neither file nor field
         config = tmp_path / "config.json"
+        named = config
         if kind == "directory":
             config.mkdir()
-        else:
+        elif kind == "undecodable":
             config.write_bytes(b'{"schema_version": 1,\xff}')
+        else:
+            config.write_text(json.dumps(base_payload()).replace('"c": 1.0', f'"c": {HUGE_INT}'))
+            named = config if DIGIT_LIMIT else "profile.c"
         assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"config error: {config}: "), lines
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {named}: "), lines
         assert not (tmp_path / "out").exists()
 
     def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
@@ -483,7 +502,7 @@ class TestCli:
         pytest.param({"items": [{"index": 1, "f": 0.1, "R": 1.0, "M": 0.3, "fee": 99}]},
                      "items[0].fee: unknown key", id="unknown-item-key"),
         pytest.param({"items": [{"index": 1, "f": 0.1, "R": 1.0, "M": 0.3}], "note": "x"},
-                     "menu: note: unknown key", id="unknown-menu-key"),
+                     "menu.note: unknown key", id="unknown-menu-key"),
     ])
     def test_audit_rejects_malformed_menu(self, payload, where, tmp_path, capsys):
         out = tmp_path / "out"
@@ -495,18 +514,28 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith(f"error: {where}"), lines
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "text", [b'{"items": [\n', b'{"items": \xff}', b"[" * 100_000 + b"]" * 100_000],
-        ids=["truncated", "undecodable", "deeply-nested"],
-    )
-    def test_audit_names_an_undecodable_menu(self, text, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(b'{"items": [\n', "{menu}: not valid JSON (", id="truncated"),
+        pytest.param(b'{"items": \xff}', "{menu}: not valid JSON (", id="undecodable"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "{menu}: not valid JSON (",
+                     id="deeply-nested"),
+        # its error named neither the file nor the field
+        pytest.param(f'{{"items": [{{"index": 1, "f": {HUGE_INT}, "R": 1.0, "M": 0.3}}]}}'.encode(),
+                     "{menu}: not valid JSON (" if DIGIT_LIMIT else "items[0].f: ",
+                     id="huge-integer"),
+        # was "[Errno 2] No such file or directory: ..."
+        pytest.param(None, "{menu}: no such file", id="missing"),
+    ])
+    def test_audit_names_an_undecodable_menu(self, text, message, tmp_path, capsys):
         out = tmp_path / "out"
         config = write_config(tmp_path, base_payload(out_dir=str(out)))
         menu = tmp_path / "bad_menu.json"
-        menu.write_bytes(text)
+        if text is not None:
+            menu.write_bytes(text)
         assert main(["audit", str(menu), "--config", str(config)]) == 4
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: {menu}: not valid JSON ("), lines
+        expected = "error: " + message.format(menu=menu)
+        assert len(lines) == 1 and lines[0].startswith(expected), lines
         assert not out.exists()
 
     def test_audit_overflow_exits_4(self, tmp_path):

@@ -218,7 +218,7 @@ def reference_calibration(
 
     points = unit_draws * best_side
     return ClientDataset(
-        cloud=PointCloud(task.dimension, points),
+        points=points,
         labels=task.label(points),
         measured_quality=best_q,
         subcube_side=best_side,

@@ -27,7 +27,6 @@ from .learning import (
     ArchitectureMismatchError,
     CalibrationError,
     ClientDataset,
-    ModelArch,
     ModelVector,
     SchemeReport,
     SyntheticTask,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .contracts import RevenueCurve, TypeProfile, _number, _object, _read_json
@@ -175,26 +175,6 @@ class ExperimentConfig:
         )
 
     # ---- serialization --------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "profile": {
-                "thetas": list(self.thetas),
-                "betas": list(self.betas),
-                "c": self.unit_cost,
-            },
-            "curve": self.curve,
-            "benchmarks": list(self.benchmarks),
-            "population": self.population,
-            "seeds": list(self.seeds),
-            "mode": self.mode,
-            "schemes": list(self.schemes),
-            "c_values": list(self.c_values),
-            "out_dir": self.out_dir,
-            "task": asdict(self.task),
-            "training": asdict(self.training),
-        }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":

@@ -228,9 +228,9 @@ class ContractMenu:
 def _item_from_dict(payload: dict, k: int) -> list[float]:
     """Item ``k``'s (f, R, M) row, its index checked against its position."""
     where = f"items[{k}]"
-    keys = ("index", "f", "R", "M")
-    item = _object(payload, where, keys)
-    index, *row = (_number(item[key], f"{where}.{key}", float) for key in keys)
+    item = _object(payload, where, ("index", "f", "R", "M"))
+    index = _number(item["index"], f"{where}.index", int)
+    row = [_number(item[key], f"{where}.{key}", float) for key in ("f", "R", "M")]
     if index != k + 1:
         raise ValueError(
             f"{where}.index: must be {k + 1}, the item's position, got {item['index']!r}"

@@ -2,7 +2,7 @@
 
 Makes the aggregation-scheme comparison concrete: every client gets a
 synthetic dataset whose coverage quality is calibrated to its type,
-trains a small classifier from scratch for a number of epochs scaled by
+trains a linear softmax classifier from scratch for a number of epochs scaled by
 its contracted effort, and submits the model to a server-side sampling
 test over the full unit cube.  Passing models are averaged either by
 reward share or uniformly.
@@ -39,7 +39,7 @@ from .simulation import RoundOutcome, sample_population
 
 
 class ArchitectureMismatchError(ValueError):
-    """Models with different architecture tags cannot be combined."""
+    """Models of different shapes cannot be combined."""
 
 
 class CalibrationError(ValueError):
@@ -62,57 +62,51 @@ class CalibrationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# model vectors
+# linear classifiers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelArch:
-    """Architecture tag of the linear softmax classifier: input dimension, classes."""
-
-    input_dim: int
-    n_classes: int
-
-    def __post_init__(self) -> None:
-        if self.input_dim < 1 or self.n_classes < 2:
-            raise ValueError("need input_dim >= 1 and n_classes >= 2")
-
-    @property
-    def parameter_count(self) -> int:
-        return self.input_dim * self.n_classes + self.n_classes
+INIT_SCALE = 0.5  # standard deviation of a random model's weights and bias
 
 
 @dataclass(frozen=True, eq=False)
 class ModelVector:
-    """Flat parameter vector of the toy classifier."""
+    """Linear softmax classifier: class scores ``points @ weights + bias``.
 
-    arch: ModelArch
-    parameters: np.ndarray
+    ``weights`` is ``(d, k)`` for d >= 1 features and k >= 2 classes, and
+    ``bias`` is ``(k,)``; both are read-only float copies, and ``shape``
+    is ``(d, k)``.
+    """
+
+    weights: np.ndarray
+    bias: np.ndarray
 
     def __post_init__(self) -> None:
-        params = np.asarray(self.parameters, dtype=np.float64).ravel().copy()
-        if params.size != self.arch.parameter_count:
+        # order 'K' keeps a transposed input's layout, and so its matmul bits
+        weights = np.array(self.weights, dtype=np.float64)
+        bias = np.array(self.bias, dtype=np.float64)
+        d, k = weights.shape if weights.ndim == 2 else (0, 0)
+        if d < 1 or k < 2 or bias.shape != (k,):
             raise ArchitectureMismatchError(
-                f"expected {self.arch.parameter_count} parameters, got {params.size}"
+                f"need weights (d, k) with d >= 1, k >= 2 and bias (k,), "
+                f"got {weights.shape} and {bias.shape}"
             )
-        params.setflags(write=False)
-        object.__setattr__(self, "parameters", params)
+        for name, value in (("weights", weights), ("bias", bias)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.weights.shape
 
     @classmethod
-    def zeros(cls, arch: ModelArch) -> "ModelVector":
-        return cls(arch=arch, parameters=np.zeros(arch.parameter_count))
-
-    @classmethod
-    def random(cls, arch: ModelArch, seed: int | np.random.Generator, scale: float = 0.5) -> "ModelVector":
-        rng = as_generator(seed)
-        return cls(arch=arch, parameters=rng.normal(0.0, scale, arch.parameter_count))
-
-    def logits(self, points: np.ndarray) -> np.ndarray:
-        d, k = self.arch.input_dim, self.arch.n_classes
-        w = self.parameters[: d * k].reshape(d, k)
-        return np.asarray(points, dtype=float) @ w + self.parameters[d * k :]
+    def random(cls, shape: tuple[int, int], seed: int | np.random.Generator) -> "ModelVector":
+        """Weights then bias, row by row, from one ``normal(0, INIT_SCALE)`` stream."""
+        d, k = shape
+        draws = as_generator(seed).normal(0.0, INIT_SCALE, (d + 1, k))
+        return cls(weights=draws[:d], bias=draws[d])
 
     def predict(self, points: np.ndarray) -> np.ndarray:
-        return np.argmax(self.logits(points), axis=1)
+        return np.argmax(np.asarray(points, dtype=float) @ self.weights + self.bias, axis=1)
 
 
 def model_accuracy(model: ModelVector, points: np.ndarray, labels: np.ndarray) -> float:
@@ -127,15 +121,13 @@ def model_accuracy(model: ModelVector, points: np.ndarray, labels: np.ndarray) -
 class SyntheticTask:
     """Classification task on [0,1]^d with a linear nearest-prototype label rule.
 
-    The rule is fixed by the seed; the global test set is drawn uniformly
-    over the whole cube, which is what makes it a sampling test: a model
-    fit only to a well-covered corner is graded on everything.
+    The rule is a linear classifier fixed by the seed, of the clients'
+    model shape; the global test set is drawn uniformly over the whole
+    cube, which is what makes it a sampling test: a model fit only to a
+    well-covered corner is graded on everything.
     """
 
-    dimension: int
-    n_classes: int
-    weights: np.ndarray
-    intercepts: np.ndarray
+    rule: ModelVector
     test_points: np.ndarray
     test_labels: np.ndarray
 
@@ -157,27 +149,13 @@ class SyntheticTask:
             directions = rng.normal(size=(n_classes, dimension))
             directions /= np.linalg.norm(directions, axis=1, keepdims=True)
             prototypes = anchor + 0.25 * directions
-        weights = 2.0 * prototypes.T
-        intercepts = -np.sum(prototypes**2, axis=1)
+        rule = ModelVector(weights=2.0 * prototypes.T, bias=-np.sum(prototypes**2, axis=1))
         test_points = rng.random((test_size, dimension))
-        task = cls(
-            dimension=dimension,
-            n_classes=n_classes,
-            weights=weights,
-            intercepts=intercepts,
-            test_points=test_points,
-            test_labels=np.empty(0, dtype=int),
-        )
-        object.__setattr__(task, "test_labels", task.label(test_points))
-        return task
-
-    def label(self, points: np.ndarray) -> np.ndarray:
-        scores = np.asarray(points, dtype=float) @ self.weights + self.intercepts
-        return np.argmax(scores, axis=1)
+        return cls(rule=rule, test_points=test_points, test_labels=rule.predict(test_points))
 
     @property
-    def arch(self) -> ModelArch:
-        return ModelArch(input_dim=self.dimension, n_classes=self.n_classes)
+    def shape(self) -> tuple[int, int]:
+        return self.rule.shape
 
 
 def server_test(model: ModelVector, task: SyntheticTask) -> float:
@@ -240,11 +218,12 @@ def generate_client_dataset(
         raise ValueError(f"target_theta must lie in (0, 1], got {target_theta}")
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    unit_draws = child_rng(seed, 1).random((n_points, task.dimension))
+    dimension = task.shape[0]
+    unit_draws = child_rng(seed, 1).random((n_points, dimension))
     quality_seed = int(child_rng(seed, 2).integers(2**31))
 
     def quality(side: float, **band: float) -> float:
-        cloud = PointCloud(task.dimension, unit_draws * side)
+        cloud = PointCloud(dimension, unit_draws * side)
         return coverage_quality(cloud, QUALITY_SAMPLES, quality_seed, **band)
 
     def miss(pair: tuple[float, float]) -> float:
@@ -261,7 +240,7 @@ def generate_client_dataset(
     points = unit_draws * best_side
     return ClientDataset(
         points=points,
-        labels=task.label(points),
+        labels=task.rule.predict(points),
         measured_quality=best_q,
         subcube_side=best_side,
     )
@@ -345,24 +324,21 @@ def local_train(
             f"{len(models)} models, {len(seeds)} seeds, points {x.shape} and "
             f"labels {y.shape} do not describe the same clients"
         )
-    arch = models[0].arch
-    if any(model.arch != arch for model in models):
-        raise ArchitectureMismatchError(f"models of {len({m.arch for m in models})} architectures")
-    if x.ndim != 3 or x.shape[2] != arch.input_dim:
-        raise ArchitectureMismatchError(
-            f"data dimension {x.shape} does not match input_dim {arch.input_dim}"
-        )
+    d, k = models[0].shape
+    if any(model.shape != (d, k) for model in models):
+        raise ArchitectureMismatchError(f"models of {len({m.shape for m in models})} shapes")
+    if x.ndim != 3 or x.shape[2] != d:
+        raise ArchitectureMismatchError(f"data dimension {x.shape} does not match input dimension {d}")
     epochs = _epochs(effort, max_epochs)
     if epochs == 0:
         return models
-    n_clients, n, d = x.shape
-    k = arch.n_classes
+    n_clients, n = y.shape
     rows = np.arange(n_clients)[:, None]
     onehot = np.zeros((n_clients, n, k))
     onehot[rows, np.arange(n), y] = 1.0
     rngs = [as_generator(seed) for seed in seeds]
-    w = np.stack([model.parameters[: d * k].reshape(d, k) for model in models])
-    b = np.stack([model.parameters[d * k :] for model in models])
+    w = np.stack([model.weights for model in models])
+    b = np.stack([model.bias for model in models])
 
     for _ in range(epochs):
         order = np.stack([rng.permutation(n) for rng in rngs])
@@ -374,10 +350,7 @@ def local_train(
             w -= learning_rate * (xb.transpose(0, 2, 1) @ g)
             b -= learning_rate * g.sum(axis=1)
 
-    return tuple(
-        ModelVector(arch=arch, parameters=np.concatenate([wi.ravel(), bi]))
-        for wi, bi in zip(w, b)
-    )
+    return tuple(ModelVector(weights=wi, bias=bi) for wi, bi in zip(w, b))
 
 
 def _epochs(effort: float, max_epochs: int) -> int:
@@ -392,25 +365,29 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def aggregate(models: list[tuple[ModelVector, float]]) -> ModelVector:
-    """Weighted component-wise mean of parameter vectors.
+    """Weighted mean of the models' weights and of their biases.
 
-    Weights must be non-negative and sum to 1 within 1e-9, and
-    architectures must match; inputs are consumed in the given order so
-    the floating-point sum is deterministic.
+    Weights must be non-negative and sum to 1 within 1e-9, and model
+    shapes must match; inputs are consumed in the given order so the
+    floating-point sum is deterministic.
     """
     if not models:
         raise ValueError("no models to aggregate")
-    arch = models[0][0].arch
+    shape = models[0][0].shape
     for model, _ in models:
-        if model.arch != arch:
-            raise ArchitectureMismatchError(f"{model.arch} != {arch}")
+        if model.shape != shape:
+            raise ArchitectureMismatchError(f"model shape {model.shape} != {shape}")
     weights = np.array([w for _, w in models])
     if not (weights >= 0).all():  # NaN fails it too
         raise ValueError(f"weights must be non-negative, got {weights.tolist()!r}")
     if abs(float(weights.sum()) - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {float(weights.sum())!r}")
-    stacked = np.stack([m.parameters for m, _ in models])
-    return ModelVector(arch=arch, parameters=(weights[:, None] * stacked).sum(axis=0))
+    stacked_w = np.stack([m.weights for m, _ in models])
+    stacked_b = np.stack([m.bias for m, _ in models])
+    return ModelVector(
+        weights=(weights[:, None, None] * stacked_w).sum(axis=0),
+        bias=(weights[:, None] * stacked_b).sum(axis=0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +598,7 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
                     seed=int(child_rng(seed, 20, cid).integers(2**31)),
                 ))
             except CalibrationError as err:
-                where = f"seed {seed}, client {cid}, type {type_idx + 1}, dimension {task.dimension}"
+                where = f"seed {seed}, client {cid}, type {type_idx + 1}, dimension {task.shape[0]}"
                 raise CalibrationError(err.target, err.best, where) from err
 
         booked = []
@@ -651,7 +628,7 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
                 for cid, t in zip(signup.participant_ids.tolist(), ptypes):
                     wanted.setdefault(cid, set()).add(type_epochs[t])
 
-        init_model = ModelVector.random(task.arch, child_rng(seed, 30))
+        init_model = ModelVector.random(task.shape, child_rng(seed, 30))
         snapshots = _epoch_snapshots(task, init_model, datasets, wanted, seed, train)
 
         for c, scheme, signup, gates, type_epochs in booked:

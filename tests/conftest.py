@@ -92,17 +92,14 @@ def reference_local_train(
         return model
     x = np.asarray(points, dtype=float)
     y = np.asarray(labels, dtype=int)
-    if x.ndim != 2 or x.shape[1] != model.arch.input_dim:
-        raise ArchitectureMismatchError(
-            f"data dimension {x.shape} does not match input_dim {model.arch.input_dim}"
-        )
+    d, k = model.shape
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ArchitectureMismatchError(f"data dimension {x.shape} does not match input dimension {d}")
     n = x.shape[0]
-    k = model.arch.n_classes
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
     rng = as_generator(seed)
-    params = model.parameters.copy()
-    d = model.arch.input_dim
+    params = flat(model)
 
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -118,7 +115,12 @@ def reference_local_train(
             grad = np.concatenate([(xb.T @ g).ravel(), g.sum(axis=0)])
             params -= learning_rate * grad
 
-    return ModelVector(arch=model.arch, parameters=params)
+    return ModelVector(weights=params[: d * k].reshape(d, k), bias=params[d * k :])
+
+
+def flat(model: ModelVector) -> np.ndarray:
+    """The model's weights row by row, then its bias."""
+    return np.concatenate([model.weights.ravel(), model.bias])
 
 
 def _reference_softmax(logits: np.ndarray) -> np.ndarray:

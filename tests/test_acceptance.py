@@ -305,7 +305,7 @@ def cli_output_digests(tmp_path: Path, mnist_config_path: Path) -> dict[str, dic
     def snapshot(out_dir: Path) -> dict[str, bytes]:
         return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
-    base = ExperimentConfig.from_json(mnist_config_path).to_dict()
+    base = json.loads(mnist_config_path.read_text())
     base["population"] = 2000
     compare_payload = {
         **base,

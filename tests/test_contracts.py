@@ -148,6 +148,37 @@ class TestServerUtility:
         assert clamped == pytest.approx(1.0)
 
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n_types=st.sampled_from([1, 2, 3, 10, 300, 3000]), seed=st.integers(0, 2**32 - 1))
+    def test_surplus_minus_rent(self, n_types, seed):
+        # with kappa = theta^2 / c the objective is the surplus
+        # sum beta kappa (R G - R^2 / 2) less the rent sum beta u_i(i), so an
+        # IR-feasible menu earns at most the first best sum beta kappa G^2 / 2;
+        # the instance is drawn as the menu_scale benchmark draws its own
+        rng = np.random.default_rng([seed, 2])
+        profile = TypeProfile.from_arrays(
+            np.sort(rng.uniform(0.05, 1.0, n_types)), rng.dirichlet(np.ones(n_types)),
+            float(rng.uniform(0.5, 2.0)),
+        )
+        curve = RevenueCurve.exponential(float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.5, 2.0)))
+        solved = solve_optimal_menu(profile, curve, np.sort(rng.uniform(0.0, 1.0, n_types)))
+        random_menu = ContractMenu(
+            rng.uniform(0.0, 2.0, n_types), rng.uniform(0.0, 3.0, n_types), rng.uniform(0.0, 1.0, n_types)
+        )
+        thetas, betas, c = profile.thetas, profile.betas, profile.unit_cost
+        kappa = thetas**2 / c
+        for menu in (solved, random_menu):
+            g = np.array([curve(m) for m in menu.benchmarks.tolist()])
+            r, f = menu.rewards, menu.fees
+            surplus = kappa * (r * g - r**2 / 2.0)
+            rent = (thetas * r) ** 2 / (2.0 * c) - f
+            scale = max(1.0, betas @ (np.abs(surplus) + np.abs(rent)))
+            utility = server_expected_utility(profile, menu, curve)
+            assert utility == pytest.approx(betas @ surplus - betas @ rent, rel=0.0, abs=1e-12 * scale)
+            if menu is solved:
+                assert utility <= betas @ (kappa * g**2 / 2.0) + 1e-12 * scale
+
+
 class TestSolver:
     def test_single_type(self):
         profile = TypeProfile.from_arrays([1.0], [1.0], 1.0)

@@ -21,7 +21,6 @@ from fedpact.learning import (
     CalibrationError,
     ClientDataset,
     ClientRecord,
-    ModelArch,
     ModelVector,
     SchemeReport,
     SchemeRound,
@@ -37,7 +36,7 @@ from fedpact.learning import (
 from fedpact.seeding import child_rng
 from fedpact.simulation import choose_contract, sample_population
 
-from conftest import CONFIGS, menu_rows, reference_local_train
+from conftest import CONFIGS, flat, menu_rows, reference_local_train
 
 
 @pytest.fixture(scope="module")
@@ -70,21 +69,28 @@ def tiny_ml_config(**overrides) -> ExperimentConfig:
 
 
 class TestModelVector:
-    def test_parameter_counts(self):
-        assert ModelArch(2, 2).parameter_count == 6
-
     def test_wrong_size_rejected(self):
         with pytest.raises(ArchitectureMismatchError):
-            ModelVector(ModelArch(2, 2), np.zeros(5))
+            ModelVector(np.zeros((2, 2)), np.zeros(3))
 
     def test_random_deterministic(self):
-        arch = ModelArch(2, 3)
-        a = ModelVector.random(arch, 5)
-        b = ModelVector.random(arch, 5)
-        np.testing.assert_array_equal(a.parameters, b.parameters)
+        a = ModelVector.random((2, 3), 5)
+        b = ModelVector.random((2, 3), 5)
+        np.testing.assert_array_equal(flat(a), flat(b))
+
+    def test_random_stream_is_weights_then_bias(self):
+        # the initial models of every shipped run are drawn from this stream
+        for d in range(1, 6):
+            for k in range(2, 5):
+                for seed in (0, 7):
+                    model = ModelVector.random((d, k), seed)
+                    assert model.shape == (d, k) and model.bias.shape == (k,)
+                    np.testing.assert_array_equal(
+                        flat(model), np.random.default_rng(seed).normal(0.0, 0.5, (d + 1) * k)
+                    )
 
     def test_predict_shape(self, task2d):
-        model = ModelVector.zeros(task2d.arch)
+        model = ModelVector(np.zeros(task2d.shape), np.zeros(task2d.shape[1]))
         points = np.random.default_rng(0).random((17, 2))
         assert model.predict(points).shape == (17,)
 
@@ -94,7 +100,7 @@ class TestSyntheticTask:
         a = SyntheticTask.generate(2, 2, seed=3)
         b = SyntheticTask.generate(2, 2, seed=3)
         np.testing.assert_array_equal(a.test_labels, b.test_labels)
-        np.testing.assert_array_equal(a.weights, b.weights)
+        np.testing.assert_array_equal(a.rule.weights, b.rule.weights)
 
     def test_classes_reasonably_balanced(self):
         for seed in range(6):
@@ -103,12 +109,12 @@ class TestSyntheticTask:
             assert 0.25 <= share[0] <= 0.75
 
     def test_random_models_score_chance_level(self, task2d):
-        accs = [server_test(ModelVector.random(task2d.arch, s), task2d) for s in range(30)]
+        accs = [server_test(ModelVector.random(task2d.shape, s), task2d) for s in range(30)]
         assert np.mean(accs) == pytest.approx(0.5, abs=0.05)
 
     def test_multiclass_chance_level(self):
         task = SyntheticTask.generate(3, 4, seed=11, test_size=3000)
-        accs = [server_test(ModelVector.random(task.arch, s), task) for s in range(40)]
+        accs = [server_test(ModelVector.random(task.shape, s), task) for s in range(40)]
         assert np.mean(accs) == pytest.approx(0.25, abs=0.05)
 
 
@@ -177,12 +183,12 @@ def reference_calibration(
     """``generate_client_dataset`` as a bisection that evaluates every side,
     then, if no side it measured is within tolerance, a scan of every grid
     side; ``calls[0]`` counts its ``coverage_quality`` evaluations."""
-    unit_draws = child_rng(seed, 1).random((n_points, task.dimension))
+    unit_draws = child_rng(seed, 1).random((n_points, task.shape[0]))
     quality_seed = int(child_rng(seed, 2).integers(2**31))
 
     def quality(side: float) -> float:
         calls[0] += 1
-        cloud = PointCloud(task.dimension, unit_draws * side)
+        cloud = PointCloud(task.shape[0], unit_draws * side)
         return coverage_quality(cloud, QUALITY_SAMPLES, quality_seed)
 
     def bisect() -> tuple[float, float]:
@@ -219,7 +225,7 @@ def reference_calibration(
     points = unit_draws * best_side
     return ClientDataset(
         points=points,
-        labels=task.label(points),
+        labels=task.rule.predict(points),
         measured_quality=best_q,
         subcube_side=best_side,
     )
@@ -265,9 +271,9 @@ TASKS = {d: SyntheticTask.generate(d, 2, seed=7, test_size=50) for d in (1, 2, 3
 
 def quality_at_side(task: SyntheticTask, n_points: int, seed: int, side: float) -> float:
     """The quality ``generate_client_dataset`` measures at ``side``."""
-    unit_draws = child_rng(seed, 1).random((n_points, task.dimension))
+    unit_draws = child_rng(seed, 1).random((n_points, task.shape[0]))
     quality_seed = int(child_rng(seed, 2).integers(2**31))
-    return coverage_quality(PointCloud(task.dimension, unit_draws * side), QUALITY_SAMPLES, quality_seed)
+    return coverage_quality(PointCloud(task.shape[0], unit_draws * side), QUALITY_SAMPLES, quality_seed)
 
 
 class TestCalibrationSkips:
@@ -379,16 +385,16 @@ def shipped_seed_datasets() -> tuple[SyntheticTask, list[tuple[float, int, int]]
 
 class TestLocalTrain:
     def test_zero_effort_identity(self, task2d):
-        model = ModelVector.random(task2d.arch, 1)
+        model = ModelVector.random(task2d.shape, 1)
         data = child_rng(2, 0).random((40, 2))
-        out = local_train([model], data[None], task2d.label(data)[None], 0.0, 50, [3])
+        out = local_train([model], data[None], task2d.rule.predict(data)[None], 0.0, 50, [3])
         assert out[0] is model
 
     def test_separable_task_learned(self, task2d):
         points = child_rng(4, 0).random((200, 2))
-        labels = task2d.label(points)
+        labels = task2d.rule.predict(points)
         model = local_train(
-            [ModelVector.random(task2d.arch, 5)], points[None], labels[None], 1.0, 50, [6]
+            [ModelVector.random(task2d.shape, 5)], points[None], labels[None], 1.0, 50, [6]
         )[0]
         assert model_accuracy(model, points, labels) >= 0.95
         assert server_test(model, task2d) >= 0.9
@@ -397,8 +403,8 @@ class TestLocalTrain:
         wins = 0
         for seed in range(10):
             points = child_rng(seed, 1).random((150, 2))
-            labels = task2d.label(points)
-            init = ModelVector.random(task2d.arch, seed)
+            labels = task2d.rule.predict(points)
+            init = ModelVector.random(task2d.shape, seed)
             hi = local_train([init], points[None], labels[None], 1.0, 50, [seed])[0]
             lo = local_train([init], points[None], labels[None], 0.2, 50, [seed])[0]
             if server_test(hi, task2d) >= server_test(lo, task2d):
@@ -407,25 +413,25 @@ class TestLocalTrain:
 
     def test_deterministic(self, task2d):
         points = child_rng(8, 0).random((60, 2))
-        labels = task2d.label(points)
-        init = ModelVector.random(task2d.arch, 9)
+        labels = task2d.rule.predict(points)
+        init = ModelVector.random(task2d.shape, 9)
         a = local_train([init], points[None], labels[None], 0.7, 20, [10])[0]
         b = local_train([init], points[None], labels[None], 0.7, 20, [10])[0]
-        np.testing.assert_array_equal(a.parameters, b.parameters)
+        np.testing.assert_array_equal(flat(a), flat(b))
 
     def test_epoch_rounding(self, task2d):
         # effort 0.04 of 12 epochs rounds to zero epochs: identity
-        model = ModelVector.random(task2d.arch, 11)
+        model = ModelVector.random(task2d.shape, 11)
         data = child_rng(12, 0).random((30, 2))
-        assert local_train([model], data[None], task2d.label(data)[None], 0.04, 12, [13])[0] is model
+        assert local_train([model], data[None], task2d.rule.predict(data)[None], 0.04, 12, [13])[0] is model
 
     def test_dimension_mismatch(self, task2d):
-        model = ModelVector.random(task2d.arch, 17)
+        model = ModelVector.random(task2d.shape, 17)
         with pytest.raises(ArchitectureMismatchError):
             local_train([model], np.zeros((1, 5, 3)), np.zeros((1, 5), dtype=int), 1.0, 10, [18])
 
     def test_client_count_mismatch(self, task2d):
-        model = ModelVector.random(task2d.arch, 19)
+        model = ModelVector.random(task2d.shape, 19)
         points = np.zeros((2, 5, 2))
         labels = np.zeros((2, 5), dtype=int)
         with pytest.raises(ValueError, match="same clients"):
@@ -439,9 +445,9 @@ class TestLocalTrain:
 def stacked_clients(dimension: int, classes: int, n_points: int, n_clients: int = 4):
     """Distinct init models and labelled data for ``n_clients`` clients."""
     task = SyntheticTask.generate(dimension, classes, seed=31, test_size=10)
-    models = [ModelVector.random(task.arch, child_rng(32, i)) for i in range(n_clients)]
+    models = [ModelVector.random(task.shape, child_rng(32, i)) for i in range(n_clients)]
     points = np.stack([child_rng(33, i).random((n_points, dimension)) for i in range(n_clients)])
-    labels = np.stack([task.label(p) for p in points])
+    labels = np.stack([task.rule.predict(p) for p in points])
     return models, points, labels
 
 
@@ -463,9 +469,9 @@ class TestLockstepTrain:
             single = reference_local_train(
                 model, points[i], labels[i], effort, 10, child_rng(34, i), 0.8, batch_size
             )
-            assert stacked[i].arch == single.arch
+            assert stacked[i].shape == single.shape
             # bit for bit, and the very input model when no epoch runs
-            np.testing.assert_array_equal(stacked[i].parameters, single.parameters)
+            np.testing.assert_array_equal(flat(stacked[i]), flat(single))
             assert (stacked[i] is model) == (single is model) == (effort == 0.0)
 
     @pytest.mark.parametrize("first,total", [(3, 7), (1, 12), (6, 6)])
@@ -479,36 +485,35 @@ class TestLockstepTrain:
             [child_rng(35, i) for i in range(len(models))], 0.8, 16,
         )
         for a, b in zip(tail, whole):
-            np.testing.assert_array_equal(a.parameters, b.parameters)
+            np.testing.assert_array_equal(flat(a), flat(b))
 
 
 class TestAggregate:
     def test_single_model_identity(self, task2d):
-        model = ModelVector.random(task2d.arch, 20)
+        model = ModelVector.random(task2d.shape, 20)
         out = aggregate([(model, 1.0)])
-        np.testing.assert_array_equal(out.parameters, model.parameters)
+        np.testing.assert_array_equal(flat(out), flat(model))
 
     def test_identical_models_fixed_point(self, task2d):
-        model = ModelVector.random(task2d.arch, 21)
+        model = ModelVector.random(task2d.shape, 21)
         out = aggregate([(model, 0.3), (model, 0.7)])
-        np.testing.assert_allclose(out.parameters, model.parameters)
+        np.testing.assert_allclose(flat(out), flat(model))
 
     def test_component_mean(self):
-        arch = ModelArch(1, 2)
-        m1 = ModelVector(arch, np.array([0.0, 0.0, 0.0, 0.0]))
-        m2 = ModelVector(arch, np.array([2.0, 4.0, 2.0, 4.0]))
+        m1 = ModelVector(np.zeros((1, 2)), np.zeros(2))
+        m2 = ModelVector(np.array([[2.0, 4.0]]), np.array([2.0, 4.0]))
         out = aggregate([(m1, 0.5), (m2, 0.5)])
-        np.testing.assert_array_equal(out.parameters, [1.0, 2.0, 1.0, 2.0])
+        np.testing.assert_array_equal(flat(out), [1.0, 2.0, 1.0, 2.0])
 
     def test_weight_sum_enforced(self, task2d):
-        model = ModelVector.random(task2d.arch, 22)
+        model = ModelVector.random(task2d.shape, 22)
         with pytest.raises(ValueError):
             aggregate([(model, 0.5), (model, 0.6)])
 
     @pytest.mark.parametrize("weights", [(math.nan, 1.0), (2.0, -1.0)])
     def test_weights_must_be_non_negative(self, task2d, weights):
         # a NaN weight gave a NaN model; 2 and -1 sum to 1
-        model = ModelVector.random(task2d.arch, 22)
+        model = ModelVector.random(task2d.shape, 22)
         with pytest.raises(ValueError, match="non-negative"):
             aggregate([(model, w) for w in weights])
 
@@ -517,17 +522,17 @@ class TestAggregate:
             aggregate([])
 
     def test_architecture_mismatch(self):
-        a = ModelVector.zeros(ModelArch(2, 2))
-        b = ModelVector.zeros(ModelArch(3, 2))
+        a = ModelVector(np.zeros((2, 2)), np.zeros(2))
+        b = ModelVector(np.zeros((3, 2)), np.zeros(2))
         with pytest.raises(ArchitectureMismatchError):
             aggregate([(a, 0.5), (b, 0.5)])
 
     def test_permutation_invariant(self, task2d):
-        models = [ModelVector.random(task2d.arch, s) for s in range(3)]
+        models = [ModelVector.random(task2d.shape, s) for s in range(3)]
         weights = [0.2, 0.3, 0.5]
         fwd = aggregate(list(zip(models, weights)))
         rev = aggregate(list(zip(models[::-1], weights[::-1])))
-        np.testing.assert_allclose(fwd.parameters, rev.parameters, atol=1e-12)
+        np.testing.assert_allclose(flat(fwd), flat(rev), atol=1e-12)
 
 
 class TestSchemeComparison:
@@ -613,7 +618,7 @@ class TestSchemeComparison:
             for k, target in enumerate(targets):
                 ds = generate_client_dataset(task2d, target, 120, seed=1000 + seed * 10 + k)
                 model = local_train(
-                    [ModelVector.random(task2d.arch, seed)], ds.points[None], ds.labels[None],
+                    [ModelVector.random(task2d.shape, seed)], ds.points[None], ds.labels[None],
                     1.0, 50, [seed],
                 )[0]
                 qualities.append(ds.measured_quality)
@@ -646,7 +651,7 @@ def reference_comparison(config: ExperimentConfig) -> SchemeReport:
             )
             for cid, type_idx in enumerate(draws)
         }
-        init_model = ModelVector.random(task.arch, child_rng(seed, 30))
+        init_model = ModelVector.random(task.shape, child_rng(seed, 30))
         model_cache = {}
 
         def trained(cid, effort):
@@ -744,7 +749,7 @@ def reference_comparison(config: ExperimentConfig) -> SchemeReport:
 
 
 def shipped_config(**overrides) -> ExperimentConfig:
-    payload = ExperimentConfig.from_json(CONFIGS / "synthetic_default.json").to_dict()
+    payload = json.loads((CONFIGS / "synthetic_default.json").read_text())
     payload.update(overrides)
     return ExperimentConfig.from_dict(payload)
 

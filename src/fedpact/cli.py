@@ -42,10 +42,8 @@ def _out_dir(config: ExperimentConfig) -> Path:
 def cmd_solve(args: argparse.Namespace) -> int:
     """Solve the optimal menu and write it with its feasibility report."""
     config = _load_config(args)
-    profile = config.build_profile()
-    curve = config.build_curve()
-    menu = solve_optimal_menu(profile, curve, config.benchmarks)
-    report = verify_feasibility(profile, menu)
+    menu = solve_optimal_menu(config.profile, config.curve, config.benchmarks)
+    report = verify_feasibility(config.profile, menu)
     out = _out_dir(config)
     menu.to_json(out / "menu.json")
     report.to_json(out / "feasibility.json")
@@ -63,8 +61,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     """Check an externally supplied menu against the config's profile."""
     config = _load_config(args)
     menu = ContractMenu.from_json(args.menu)
-    profile = config.build_profile()
-    report = verify_feasibility(profile, menu)
+    report = verify_feasibility(config.profile, menu)
     out = _out_dir(config)
     report.to_json(out / "audit.json")
     print(f"audit: {out / 'audit.json'}")
@@ -83,12 +80,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run one contracting round per seed and write ledger + per-client files."""
     config = _load_config(args)
-    profile = config.build_profile()
-    curve = config.build_curve()
-    menu = solve_optimal_menu(profile, curve, config.benchmarks)
+    menu = solve_optimal_menu(config.profile, config.curve, config.benchmarks)
     out = _out_dir(config)
     for seed in config.seeds:
-        outcome = run_round(profile, menu, curve, config.population, config.mode, seed)
+        outcome = run_round(
+            config.profile, menu, config.curve, config.population, config.mode, seed
+        )
         outcome.to_json(out / f"round_seed{seed}.json")
         outcome.clients_to_csv(out / f"round_seed{seed}.csv")
         mean_utility = outcome.realized_server_utility / len(outcome.client_type)

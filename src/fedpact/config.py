@@ -6,7 +6,9 @@ task / training knobs for the learning experiments.  All randomness
 flows from the seeds recorded here; nothing reads the clock or OS
 entropy.  The file is read, and its objects' keys and its numbers are
 checked, by the same helpers in ``contracts`` that read an audited menu;
-each object's keys are checked before its values.  Every error is a
+each object's keys are checked before its values.  The config holds the
+``TypeProfile`` and the ``RevenueCurve`` it builds from its ``profile``
+and ``curve`` sections, and every command reads those.  Every error is a
 ``ConfigError`` naming the file or the offending field path.
 """
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .contracts import RevenueCurve, TypeProfile, _number, _object, _read_json
 SCHEMA_VERSION = 1
 MODES = ("analytic", "ml")
 SCHEMES = ("contract", "fedavg", "flat")
-CURVE_KEYS = {"exponential": ("kind", "a", "b"), "table": ("kind", "benchmarks", "values")}
 
 
 class ConfigError(ValueError):
@@ -36,6 +37,14 @@ def _require(condition: bool, path: str, message: str) -> None:
 def _numbers(values, path: str, kind: type) -> tuple:
     _require(isinstance(values, list), path, f"must be a list, got {values!r}")
     return tuple(_number(v, f"{path}[{i}]", kind) for i, v in enumerate(values))
+
+
+# a curve section's kind -> the RevenueCurve constructor it calls and the
+# typing of the section's other keys, which are the constructor's parameters
+CURVE_KINDS = {
+    "exponential": (RevenueCurve.exponential, {"a": _number, "b": _number}),
+    "table": (RevenueCurve.from_table, {"benchmarks": _numbers, "values": _numbers}),
+}
 
 
 @contextmanager
@@ -78,11 +87,11 @@ class TaskSpec:
     test_size: int = 2000
     seed: int = 7
 
-    def validate(self, path: str = "task") -> None:
-        _require(self.dimension >= 1, f"{path}.dimension", "must be >= 1")
-        _require(self.classes >= 2, f"{path}.classes", "must be >= 2")
-        _require(self.test_size >= 1, f"{path}.test_size", "must be >= 1")
-        _require(self.seed >= 0, f"{path}.seed", "must be >= 0")
+    def validate(self) -> None:
+        _require(self.dimension >= 1, "task.dimension", "must be >= 1")
+        _require(self.classes >= 2, "task.classes", "must be >= 2")
+        _require(self.test_size >= 1, "task.test_size", "must be >= 1")
+        _require(self.seed >= 0, "task.seed", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -94,20 +103,18 @@ class TrainingSpec:
     learning_rate: float = 0.8
     batch_size: int = 32
 
-    def validate(self, path: str = "training") -> None:
-        _require(self.max_epochs >= 1, f"{path}.max_epochs", "must be >= 1")
-        _require(self.n_points >= 1, f"{path}.n_points", "must be >= 1")
+    def validate(self) -> None:
+        _require(self.max_epochs >= 1, "training.max_epochs", "must be >= 1")
+        _require(self.n_points >= 1, "training.n_points", "must be >= 1")
         _require(math.isfinite(self.learning_rate) and self.learning_rate > 0,
-                 f"{path}.learning_rate", "must be finite and positive")
-        _require(self.batch_size >= 1, f"{path}.batch_size", "must be >= 1")
+                 "training.learning_rate", "must be finite and positive")
+        _require(self.batch_size >= 1, "training.batch_size", "must be >= 1")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    thetas: tuple[float, ...]
-    betas: tuple[float, ...]
-    unit_cost: float
-    curve: dict
+    profile: TypeProfile  # at the config's own cost, ``profile.c``
+    curve: RevenueCurve
     benchmarks: tuple[float, ...]
     population: int
     seeds: tuple[int, ...]
@@ -117,28 +124,21 @@ class ExperimentConfig:
     out_dir: str = "out"
     task: TaskSpec = field(default_factory=TaskSpec)
     training: TrainingSpec = field(default_factory=TrainingSpec)
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
         if not self.c_values:
-            object.__setattr__(self, "c_values", (self.unit_cost,))
+            object.__setattr__(self, "c_values", (self.profile.unit_cost,))
         self.validate()
 
     def validate(self) -> None:
         """Check the config's values against its own rules; their keys and
-        types are checked by ``from_dict``.  The profile's and the curve's
-        rules are those of ``TypeProfile`` and ``RevenueCurve``, which are
-        built here (the profile once per cost) and reported at their config
-        paths."""
-        _require(self.schema_version == SCHEMA_VERSION, "schema_version",
-                 f"expected {SCHEMA_VERSION}")
-        costs = {"profile.c": self.unit_cost} | {
-            f"c_values[{i}]": c for i, c in enumerate(self.c_values)}
-        for path, cost in costs.items():
-            with _config_errors("profile", thetas="profile.thetas", betas="profile.betas",
-                                unit_cost=path):
-                self.build_profile(cost)
-        n = len(self.thetas)
+        types, the schema version and the rules of the profile and the
+        curve are checked by ``from_dict``, which builds those two.  Each
+        cost in ``c_values`` is checked as the profile's unit cost."""
+        for i, c in enumerate(self.c_values):
+            with _config_errors(unit_cost=f"c_values[{i}]"):
+                replace(self.profile, unit_cost=c)
+        n = len(self.profile)
         _require(len(self.benchmarks) == n, "benchmarks", f"need {n} values")
         _require(all(0.0 <= m <= 1.0 for m in self.benchmarks), "benchmarks",
                  "every benchmark must lie in [0, 1]")
@@ -155,54 +155,38 @@ class ExperimentConfig:
         _require(isinstance(self.out_dir, str) and self.out_dir != "", "out_dir",
                  f"must be a non-empty string, got {self.out_dir!r}")
         with _config_errors("curve"):
-            self.build_curve().check_increasing_convex(self.benchmarks)
+            self.curve.check_increasing_convex(self.benchmarks)
         self.task.validate()
         self.training.validate()
-
-    # ---- assembly -------------------------------------------------------
-
-    def build_profile(self, unit_cost: float | None = None) -> TypeProfile:
-        return TypeProfile.from_arrays(
-            self.thetas, self.betas, self.unit_cost if unit_cost is None else unit_cost
-        )
-
-    def build_curve(self) -> RevenueCurve:
-        if self.curve["kind"] == "exponential":
-            return RevenueCurve.exponential(float(self.curve["a"]), float(self.curve["b"]))
-        return RevenueCurve.from_table(
-            [float(m) for m in self.curve["benchmarks"]],
-            [float(v) for v in self.curve["values"]],
-        )
 
     # ---- serialization --------------------------------------------------
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         """The config of a JSON object: each object's keys are checked before
-        its values are typed, and the values' rules (``validate``) last."""
+        its values are typed, the schema version next, then the profile and
+        the curve are built, and the other values' rules (``validate``) last."""
         with _config_errors():
             _object(payload, "", ("profile", "curve", "benchmarks", "population", "seeds"),
                     ("schema_version", "mode", "schemes", "c_values", "out_dir", "task",
                      "training"))
-            profile = _object(payload["profile"], "profile", ("thetas", "betas", "c"))
-            curve = payload["curve"]
+            types = _object(payload["profile"], "profile", ("thetas", "betas", "c"))
+            section = payload["curve"]
             # a curve's keys are those of its kind; any kind will do to reject a non-object
-            kind = curve.get("kind") if isinstance(curve, dict) else "table"
-            _require(isinstance(kind, str) and kind in CURVE_KEYS, "curve.kind",
+            kind = section.get("kind") if isinstance(section, dict) else "table"
+            _require(isinstance(kind, str) and kind in CURVE_KINDS, "curve.kind",
                      f"must be 'exponential' or 'table', got {kind!r}")
-            _object(curve, "curve", CURVE_KEYS[kind])
-            for key, check in (("a", _number), ("b", _number),
-                               ("benchmarks", _numbers), ("values", _numbers)):
-                if key in curve:
-                    check(curve[key], f"curve.{key}", float)
+            constructor, checks = CURVE_KINDS[kind]
+            _object(section, "curve", ("kind", *checks))
+            curve_args = {key: check(section[key], f"curve.{key}", float)
+                          for key, check in checks.items()}
             schemes = payload.get("schemes", list(SCHEMES))
             _require(isinstance(schemes, list) and all(isinstance(v, str) for v in schemes),
                      "schemes", f"must be a list of strings, got {schemes!r}")
-            return cls(
-                thetas=_numbers(profile["thetas"], "profile.thetas", float),
-                betas=_numbers(profile["betas"], "profile.betas", float),
-                unit_cost=_number(profile["c"], "profile.c", float),
-                curve=dict(curve),
+            thetas = _numbers(types["thetas"], "profile.thetas", float)
+            betas = _numbers(types["betas"], "profile.betas", float)
+            unit_cost = _number(types["c"], "profile.c", float)
+            values = dict(
                 benchmarks=_numbers(payload["benchmarks"], "benchmarks", float),
                 population=_number(payload["population"], "population", int),
                 seeds=_numbers(payload["seeds"], "seeds", int),
@@ -212,10 +196,17 @@ class ExperimentConfig:
                 out_dir=payload.get("out_dir", "out"),
                 task=_spec(TaskSpec, payload.get("task", {}), "task"),
                 training=_spec(TrainingSpec, payload.get("training", {}), "training"),
-                schema_version=_number(
-                    payload.get("schema_version", SCHEMA_VERSION), "schema_version", int
-                ),
             )
+            schema_version = _number(
+                payload.get("schema_version", SCHEMA_VERSION), "schema_version", int
+            )
+        _require(schema_version == SCHEMA_VERSION, "schema_version", f"expected {SCHEMA_VERSION}")
+        with _config_errors("profile", thetas="profile.thetas", betas="profile.betas",
+                            unit_cost="profile.c"):
+            profile = TypeProfile(thetas, betas, unit_cost)
+        with _config_errors("curve"):
+            curve = constructor(**curve_args)
+        return cls(profile=profile, curve=curve, **values)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":

@@ -52,7 +52,7 @@ DEFAULT_TOLERANCE = 1e-9
 
 
 class MenuMismatchError(ValueError):
-    """Menu and type profile (or architecture) disagree on shape."""
+    """Menu and type profile disagree on shape."""
 
 
 # ---------------------------------------------------------------------------

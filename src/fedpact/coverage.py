@@ -30,15 +30,15 @@ prefix of the cloud bounds its quality from below.  ``coverage_quality``
 makes one pass, a running minimum of squared distances, and checks both
 bounds against its band, the floor at the prefix ends ``QUALITY_PREFIXES``;
 the square root is correctly rounded, hence monotone, so each floor and the
-quality have the bits of a pass over just those points.  Seeds are integers
-only; the last seed's samples are memoised.
+quality have the bits of a pass over just those points.  The draws are the
+caller's: ``quality_draws`` makes them from an integer seed, and a caller that
+measures many clouds, as calibration does, makes them once and passes them in.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -110,13 +110,11 @@ def _quality(nearest: np.ndarray, dimension: int) -> float:
     return 1.0 - float(np.mean(np.sqrt(nearest))) / math.sqrt(dimension)
 
 
-@lru_cache(maxsize=1, typed=True)
 def quality_draws(dimension: int, samples: int, seed: int) -> np.ndarray:
-    """The ``samples`` draws from [0, 1)^d that ``coverage_quality``
-    integrates over for the integer ``seed``: the R_d sequence
-    ``(shift + n * alpha) mod 1`` for n = 1..samples, shifted by a uniform
-    ``shift`` drawn from the seed; any other seed raises ``TypeError``.
-    The last call's draws are kept and shared, read-only."""
+    """``samples`` read-only draws from [0, 1)^d for ``coverage_quality`` to
+    integrate over: the R_d sequence ``(shift + n * alpha) mod 1`` for
+    n = 1..samples, shifted by a uniform ``shift`` drawn from the integer
+    ``seed``; any other seed raises ``TypeError``."""
     shift = np.random.default_rng(np.random.SeedSequence(seed)).random(dimension)
     steps = np.arange(1.0, samples + 1.0)[:, None]
     draws = (steps * _rd_alpha(dimension) + shift) % 1.0
@@ -156,23 +154,21 @@ def subcube_quality_ceiling(draws: np.ndarray, side: float) -> float:
 
 def coverage_quality(
     cloud: PointCloud,
-    samples: int,
-    seed: int,
+    draws: np.ndarray,
     *,
     below: float = -math.inf,
     above: float = math.inf,
 ) -> float:
     """Normalized integral of the radius coverage over eps in [0, sqrt(d)].
 
-    Exact on the ``samples`` draws of ``quality_draws`` for the integer
-    ``seed``: 1 - mean nearest-point distance / sqrt(d).  Returns a value
-    in [0, 1]; 0 for the empty cloud.  ``-inf`` instead when the ceiling at
-    the cloud's largest coordinate is below ``below``, ``inf`` when a
-    shorter prefix's quality (see ``QUALITY_PREFIXES``) exceeds ``above``.
+    Exact on ``draws``, the (n, d) samples of ``quality_draws``:
+    1 - mean nearest-point distance / sqrt(d).  Returns a value in [0, 1];
+    0 for the empty cloud.  ``-inf`` instead when the ceiling at the
+    cloud's largest coordinate is below ``below``, ``inf`` when a shorter
+    prefix's quality (see ``QUALITY_PREFIXES``) exceeds ``above``.
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    draws = quality_draws(cloud.dimension, samples, seed)
+    if draws.shape[1:] != (cloud.dimension,):
+        raise ValueError(f"draws {draws.shape} do not match dimension {cloud.dimension}")
     if cloud.is_empty:
         return 0.0
     if below > -math.inf and subcube_quality_ceiling(draws, float(cloud.points.max())) < below:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import eq, ge
 from pathlib import Path
 
@@ -33,8 +33,8 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, TrainingSpec
 from .contracts import ContractMenu, _write_json, solve_optimal_menu
-from .coverage import PointCloud, coverage_quality
-from .seeding import as_generator, child_rng
+from .coverage import PointCloud, coverage_quality, quality_draws
+from .seeding import child_rng
 from .simulation import RoundOutcome, sample_population
 
 
@@ -99,10 +99,10 @@ class ModelVector:
         return self.weights.shape
 
     @classmethod
-    def random(cls, shape: tuple[int, int], seed: int | np.random.Generator) -> "ModelVector":
+    def random(cls, shape: tuple[int, int], rng: np.random.Generator) -> "ModelVector":
         """Weights then bias, row by row, from one ``normal(0, INIT_SCALE)`` stream."""
         d, k = shape
-        draws = as_generator(seed).normal(0.0, INIT_SCALE, (d + 1, k))
+        draws = rng.normal(0.0, INIT_SCALE, (d + 1, k))
         return cls(weights=draws[:d], bias=draws[d])
 
     def predict(self, points: np.ndarray) -> np.ndarray:
@@ -132,9 +132,7 @@ class SyntheticTask:
     test_labels: np.ndarray
 
     @classmethod
-    def generate(
-        cls, dimension: int, n_classes: int, seed: int, test_size: int = 2000
-    ) -> "SyntheticTask":
+    def generate(cls, dimension: int, n_classes: int, seed: int, test_size: int) -> "SyntheticTask":
         rng = child_rng(seed, 911)
         # prototypes on a ring around an anchor on the main diagonal,
         # slightly toward the origin: client data is drawn from
@@ -220,11 +218,10 @@ def generate_client_dataset(
         raise ValueError("n_points must be >= 1")
     dimension = task.shape[0]
     unit_draws = child_rng(seed, 1).random((n_points, dimension))
-    quality_seed = int(child_rng(seed, 2).integers(2**31))
+    draws = quality_draws(dimension, QUALITY_SAMPLES, int(child_rng(seed, 2).integers(2**31)))
 
     def quality(side: float, **band: float) -> float:
-        cloud = PointCloud(dimension, unit_draws * side)
-        return coverage_quality(cloud, QUALITY_SAMPLES, quality_seed, **band)
+        return coverage_quality(PointCloud(dimension, unit_draws * side), draws, **band)
 
     def miss(pair: tuple[float, float]) -> float:
         return abs(pair[1] - target_theta)
@@ -299,15 +296,15 @@ def local_train(
     labels: np.ndarray,
     effort: float,
     max_epochs: int,
-    seeds: Sequence[int | np.random.Generator],
-    learning_rate: float = 0.8,
-    batch_size: int = 32,
+    rngs: Sequence[np.random.Generator],
+    learning_rate: float,
+    batch_size: int,
 ) -> tuple[ModelVector, ...]:
     """Mini-batch cross-entropy gradient descent for round(effort * max_epochs)
     epochs, C clients in lockstep.
 
     ``points`` is ``(C, n, d)`` and ``labels`` ``(C, n)``; row ``i`` trains
-    ``models[i]`` with its own shuffle stream ``seeds[i]``, and gets the bits
+    ``models[i]`` with its own shuffle stream ``rngs[i]``, and gets the bits
     a run on that client alone would.  Generators advance in place, so a
     second call with the same generators continues each client's run.  Zero
     epochs return the input models themselves.
@@ -319,9 +316,9 @@ def local_train(
     models = tuple(models)
     x = np.asarray(points, dtype=float)
     y = np.asarray(labels, dtype=int)
-    if not models or not len(models) == len(seeds) == len(x) or y.shape != x.shape[:2]:
+    if not models or not len(models) == len(rngs) == len(x) or y.shape != x.shape[:2]:
         raise ValueError(
-            f"{len(models)} models, {len(seeds)} seeds, points {x.shape} and "
+            f"{len(models)} models, {len(rngs)} generators, points {x.shape} and "
             f"labels {y.shape} do not describe the same clients"
         )
     d, k = models[0].shape
@@ -336,7 +333,6 @@ def local_train(
     rows = np.arange(n_clients)[:, None]
     onehot = np.zeros((n_clients, n, k))
     onehot[rows, np.arange(n), y] = 1.0
-    rngs = [as_generator(seed) for seed in seeds]
     w = np.stack([model.weights for model in models])
     b = np.stack([model.bias for model in models])
 
@@ -548,7 +544,7 @@ def _epoch_snapshots(
                 np.stack([datasets[cid].labels for cid in cids]),
                 effort=(stop - done) / train.max_epochs,
                 max_epochs=train.max_epochs,
-                seeds=[rngs[cid] for cid in cids],
+                rngs=[rngs[cid] for cid in cids],
                 learning_rate=train.learning_rate,
                 batch_size=train.batch_size,
             )))
@@ -576,7 +572,6 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
     """
     if config.mode != "ml":
         raise ConfigError("mode: compare requires mode='ml' (trains real models)")
-    curve = config.build_curve()
     task = SyntheticTask.generate(
         config.task.dimension, config.task.classes, config.task.seed,
         config.task.test_size,
@@ -586,14 +581,16 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
     client_rows: list[ClientRecord] = []
     flat_items: dict[float, ContractMenu] = {}
 
+    thetas = config.profile.thetas.tolist()
+    profiles = {c: replace(config.profile, unit_cost=c) for c in config.c_values}
     for seed in config.seeds:
-        draws = sample_population(config.build_profile(), config.population, child_rng(seed, 10))
+        draws = sample_population(config.profile, config.population, child_rng(seed, 10))
         datasets = []
         for cid, type_idx in enumerate(draws.tolist()):
             try:
                 datasets.append(generate_client_dataset(
                     task,
-                    target_theta=config.thetas[type_idx],
+                    target_theta=thetas[type_idx],
                     n_points=train.n_points,
                     seed=int(child_rng(seed, 20, cid).integers(2**31)),
                 ))
@@ -603,17 +600,16 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
 
         booked = []
         wanted: dict[int, set[int]] = {}  # the epoch counts each participant trains
-        for c in config.c_values:
-            profile = config.build_profile(unit_cost=c)
-            menu = solve_optimal_menu(profile, curve, config.benchmarks)
+        for c, profile in profiles.items():
+            menu = solve_optimal_menu(profile, config.curve, config.benchmarks)
             flat = flat_items[c] = _flat_item(menu, profile.betas)
 
             # both policies gate a client on the item its type picks from
             # the solved menu, so only incentives differ; compare reads no
             # server utility, so the flat item's benchmark is never priced
             signed = {
-                "contract": RoundOutcome.sign_up(profile, menu, curve, draws),
-                "flat": RoundOutcome.sign_up(profile, flat, curve, draws),
+                "contract": RoundOutcome.sign_up(profile, menu, config.curve, draws),
+                "flat": RoundOutcome.sign_up(profile, flat, config.curve, draws),
             }
             benchmarks = menu.benchmarks.tolist()
             gates = [
@@ -665,7 +661,7 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
                 )
                 client_rows.append(ClientRecord(
                     seed=seed, c=c, scheme=scheme, client_id=cid, type_index=t + 1,
-                    theta_target=config.thetas[t],
+                    theta_target=thetas[t],
                     theta_measured=datasets[cid].measured_quality,
                     chosen_index=None if choices[t] < 0 else choices[t] + 1,
                     effort=efforts[t], epochs=epochs, local_accuracy=local_acc,

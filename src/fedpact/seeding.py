@@ -1,20 +1,15 @@
 """Deterministic random-stream plumbing.
 
-Every stochastic routine in the package takes an explicit seed (or an
-already-constructed generator) so that identical inputs always give
-identical outputs.  Substreams are derived with ``SeedSequence`` from a
-root seed plus integer path keys instead of ad-hoc arithmetic on seeds.
+A routine that draws from one stream takes it as a ``np.random.Generator``;
+a routine that owns several (a round, a client dataset, a task) takes an
+integer seed and derives each stream with ``child_rng``, by ``SeedSequence``
+from the seed plus integer path keys instead of ad-hoc arithmetic on seeds.
+Nothing reads the clock or OS entropy, so identical inputs always give
+identical outputs.
 """
 from __future__ import annotations
 
 import numpy as np
-
-
-def as_generator(seed: int | np.random.Generator) -> np.random.Generator:
-    """Return ``seed`` unchanged if it already is a generator, else seed one."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def child_rng(root_seed: int, *path: int) -> np.random.Generator:

@@ -42,7 +42,7 @@ from .contracts import (
     utility_tolerance,
     verify_feasibility,
 )
-from .seeding import as_generator, child_rng
+from .seeding import child_rng
 
 
 def choose_contract(theta: float, menu: ContractMenu, c: float) -> tuple[int, float, bool]:
@@ -72,30 +72,25 @@ def choose_contract(theta: float, menu: ContractMenu, c: float) -> tuple[int, fl
     return row, min(max(theta * float(menu.rewards[row]) / c, 0.0), 1.0), len(tied) > 1
 
 
-def sample_population(
-    profile: TypeProfile, n: int, seed: int | np.random.Generator
-) -> np.ndarray:
+def sample_population(profile: TypeProfile, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n client types independently; returns their 0-based type indices."""
     if n < 1:
         raise ValueError("population size must be >= 1")
-    return as_generator(seed).choice(len(profile), size=n, p=profile.betas)
+    return rng.choice(len(profile), size=n, p=profile.betas)
 
 
-def realize_success(
-    p: float | np.ndarray, seed: int | np.random.Generator
-) -> bool | np.ndarray:
-    """Bernoulli trials at success probability ``p``, element-wise.
+def realize_success(p: float | np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Bernoulli trials at success probability ``p``, element-wise: a bool
+    array of ``p``'s shape.
 
     One uniform draw per element, in order, so an array of k trials equals
-    k scalar calls on the same generator.  Scalars give a bool, arrays a
-    bool array.
+    k scalar calls on the same generator.
     """
     p = np.asarray(p, dtype=float)
     outside = ~((p >= 0.0) & (p <= 1.0))
     if outside.any():
         raise ValueError(f"success probability must lie in [0, 1], got {p[outside].flat[0]}")
-    success = as_generator(seed).random(p.shape) < p
-    return bool(success) if success.ndim == 0 else success
+    return rng.random(p.shape) < p
 
 
 _ROWS_PER_WRITE = 1024  # clients formatted per write when streaming the ledger files

@@ -15,7 +15,6 @@ from fedpact.contracts import (
     verify_feasibility,
 )
 from fedpact.learning import ArchitectureMismatchError, ModelVector
-from fedpact.seeding import as_generator
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -76,9 +75,9 @@ def reference_local_train(
     labels: np.ndarray,
     effort: float,
     max_epochs: int,
-    seed: int | np.random.Generator,
-    learning_rate: float = 0.8,
-    batch_size: int = 32,
+    rng: np.random.Generator,
+    learning_rate: float,
+    batch_size: int,
 ) -> ModelVector:
     """One client's mini-batch loop, the reference for the lockstep
     ``learning.local_train``: round(effort * max_epochs) epochs, zero effort
@@ -98,7 +97,6 @@ def reference_local_train(
     n = x.shape[0]
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
-    rng = as_generator(seed)
     params = flat(model)
 
     for _ in range(epochs):

@@ -24,7 +24,7 @@ from fedpact.contracts import (
     solve_optimal_menu,
     verify_feasibility,
 )
-from fedpact.coverage import PointCloud, coverage_quality
+from fedpact.coverage import PointCloud, coverage_quality, quality_draws
 from fedpact.learning import run_scheme_comparison
 from fedpact.simulation import run_round
 from conftest import (
@@ -162,8 +162,8 @@ def test_criterion_3_grid_oracle_cross_check():
 
 def test_criterion_4_coverage_oracle():
     start = time.time()
-    mid = coverage_quality(PointCloud(1, [[0.5]]), 100_000, seed=42)
-    end = coverage_quality(PointCloud(1, [[0.0]]), 100_000, seed=43)
+    mid = coverage_quality(PointCloud(1, [[0.5]]), quality_draws(1, 100_000, 42))
+    end = coverage_quality(PointCloud(1, [[0.0]]), quality_draws(1, 100_000, 43))
     elapsed = time.time() - start
     assert mid == pytest.approx(0.75, abs=0.01)
     assert end == pytest.approx(0.5, abs=0.01)
@@ -176,8 +176,7 @@ def test_criterion_4_coverage_oracle():
 
 def test_criterion_5_truthful_selection(mnist_config_path, tmp_path):
     config = ExperimentConfig.from_json(mnist_config_path)
-    profile = config.build_profile()
-    curve = config.build_curve()
+    profile, curve = config.profile, config.curve
     menu = solve_optimal_menu(profile, curve, config.benchmarks)
     start = time.time()
     outcome = run_round(profile, menu, curve, 10_000, "analytic", seed=7)

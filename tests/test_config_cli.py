@@ -223,7 +223,7 @@ class TestConfigValidation:
     def test_integer_accepted_as_number(self):
         payload = base_payload(profile={"thetas": [0.5, 1], "betas": [0.5, 0.5], "c": 1})
         config = ExperimentConfig.from_dict(payload)
-        assert config.thetas == (0.5, 1.0) and config.unit_cost == 1.0
+        assert config.profile.thetas.tolist() == [0.5, 1.0] and config.profile.unit_cost == 1.0
 
     def test_benchmark_count(self):
         with pytest.raises(ConfigError, match="benchmarks"):
@@ -238,13 +238,41 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="^out_dir: must be a non-empty string"):
             config.with_overrides(out_dir="")
 
-    def test_build_profile_and_curve(self):
+    def test_holds_its_profile_and_curve(self):
         config = ExperimentConfig.from_dict(base_payload())
-        profile = config.build_profile()
-        assert profile.unit_cost == 1.0
-        assert config.build_profile(unit_cost=2.5).unit_cost == 2.5
-        curve = config.build_curve()
-        assert curve(0.3) == 1.0
+        assert config.profile.thetas.tolist() == [0.5, 1.0]
+        assert config.profile.unit_cost == 1.0
+        assert config.curve(0.3) == 1.0
+        # an override keeps what the config built
+        overridden = config.with_overrides(seed=9)
+        assert overridden.profile is config.profile and overridden.curve is config.curve
+
+    @pytest.mark.parametrize("faults, message", [
+        pytest.param({"schema_version": 2, "profile": {"thetas": [0.9, 0.5], "betas": [0.5, 0.5],
+                                                        "c": 1.0}},
+                     "schema_version: expected 1", id="schema-and-thetas"),
+        pytest.param({"profile": {"thetas": [0.9, 0.5], "betas": [0.5, 0.5], "c": 1.0},
+                      "benchmarks": 0.3},
+                     "benchmarks: must be a list, got 0.3", id="thetas-and-benchmarks-type"),
+        pytest.param({"profile": {"thetas": [0.9, 0.5], "betas": [0.5, 0.5], "c": 1.0},
+                      "population": 0},
+                     "profile.thetas: must be strictly increasing, got [0.9, 0.5]",
+                     id="thetas-and-population"),
+        pytest.param({"modes": "ml", "curve": {"kind": "exponential", "a": -1.0, "b": 2.0}},
+                     "modes: unknown key, valid: ['benchmarks', 'c_values', 'curve', 'mode', "
+                     "'out_dir', 'population', 'profile', 'schema_version', 'schemes', 'seeds', "
+                     "'task', 'training']",
+                     id="unknown-key-and-curve"),
+        # the curve is built before the values of the other fields are checked
+        pytest.param({"benchmarks": [0.5], "curve": {"kind": "exponential", "a": -1.0, "b": 2.0}},
+                     "curve: exponential revenue curve needs finite a, b > 0, got -1.0, 2.0",
+                     id="benchmark-count-and-curve"),
+    ])
+    def test_first_of_two_faults_is_reported(self, faults, message, tmp_path, capsys):
+        payload = base_payload(out_dir=str(tmp_path / "out"), **faults)
+        assert main(["solve", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -291,7 +319,7 @@ class TestConfigProperties:
         else:
             curve["values"] = [v * scale for v in curve["values"]]
         config = ExperimentConfig.from_dict(payload)
-        profile, curve = config.build_profile(), config.build_curve()
+        profile, curve = config.profile, config.curve
         menu = solve_optimal_menu(profile, curve, config.benchmarks)
         verify_feasibility(profile, menu)
         run_round(profile, menu, curve, config.population, "analytic", config.seeds[0])
@@ -757,7 +785,7 @@ class TestCli:
             "from fedpact.config import ExperimentConfig\n"
             "from fedpact.contracts import solve_optimal_menu\n"
             f"config = ExperimentConfig.from_json({str(mnist_config_path)!r})\n"
-            "solve_optimal_menu(config.build_profile(), config.build_curve(), config.benchmarks)\n"
+            "solve_optimal_menu(config.profile, config.curve, config.benchmarks)\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         proc = subprocess.run(

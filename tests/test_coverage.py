@@ -43,21 +43,26 @@ def reference_quality(cloud: PointCloud, samples: int, seed: int, steps: int = 2
     return float(np.trapezoid(mu, radii)) / diameter
 
 
+def seeded_quality(cloud: PointCloud, samples: int, seed: int) -> float:
+    """``coverage_quality`` on the ``samples`` draws of ``seed``."""
+    return coverage_quality(cloud, quality_draws(cloud.dimension, samples, seed))
+
+
 class TestCoverageQuality:
     def test_empty_cloud(self):
-        assert coverage_quality(PointCloud(2, []), 100, seed=0) == 0.0
+        assert coverage_quality(PointCloud(2, []), quality_draws(2, 100, 0)) == 0.0
 
     def test_midpoint_oracle(self):
-        theta = coverage_quality(cloud1d(0.5), 100_000, seed=8)
+        theta = seeded_quality(cloud1d(0.5), 100_000, seed=8)
         assert theta == pytest.approx(0.75, abs=0.01)
 
     def test_endpoint_oracle(self):
-        theta = coverage_quality(cloud1d(0.0), 100_000, seed=9)
+        theta = seeded_quality(cloud1d(0.0), 100_000, seed=9)
         assert theta == pytest.approx(0.5, abs=0.01)
 
     def test_dense_grid_near_one(self):
         grid = cloud1d(*np.linspace(0, 1, 1000))
-        assert coverage_quality(grid, 20_000, seed=10) >= 0.99
+        assert seeded_quality(grid, 20_000, seed=10) >= 0.99
 
     def test_monotone_under_supersets(self):
         rng = np.random.default_rng(11)
@@ -65,13 +70,14 @@ class TestCoverageQuality:
         extra = rng.random((10, 2))
         small = PointCloud(2, base)
         large = PointCloud(2, np.vstack([base, extra]))
-        q_small = coverage_quality(small, 4000, seed=12)
-        q_large = coverage_quality(large, 4000, seed=12)
+        draws = quality_draws(2, 4000, 12)
+        q_small = coverage_quality(small, draws)
+        q_large = coverage_quality(large, draws)
         assert q_large >= q_small
 
     def test_deterministic_per_seed(self):
-        a = coverage_quality(cloud1d(0.4, 0.9), 2000, seed=5)
-        b = coverage_quality(cloud1d(0.4, 0.9), 2000, seed=5)
+        a = seeded_quality(cloud1d(0.4, 0.9), 2000, seed=5)
+        b = seeded_quality(cloud1d(0.4, 0.9), 2000, seed=5)
         assert a == b
 
     @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -82,14 +88,20 @@ class TestCoverageQuality:
         side = rng.uniform(0.05, 1.0)
         cloud = PointCloud(dimension, rng.random((n, dimension)) * side)
         seed = int(rng.integers(2**31))
-        exact = coverage_quality(cloud, 3000, seed)
+        exact = seeded_quality(cloud, 3000, seed)
         assert exact == pytest.approx(reference_quality(cloud, 3000, seed), abs=1e-6)
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
             cloud = PointCloud(2, rng.random((3, 2)))
-            assert 0.0 <= coverage_quality(cloud, 500, seed=14) <= 1.0
+            assert 0.0 <= seeded_quality(cloud, 500, seed=14) <= 1.0
+
+    @pytest.mark.parametrize("cloud", [PointCloud(2, []), PointCloud(2, [[0.2, 0.7]])])
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_draws_must_match_the_dimension(self, cloud, dimension):
+        with pytest.raises(ValueError, match="do not match dimension 2"):
+            coverage_quality(cloud, quality_draws(dimension, 50, 1), below=0.5)
 
 
 # sides from the calibration's lower end 1e-3 up to the full cube
@@ -121,7 +133,7 @@ class TestQualityBounds:
             distances = PointCloud(dimension, cloud.points[:end]).nearest_distances(draws)
             return 1.0 - float(np.mean(distances)) / math.sqrt(dimension)
 
-        q = coverage_quality(cloud, 500, seed)
+        q = coverage_quality(cloud, draws)
         assert q.hex() == one_pass(n_points).hex()
         # every prefix is a subset of the cloud, so its quality is a floor;
         # every point lies in [0, m]^d, so that sub-cube's ceiling caps it
@@ -129,7 +141,7 @@ class TestQualityBounds:
         assert all(floor <= q for floor in prefixes.values())
         ceiling = subcube_quality_ceiling(draws, float(cloud.points.max()))
         assert q <= ceiling <= subcube_quality_ceiling(draws, side)
-        bounded = coverage_quality(cloud, 500, seed, below=below, above=above)
+        bounded = coverage_quality(cloud, draws, below=below, above=above)
         if ceiling < below:
             assert bounded == -math.inf and q < below
         elif any(floor > above for floor in prefixes.values()):
@@ -137,13 +149,13 @@ class TestQualityBounds:
         else:
             assert bounded.hex() == q.hex()
         # a ceiling one ulp below ``below`` rejects the cloud; one at it does not
-        assert coverage_quality(cloud, 500, seed, below=math.nextafter(ceiling, math.inf)) == -math.inf
-        assert coverage_quality(cloud, 500, seed, below=ceiling).hex() == q.hex()
+        assert coverage_quality(cloud, draws, below=math.nextafter(ceiling, math.inf)) == -math.inf
+        assert coverage_quality(cloud, draws, below=ceiling).hex() == q.hex()
         if prefixes:
             # a floor one ulp above ``above`` stops the pass; none above it does not
             highest = max(prefixes.values())
-            assert coverage_quality(cloud, 500, seed, above=math.nextafter(highest, -math.inf)) == math.inf
-            assert coverage_quality(cloud, 500, seed, above=highest).hex() == q.hex()
+            assert coverage_quality(cloud, draws, above=math.nextafter(highest, -math.inf)) == math.inf
+            assert coverage_quality(cloud, draws, above=highest).hex() == q.hex()
         # distances are a KD-tree's, bit for bit while it sums the squares in
         # order (up to 7 coordinates; beyond, scipy sums them in four lanes)
         reference, _ = cKDTree(cloud.points).query(draws)
@@ -159,13 +171,13 @@ class TestQualityBounds:
         rng = np.random.default_rng(seed)
         cloud = PointCloud(dimension, rng.random((n_points, dimension)) * side)
         draws = quality_draws(dimension, 500, seed)
-        assert subcube_quality_ceiling(draws, side) >= coverage_quality(cloud, 500, seed)
+        assert subcube_quality_ceiling(draws, side) >= coverage_quality(cloud, draws)
 
     def test_ceiling_is_tight_for_a_corner_point(self):
         # a cloud at the origin is as near to a sample as [0, 1e-3]^d up to 1e-3 * sqrt(d)
         for dimension in (1, 2, 3):
             draws = quality_draws(dimension, 2000, 4)
-            q = coverage_quality(PointCloud(dimension, np.zeros((1, dimension))), 2000, 4)
+            q = coverage_quality(PointCloud(dimension, np.zeros((1, dimension))), draws)
             assert subcube_quality_ceiling(draws, 1e-3) - q <= 1e-3
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -174,7 +186,8 @@ class TestQualityBounds:
     def test_quality_is_lipschitz_in_the_side(self, dimension, n_points, side, other, seed):
         units = np.random.default_rng(seed).random((n_points, dimension))
         slope = float(np.max(np.linalg.norm(units, axis=1))) / math.sqrt(dimension)
-        q, q_other = (coverage_quality(PointCloud(dimension, units * s), 500, seed)
+        draws = quality_draws(dimension, 500, seed)
+        q, q_other = (coverage_quality(PointCloud(dimension, units * s), draws)
                       for s in (side, other))
         assert abs(q - q_other) <= slope * abs(side - other) + 1e-12
 
@@ -182,7 +195,7 @@ class TestQualityBounds:
         cloud = PointCloud(2, [[0.2, 0.7], [0.9, 0.1]])
         draws = quality_draws(2, 300, 6)
         expected = 1.0 - float(np.mean(cloud.nearest_distances(draws))) / math.sqrt(2)
-        assert coverage_quality(cloud, 300, 6) == expected
+        assert coverage_quality(cloud, draws) == expected
 
 
 class TestPointCloud:
@@ -233,9 +246,8 @@ class TestNearestDistances:
 
 
 class TestQualityDraws:
-    def test_seeded_draws_are_shared_read_only(self):
+    def test_seeded_draws_are_read_only(self):
         draws = quality_draws(2, 50, 1)
-        assert quality_draws(2, 50, 1) is draws
         assert not draws.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             draws[0, 0] = 0.5
@@ -256,7 +268,6 @@ class TestQualityDraws:
         assert ((draws >= 0.0) & (draws < 1.0)).all()
         assert quality_draws(dimension, samples + more, seed)[:samples].tobytes() == draws.tobytes()
         assert quality_draws(dimension, samples, seed + 1).tobytes() != draws.tobytes()
-        quality_draws.cache_clear()  # a fresh computation gives the same bits
         assert quality_draws(dimension, samples, seed).tobytes() == draws.tobytes()
 
     @pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5])
@@ -267,17 +278,12 @@ class TestQualityDraws:
         for side in (0.3, 0.65, 1.0):
             cloud = PointCloud(dimension, rng.random((120, dimension)) * side)
             seed = int(rng.integers(2**31))
-            reference = coverage_quality(cloud, 2**16, seed + 1)
-            assert coverage_quality(cloud, QUALITY_SAMPLES, seed) == pytest.approx(reference, abs=3e-3)
+            reference = seeded_quality(cloud, 2**16, seed + 1)
+            assert seeded_quality(cloud, QUALITY_SAMPLES, seed) == pytest.approx(reference, abs=3e-3)
 
     @pytest.mark.parametrize("seed", [np.random.default_rng(3), 3.0], ids=["generator", "float"])
     def test_only_integer_seeds(self, seed):
-        cloud = PointCloud(2, [[0.2, 0.7]])
-        coverage_quality(cloud, 50, 3)  # a float equal to the memoised seed is no hit
-        with pytest.raises(TypeError):
-            coverage_quality(cloud, 50, seed)
-        with pytest.raises(TypeError):
-            coverage_quality(PointCloud(2, []), 50, seed)
+        quality_draws(2, 50, 3)
         with pytest.raises(TypeError):
             quality_draws(2, 50, seed)
 
@@ -286,8 +292,8 @@ def test_coverage_does_not_load_scipy():
     script = (
         "import sys\n"
         "import fedpact.cli\n"
-        "from fedpact.coverage import PointCloud, coverage_quality\n"
-        "coverage_quality(PointCloud(2, [[0.3, 0.6]]), 100, seed=0)\n"
+        "from fedpact.coverage import PointCloud, coverage_quality, quality_draws\n"
+        "coverage_quality(PointCloud(2, [[0.3, 0.6]]), quality_draws(2, 100, 0))\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

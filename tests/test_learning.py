@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fedpact import learning
 from fedpact.config import ConfigError, ExperimentConfig
 from fedpact.contracts import solve_optimal_menu
-from fedpact.coverage import PointCloud, coverage_quality
+from fedpact.coverage import PointCloud, coverage_quality, quality_draws
 from fedpact.learning import (
     CALIBRATION_GRID,
     CALIBRATION_TOLERANCE,
@@ -37,6 +37,8 @@ from fedpact.seeding import child_rng
 from fedpact.simulation import choose_contract, sample_population
 
 from conftest import CONFIGS, flat, menu_rows, reference_local_train
+
+rng = np.random.default_rng
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +76,8 @@ class TestModelVector:
             ModelVector(np.zeros((2, 2)), np.zeros(3))
 
     def test_random_deterministic(self):
-        a = ModelVector.random((2, 3), 5)
-        b = ModelVector.random((2, 3), 5)
+        a = ModelVector.random((2, 3), np.random.default_rng(5))
+        b = ModelVector.random((2, 3), np.random.default_rng(5))
         np.testing.assert_array_equal(flat(a), flat(b))
 
     def test_random_stream_is_weights_then_bias(self):
@@ -83,7 +85,7 @@ class TestModelVector:
         for d in range(1, 6):
             for k in range(2, 5):
                 for seed in (0, 7):
-                    model = ModelVector.random((d, k), seed)
+                    model = ModelVector.random((d, k), np.random.default_rng(seed))
                     assert model.shape == (d, k) and model.bias.shape == (k,)
                     np.testing.assert_array_equal(
                         flat(model), np.random.default_rng(seed).normal(0.0, 0.5, (d + 1) * k)
@@ -97,8 +99,8 @@ class TestModelVector:
 
 class TestSyntheticTask:
     def test_label_rule_deterministic(self):
-        a = SyntheticTask.generate(2, 2, seed=3)
-        b = SyntheticTask.generate(2, 2, seed=3)
+        a = SyntheticTask.generate(2, 2, seed=3, test_size=2000)
+        b = SyntheticTask.generate(2, 2, seed=3, test_size=2000)
         np.testing.assert_array_equal(a.test_labels, b.test_labels)
         np.testing.assert_array_equal(a.rule.weights, b.rule.weights)
 
@@ -109,12 +111,12 @@ class TestSyntheticTask:
             assert 0.25 <= share[0] <= 0.75
 
     def test_random_models_score_chance_level(self, task2d):
-        accs = [server_test(ModelVector.random(task2d.shape, s), task2d) for s in range(30)]
+        accs = [server_test(ModelVector.random(task2d.shape, rng(s)), task2d) for s in range(30)]
         assert np.mean(accs) == pytest.approx(0.5, abs=0.05)
 
     def test_multiclass_chance_level(self):
         task = SyntheticTask.generate(3, 4, seed=11, test_size=3000)
-        accs = [server_test(ModelVector.random(task.shape, s), task) for s in range(40)]
+        accs = [server_test(ModelVector.random(task.shape, rng(s)), task) for s in range(40)]
         assert np.mean(accs) == pytest.approx(0.25, abs=0.05)
 
 
@@ -184,12 +186,11 @@ def reference_calibration(
     then, if no side it measured is within tolerance, a scan of every grid
     side; ``calls[0]`` counts its ``coverage_quality`` evaluations."""
     unit_draws = child_rng(seed, 1).random((n_points, task.shape[0]))
-    quality_seed = int(child_rng(seed, 2).integers(2**31))
+    draws = quality_draws(task.shape[0], QUALITY_SAMPLES, int(child_rng(seed, 2).integers(2**31)))
 
     def quality(side: float) -> float:
         calls[0] += 1
-        cloud = PointCloud(task.shape[0], unit_draws * side)
-        return coverage_quality(cloud, QUALITY_SAMPLES, quality_seed)
+        return coverage_quality(PointCloud(task.shape[0], unit_draws * side), draws)
 
     def bisect() -> tuple[float, float]:
         lo, hi = 1e-3, 1.0
@@ -272,8 +273,8 @@ TASKS = {d: SyntheticTask.generate(d, 2, seed=7, test_size=50) for d in (1, 2, 3
 def quality_at_side(task: SyntheticTask, n_points: int, seed: int, side: float) -> float:
     """The quality ``generate_client_dataset`` measures at ``side``."""
     unit_draws = child_rng(seed, 1).random((n_points, task.shape[0]))
-    quality_seed = int(child_rng(seed, 2).integers(2**31))
-    return coverage_quality(PointCloud(task.shape[0], unit_draws * side), QUALITY_SAMPLES, quality_seed)
+    draws = quality_draws(task.shape[0], QUALITY_SAMPLES, int(child_rng(seed, 2).integers(2**31)))
+    return coverage_quality(PointCloud(task.shape[0], unit_draws * side), draws)
 
 
 class TestCalibrationSkips:
@@ -376,25 +377,29 @@ def shipped_seed_datasets() -> tuple[SyntheticTask, list[tuple[float, int, int]]
     task = SyntheticTask.generate(
         config.task.dimension, config.task.classes, config.task.seed, config.task.test_size
     )
-    draws = sample_population(config.build_profile(), config.population, child_rng(1, 10))
+    draws = sample_population(config.profile, config.population, child_rng(1, 10))
+    thetas = config.profile.thetas.tolist()
     return task, [
-        (config.thetas[type_idx], config.training.n_points, int(child_rng(1, 20, cid).integers(2**31)))
+        (thetas[type_idx], config.training.n_points, int(child_rng(1, 20, cid).integers(2**31)))
         for cid, type_idx in enumerate(draws.tolist())
     ]
 
 
 class TestLocalTrain:
     def test_zero_effort_identity(self, task2d):
-        model = ModelVector.random(task2d.shape, 1)
+        model = ModelVector.random(task2d.shape, rng(1))
         data = child_rng(2, 0).random((40, 2))
-        out = local_train([model], data[None], task2d.rule.predict(data)[None], 0.0, 50, [3])
+        out = local_train(
+            [model], data[None], task2d.rule.predict(data)[None], 0.0, 50, [rng(3)], 0.8, 32
+        )
         assert out[0] is model
 
     def test_separable_task_learned(self, task2d):
         points = child_rng(4, 0).random((200, 2))
         labels = task2d.rule.predict(points)
         model = local_train(
-            [ModelVector.random(task2d.shape, 5)], points[None], labels[None], 1.0, 50, [6]
+            [ModelVector.random(task2d.shape, rng(5))], points[None], labels[None], 1.0, 50,
+            [rng(6)], 0.8, 32,
         )[0]
         assert model_accuracy(model, points, labels) >= 0.95
         assert server_test(model, task2d) >= 0.9
@@ -404,9 +409,9 @@ class TestLocalTrain:
         for seed in range(10):
             points = child_rng(seed, 1).random((150, 2))
             labels = task2d.rule.predict(points)
-            init = ModelVector.random(task2d.shape, seed)
-            hi = local_train([init], points[None], labels[None], 1.0, 50, [seed])[0]
-            lo = local_train([init], points[None], labels[None], 0.2, 50, [seed])[0]
+            init = ModelVector.random(task2d.shape, rng(seed))
+            hi = local_train([init], points[None], labels[None], 1.0, 50, [rng(seed)], 0.8, 32)[0]
+            lo = local_train([init], points[None], labels[None], 0.2, 50, [rng(seed)], 0.8, 32)[0]
             if server_test(hi, task2d) >= server_test(lo, task2d):
                 wins += 1
         assert wins >= 8
@@ -414,32 +419,36 @@ class TestLocalTrain:
     def test_deterministic(self, task2d):
         points = child_rng(8, 0).random((60, 2))
         labels = task2d.rule.predict(points)
-        init = ModelVector.random(task2d.shape, 9)
-        a = local_train([init], points[None], labels[None], 0.7, 20, [10])[0]
-        b = local_train([init], points[None], labels[None], 0.7, 20, [10])[0]
+        init = ModelVector.random(task2d.shape, rng(9))
+        a = local_train([init], points[None], labels[None], 0.7, 20, [rng(10)], 0.8, 32)[0]
+        b = local_train([init], points[None], labels[None], 0.7, 20, [rng(10)], 0.8, 32)[0]
         np.testing.assert_array_equal(flat(a), flat(b))
 
     def test_epoch_rounding(self, task2d):
         # effort 0.04 of 12 epochs rounds to zero epochs: identity
-        model = ModelVector.random(task2d.shape, 11)
+        model = ModelVector.random(task2d.shape, rng(11))
         data = child_rng(12, 0).random((30, 2))
-        assert local_train([model], data[None], task2d.rule.predict(data)[None], 0.04, 12, [13])[0] is model
+        labels = task2d.rule.predict(data)
+        assert local_train([model], data[None], labels[None], 0.04, 12, [rng(13)], 0.8, 32)[0] is model
 
     def test_dimension_mismatch(self, task2d):
-        model = ModelVector.random(task2d.shape, 17)
+        model = ModelVector.random(task2d.shape, rng(17))
         with pytest.raises(ArchitectureMismatchError):
-            local_train([model], np.zeros((1, 5, 3)), np.zeros((1, 5), dtype=int), 1.0, 10, [18])
+            local_train(
+                [model], np.zeros((1, 5, 3)), np.zeros((1, 5), dtype=int), 1.0, 10, [rng(18)],
+                0.8, 32,
+            )
 
     def test_client_count_mismatch(self, task2d):
-        model = ModelVector.random(task2d.shape, 19)
+        model = ModelVector.random(task2d.shape, rng(19))
         points = np.zeros((2, 5, 2))
         labels = np.zeros((2, 5), dtype=int)
         with pytest.raises(ValueError, match="same clients"):
-            local_train([model], points, labels, 1.0, 10, [1, 2])
+            local_train([model], points, labels, 1.0, 10, [rng(1), rng(2)], 0.8, 32)
         with pytest.raises(ValueError, match="same clients"):
-            local_train([model, model], points, labels, 1.0, 10, [1])
+            local_train([model, model], points, labels, 1.0, 10, [rng(1)], 0.8, 32)
         with pytest.raises(ValueError, match="same clients"):
-            local_train([model, model], points, labels[:, :4], 1.0, 10, [1, 2])
+            local_train([model, model], points, labels[:, :4], 1.0, 10, [rng(1), rng(2)], 0.8, 32)
 
 
 def stacked_clients(dimension: int, classes: int, n_points: int, n_clients: int = 4):
@@ -490,12 +499,12 @@ class TestLockstepTrain:
 
 class TestAggregate:
     def test_single_model_identity(self, task2d):
-        model = ModelVector.random(task2d.shape, 20)
+        model = ModelVector.random(task2d.shape, rng(20))
         out = aggregate([(model, 1.0)])
         np.testing.assert_array_equal(flat(out), flat(model))
 
     def test_identical_models_fixed_point(self, task2d):
-        model = ModelVector.random(task2d.shape, 21)
+        model = ModelVector.random(task2d.shape, rng(21))
         out = aggregate([(model, 0.3), (model, 0.7)])
         np.testing.assert_allclose(flat(out), flat(model))
 
@@ -506,14 +515,14 @@ class TestAggregate:
         np.testing.assert_array_equal(flat(out), [1.0, 2.0, 1.0, 2.0])
 
     def test_weight_sum_enforced(self, task2d):
-        model = ModelVector.random(task2d.shape, 22)
+        model = ModelVector.random(task2d.shape, rng(22))
         with pytest.raises(ValueError):
             aggregate([(model, 0.5), (model, 0.6)])
 
     @pytest.mark.parametrize("weights", [(math.nan, 1.0), (2.0, -1.0)])
     def test_weights_must_be_non_negative(self, task2d, weights):
         # a NaN weight gave a NaN model; 2 and -1 sum to 1
-        model = ModelVector.random(task2d.shape, 22)
+        model = ModelVector.random(task2d.shape, rng(22))
         with pytest.raises(ValueError, match="non-negative"):
             aggregate([(model, w) for w in weights])
 
@@ -528,7 +537,7 @@ class TestAggregate:
             aggregate([(a, 0.5), (b, 0.5)])
 
     def test_permutation_invariant(self, task2d):
-        models = [ModelVector.random(task2d.shape, s) for s in range(3)]
+        models = [ModelVector.random(task2d.shape, rng(s)) for s in range(3)]
         weights = [0.2, 0.3, 0.5]
         fwd = aggregate(list(zip(models, weights)))
         rev = aggregate(list(zip(models[::-1], weights[::-1])))
@@ -618,8 +627,8 @@ class TestSchemeComparison:
             for k, target in enumerate(targets):
                 ds = generate_client_dataset(task2d, target, 120, seed=1000 + seed * 10 + k)
                 model = local_train(
-                    [ModelVector.random(task2d.shape, seed)], ds.points[None], ds.labels[None],
-                    1.0, 50, [seed],
+                    [ModelVector.random(task2d.shape, rng(seed))], ds.points[None],
+                    ds.labels[None], 1.0, 50, [rng(seed)], 0.8, 32,
                 )[0]
                 qualities.append(ds.measured_quality)
                 accuracies.append(server_test(model, task2d))
@@ -634,19 +643,19 @@ class TestSchemeComparison:
 def reference_comparison(config: ExperimentConfig) -> SchemeReport:
     """The per-scheme loop: signup tuples per type, ``+=`` totals per client,
     and reward-share weights for ``contract`` written out by hand."""
-    curve = config.build_curve()
     task = SyntheticTask.generate(
         config.task.dimension, config.task.classes, config.task.seed, config.task.test_size
     )
     train = config.training
+    thetas = config.profile.thetas.tolist()
     rounds, client_rows, flat_items = [], [], {}
     for seed in config.seeds:
         draws = child_rng(seed, 10).choice(
-            len(config.thetas), size=config.population, p=np.array(config.betas)
+            len(thetas), size=config.population, p=np.array(config.profile.betas.tolist())
         )
         datasets = {
             cid: generate_client_dataset(
-                task, target_theta=config.thetas[type_idx], n_points=train.n_points,
+                task, target_theta=thetas[type_idx], n_points=train.n_points,
                 seed=int(child_rng(seed, 20, cid).integers(2**31)),
             )
             for cid, type_idx in enumerate(draws)
@@ -661,7 +670,7 @@ def reference_comparison(config: ExperimentConfig) -> SchemeReport:
                 model = reference_local_train(
                     init_model, data.points, data.labels,
                     effort=epochs / train.max_epochs, max_epochs=train.max_epochs,
-                    seed=child_rng(seed, 40, cid), learning_rate=train.learning_rate,
+                    rng=child_rng(seed, 40, cid), learning_rate=train.learning_rate,
                     batch_size=train.batch_size,
                 )
                 model_cache[(cid, epochs)] = (
@@ -671,13 +680,13 @@ def reference_comparison(config: ExperimentConfig) -> SchemeReport:
             return (*model_cache[(cid, epochs)], epochs)
 
         for c in config.c_values:
-            profile = config.build_profile(unit_cost=c)
-            menu = solve_optimal_menu(profile, curve, config.benchmarks)
+            profile = replace(config.profile, unit_cost=c)
+            menu = solve_optimal_menu(profile, config.curve, config.benchmarks)
             flat = flat_items[c] = _flat_item(menu, profile.betas)
             rows = menu_rows(menu)
             (flat_fee, flat_reward, _), = menu_rows(flat)
             signups = {"contract": [], "flat": []}
-            for type_idx, theta in enumerate(config.thetas):
+            for type_idx, theta in enumerate(thetas):
                 row, effort, _ = choose_contract(theta, menu, c)
                 if row < 0:
                     gate = float(config.benchmarks[type_idx])
@@ -700,7 +709,7 @@ def reference_comparison(config: ExperimentConfig) -> SchemeReport:
                     signup = signups[policy][type_idx]
                     row = dict(
                         seed=seed, c=c, scheme=scheme, client_id=cid,
-                        type_index=int(type_idx) + 1, theta_target=config.thetas[type_idx],
+                        type_index=int(type_idx) + 1, theta_target=thetas[type_idx],
                         theta_measured=datasets[cid].measured_quality,
                     )
                     if signup is None:

@@ -92,36 +92,36 @@ class TestChooseContract:
 class TestSamplePopulation:
     def test_degenerate_distribution(self):
         profile = TypeProfile.from_arrays([0.3, 0.7], [1.0, 0.0], 1.0)
-        population = sample_population(profile, 100, seed=0)
+        population = sample_population(profile, 100, np.random.default_rng(0))
         assert len(population) == 100
         assert all(k == 0 for k in population)
 
     def test_single_client(self):
         profile = TypeProfile.from_arrays([0.5], [1.0], 1.0)
-        assert len(sample_population(profile, 1, seed=1)) == 1
+        assert len(sample_population(profile, 1, np.random.default_rng(1))) == 1
 
     def test_uniform_frequencies(self):
         n_types = 10
         thetas = np.linspace(0.1, 1.0, n_types)
         profile = TypeProfile.from_arrays(thetas, [1 / n_types] * n_types, 1.0)
-        population = sample_population(profile, 100_000, seed=2)
+        population = sample_population(profile, 100_000, np.random.default_rng(2))
         counts = np.bincount(population, minlength=n_types)
         freqs = counts / 100_000
         assert np.all(np.abs(freqs - 0.1) < 0.01)
 
     def test_deterministic(self):
         profile = TypeProfile.from_arrays([0.3, 0.7], [0.4, 0.6], 1.0)
-        a = sample_population(profile, 50, seed=3)
-        b = sample_population(profile, 50, seed=3)
+        a = sample_population(profile, 50, np.random.default_rng(3))
+        b = sample_population(profile, 50, np.random.default_rng(3))
         assert a.tolist() == b.tolist()
 
 
 class TestRealizeSuccess:
     def test_zero_quality_never_succeeds(self):
-        assert not any(realize_success(0.0, seed=s) for s in range(50))
+        assert not any(realize_success(0.0, np.random.default_rng(s)) for s in range(50))
 
     def test_certain_success(self):
-        assert all(realize_success(1.0, seed=s) for s in range(50))
+        assert all(realize_success(1.0, np.random.default_rng(s)) for s in range(50))
 
     def test_frequency(self):
         rng = np.random.default_rng(4)
@@ -131,17 +131,19 @@ class TestRealizeSuccess:
     def test_effort_domain(self):
         # the probability's domain; the effort's is [0, 1] by its clamp
         with pytest.raises(ValueError):
-            realize_success(1.2, seed=0)
+            realize_success(1.2, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            realize_success(np.array([0.5, -0.1]), seed=0)
+            realize_success(np.array([0.5, -0.1]), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            realize_success(np.nan, seed=0)
+            realize_success(np.nan, np.random.default_rng(0))
 
     def test_array_equals_scalar_calls(self):
         probs = np.random.default_rng(16).uniform(0.0, 1.0, 1000)
         batch = realize_success(probs, np.random.default_rng(17))
         one = np.random.default_rng(17)
-        assert batch.tolist() == [realize_success(p, one) for p in probs]
+        singles = [realize_success(p, one) for p in probs]
+        assert all(single.shape == () for single in singles)  # a scalar gives a 0-d array
+        assert batch.tolist() == [single.item() for single in singles]
 
 
 def passer_weights(profile, menu, client_type, passed):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .contracts import RevenueCurve, TypeProfile, _number, _object, _read_json
@@ -118,16 +118,14 @@ class ExperimentConfig:
     benchmarks: tuple[float, ...]
     population: int
     seeds: tuple[int, ...]
-    mode: str = "analytic"
-    schemes: tuple[str, ...] = SCHEMES
-    c_values: tuple[float, ...] = ()
-    out_dir: str = "out"
-    task: TaskSpec = field(default_factory=TaskSpec)
-    training: TrainingSpec = field(default_factory=TrainingSpec)
+    mode: str
+    schemes: tuple[str, ...]
+    c_values: tuple[float, ...]
+    out_dir: str
+    task: TaskSpec
+    training: TrainingSpec
 
     def __post_init__(self) -> None:
-        if not self.c_values:
-            object.__setattr__(self, "c_values", (self.profile.unit_cost,))
         self.validate()
 
     def validate(self) -> None:
@@ -144,7 +142,7 @@ class ExperimentConfig:
                  "every benchmark must lie in [0, 1]")
         _require(self.population >= 1, "population", "must be >= 1")
         _require(len(self.seeds) >= 1, "seeds", "at least one seed required")
-        _require(all(s >= 0 for s in self.seeds), "seeds", "seeds must be >= 0")
+        _require(all(s >= 0 for s in self.seeds), "seeds", "every seed must be >= 0")
         _require_distinct(self.seeds, "seeds")
         _require(self.mode in MODES, "mode", f"must be one of {MODES}")
         _require(len(self.schemes) >= 1, "schemes", "at least one scheme required")
@@ -192,7 +190,7 @@ class ExperimentConfig:
                 seeds=_numbers(payload["seeds"], "seeds", int),
                 mode=payload.get("mode", "analytic"),
                 schemes=tuple(schemes),
-                c_values=_numbers(payload.get("c_values", []), "c_values", float),
+                c_values=_numbers(payload.get("c_values", []), "c_values", float) or (unit_cost,),
                 out_dir=payload.get("out_dir", "out"),
                 task=_spec(TaskSpec, payload.get("task", {}), "task"),
                 training=_spec(TrainingSpec, payload.get("training", {}), "training"),

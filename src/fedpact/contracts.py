@@ -337,19 +337,18 @@ def envelope_utilities(thetas: Sequence[float], menu: ContractMenu, c: float) ->
     return utilities
 
 
-def utility_tolerance(
-    thetas: Sequence[float], menu: ContractMenu, c: float, tol: float = DEFAULT_TOLERANCE
-) -> float:
-    """``tol`` in the units of ``envelope_utilities``: tol * max(1, scale).
+def utility_tolerance(thetas: Sequence[float], menu: ContractMenu, c: float) -> float:
+    """``DEFAULT_TOLERANCE`` in the units of ``envelope_utilities``:
+    ``DEFAULT_TOLERANCE * max(1, scale)``.
 
     ``scale`` is the largest operand the utility subtraction cancels, the
     largest fee or (theta_max R_max)^2 / (2c).  Revenue in k-fold units
     scales both by k^2, and the tolerance with them, so feasibility and tie
-    decisions do not depend on the units; at unit scale it is ``tol``.
+    decisions do not depend on the units; at unit scale it is ``DEFAULT_TOLERANCE``.
     """
     top = float(np.max(thetas)) * float(np.max(menu.rewards))
     scale = max(float(np.max(menu.fees)), top**2 / (2.0 * c))
-    return tol * max(1.0, scale)
+    return DEFAULT_TOLERANCE * max(1.0, scale)
 
 
 def server_expected_utility(
@@ -443,24 +442,20 @@ class FeasibilityReport:
         _write_json(self.to_dict(), path)
 
 
-def verify_feasibility(
-    profile: TypeProfile,
-    menu: ContractMenu,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> FeasibilityReport:
+def verify_feasibility(profile: TypeProfile, menu: ContractMenu) -> FeasibilityReport:
     """Check IR for every type and IC for every ordered pair of types.
 
     The one place that builds the I x I IC slack matrix; the report keeps
-    its row minima and its tight pairs.  ``tolerance`` is scaled to the
-    menu's utilities by ``utility_tolerance``; the report carries the
-    effective value.
+    its row minima and its tight pairs.  The tolerance is
+    ``utility_tolerance``, ``DEFAULT_TOLERANCE`` scaled to the menu's
+    utilities; the report carries it.
     """
     if len(menu) != len(profile):
         raise MenuMismatchError(f"menu has {len(menu)} items for {len(profile)} types")
     thetas, c = profile.thetas, profile.unit_cost
     # first, so a utility overflow raises its ValueError before the tolerance does
     slacks = envelope_utilities(thetas, menu, c)
-    tol = utility_tolerance(thetas, menu, c, tolerance)
+    tol = utility_tolerance(thetas, menu, c)
     own = slacks.diagonal().copy()
     np.subtract(own[:, None], slacks, out=slacks)
     np.fill_diagonal(slacks, np.inf)  # a type's own item is no IC constraint
@@ -599,13 +594,12 @@ def grid_search_menu(
     curve: RevenueCurve,
     benchmarks: Sequence[float],
     grid: GridSpec,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> GridSearchResult:
     """Maximize the server objective over all feasible menus on a finite grid.
 
     Independent optimality oracle: enumerates every (f_i, R_i) tuple on
     the grid, keeps those satisfying the IR/IC slack conditions of
-    ``verify_feasibility`` at the same tolerance, and returns the best by
+    ``verify_feasibility`` at the raw ``DEFAULT_TOLERANCE``, and returns the best by
     objective (ties broken to the lexicographically smallest
     (f_1..f_I, R_1..R_I) tuple).  The search never consults the closed
     form.  The last type's fee axis is resolved by exact dominance, which
@@ -638,6 +632,7 @@ def grid_search_menu(
         raise MenuMismatchError("grid spec must give one fee and one reward range per type")
 
     thetas, betas, c = profile.thetas, profile.betas, profile.unit_cost
+    tol = DEFAULT_TOLERANCE
     theta_sq = np.float_power(thetas, 2.0)
     revenues = np.array([curve(m) for m in benchmarks], dtype=float)
     last = n - 1
@@ -664,8 +659,8 @@ def grid_search_menu(
         # IR and IC among the outer types: U[i, j] is type i's utility for item j
         U = np.float_power(thetas[:last, None, None] * R, 2.0) / (2.0 * c) - F
         own = np.diagonal(U).T  # (I-1, block)
-        ok = ~np.any(own < -tolerance, axis=0)
-        ok &= ~np.any(own[:, None] - U < -tolerance, axis=(0, 1))
+        ok = ~np.any(own < -tol, axis=0)
+        ok &= ~np.any(own[:, None] - U < -tol, axis=(0, 1))
         F, R = F[:, ok], R[:, ok]
         fixed = np.sum(betas[:last, None] * (
             F + theta_sq[:last, None] * R * (revenues[:last, None] - R) / c
@@ -674,11 +669,11 @@ def grid_search_menu(
         # bounds on the last fee from the constraints involving the last item:
         # its IR and its IC against item j give ub, type j's IC against it lb
         rise = rL**2 - np.float_power(R, 2.0)[..., None]  # (I-1, block, |R_I|)
-        ub = np.minimum(envelope_last + tolerance, np.min(
-            theta_sq[last] * rise / (2.0 * c) + F[..., None] + tolerance, axis=0, initial=math.inf
+        ub = np.minimum(envelope_last + tol, np.min(
+            theta_sq[last] * rise / (2.0 * c) + F[..., None] + tol, axis=0, initial=math.inf
         ))
         lb = np.max(
-            theta_sq[:last, None, None] * rise / (2.0 * c) + F[..., None] - tolerance,
+            theta_sq[:last, None, None] * rise / (2.0 * c) + F[..., None] - tol,
             axis=0, initial=-math.inf,
         )
         # the one grid fee per reward column dominance keeps: the largest
@@ -714,7 +709,7 @@ def grid_search_menu(
         return GridSearchResult(menu=None, objective=None, n_feasible=0, n_evaluated=n_evaluated)
 
     menu = ContractMenu(best_key[:n], best_key[n:], benchmarks)
-    report = verify_feasibility(profile, menu, tolerance=tolerance)
+    report = verify_feasibility(profile, menu)
     if not report.feasible:  # pragma: no cover - guards float snapping
         raise RuntimeError(f"grid winner failed the feasibility check: {report.violations()}")
     return GridSearchResult(

@@ -561,6 +561,7 @@ def _epoch_snapshots(
 def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
     """Full federated round per (seed, c) under every configured scheme.
 
+    Each c's menu and flat item are solved once and serve every seed.
     Clients and their datasets are shared across schemes and c values of
     a seed; contract and fedavg schemes also share trained models (same
     rewards, hence same efforts), so their accuracies differ only through
@@ -579,10 +580,11 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
     train = config.training
     rounds: list[SchemeRound] = []
     client_rows: list[ClientRecord] = []
-    flat_items: dict[float, ContractMenu] = {}
 
     thetas = config.profile.thetas.tolist()
     profiles = {c: replace(config.profile, unit_cost=c) for c in config.c_values}
+    menus = {c: solve_optimal_menu(p, config.curve, config.benchmarks) for c, p in profiles.items()}
+    flat_items = {c: _flat_item(menus[c], p.betas) for c, p in profiles.items()}
     for seed in config.seeds:
         draws = sample_population(config.profile, config.population, child_rng(seed, 10))
         datasets = []
@@ -601,9 +603,7 @@ def run_scheme_comparison(config: ExperimentConfig) -> SchemeReport:
         booked = []
         wanted: dict[int, set[int]] = {}  # the epoch counts each participant trains
         for c, profile in profiles.items():
-            menu = solve_optimal_menu(profile, config.curve, config.benchmarks)
-            flat = flat_items[c] = _flat_item(menu, profile.betas)
-
+            menu, flat = menus[c], flat_items[c]
             # both policies gate a client on the item its type picks from
             # the solved menu, so only incentives differ; compare reads no
             # server utility, so the flat item's benchmark is never priced

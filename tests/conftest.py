@@ -162,6 +162,13 @@ def menu_of(*rows: tuple[float, float, float]) -> ContractMenu:
     return ContractMenu(fees, rewards, benchmarks)
 
 
+def rebated(menu: ContractMenu, delta: float = 1e-6) -> ContractMenu:
+    """Strictly incentive-compatible copy of a solved menu (fee of item i
+    lowered by i * delta), so simulated choices are unique rather than tied."""
+    index = np.arange(1, len(menu) + 1)
+    return ContractMenu(np.maximum(menu.fees - delta * index, 0.0), menu.rewards, menu.benchmarks)
+
+
 def menu_rows(menu: ContractMenu) -> list[tuple[float, float, float]]:
     """The menu's (f, R, M) rows as Python floats, item 1 first."""
     return list(zip(menu.fees.tolist(), menu.rewards.tolist(), menu.benchmarks.tolist()))

@@ -15,7 +15,6 @@ import pytest
 
 from fedpact.config import ExperimentConfig
 from fedpact.contracts import (
-    ContractMenu,
     GridSpec,
     RevenueCurve,
     TypeProfile,
@@ -34,17 +33,11 @@ from conftest import (
     random_benchmarks,
     random_increasing_convex_curve,
     random_profile,
+    rebated,
     src_env,
 )
 
 TOL = 1e-9
-
-
-def rebated(menu: ContractMenu, delta: float = 1e-6) -> ContractMenu:
-    """Strictly incentive-compatible copy of a solved menu (fees lowered by
-    i * delta) so simulated choices are unique rather than tied."""
-    index = np.arange(1, len(menu) + 1)
-    return ContractMenu(np.maximum(menu.fees - delta * index, 0.0), menu.rewards, menu.benchmarks)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +71,7 @@ def default_comparison(synthetic_config_path):
 def test_criterion_1_closed_form_feasibility(solved_instances):
     start = time.time()
     for profile, menu in solved_instances:
-        report = verify_feasibility(profile, menu, tolerance=TOL)
+        report = verify_feasibility(profile, menu)
         assert report.feasible, report.violations()
         assert abs(report.ir_slacks[0]) <= TOL
         slacks = dense_ic_slacks(profile, menu)

@@ -717,6 +717,15 @@ class TestCli:
         assert (out / "round_seed11.json").exists()
         assert not (out / "round_seed3.json").exists()
 
+    @pytest.mark.parametrize("seeds, flag", [
+        ([4, -1], []), ([3], ["--seed-override", "-1"]),
+    ], ids=["file", "override"])
+    def test_negative_seed_rejected(self, seeds, flag, tmp_path, capsys):
+        config = write_config(tmp_path, base_payload(seeds=seeds, out_dir=str(tmp_path / "out")))
+        assert main(["simulate", "--config", str(config), *flag]) == 2
+        assert capsys.readouterr().err == "config error: seeds: every seed must be >= 0\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, flag", [
         ("solve", ["--seed-override", "1"]), ("solve", ["--mode", "ml"]),
         ("audit", ["--seed-override", "1"]), ("audit", ["--mode", "analytic"]),

@@ -1,40 +1,47 @@
-"""Every name the package exports is used by the package or the benchmark.
+"""Every public name of the package is used, and each module loads only what it imports.
 
-A name that ``fedpact/__init__.py`` re-exports must be used in code (a
-bare name, or an attribute of a package module such as
+A public module-level name of ``src/fedpact`` (a class, a function or an
+assigned constant whose name has no leading underscore) must be used in
+code (a bare name, or an attribute of a package module such as
 ``contracts.grid_search_menu``; a string, a docstring or a same-named
-method does not count) by some module of ``src/fedpact`` other than
-``__init__.py``, or by a ``perfbench`` script.  Its own ``class``/``def``
-line does not count, uses elsewhere in its defining module do.  An
-export reached only from the tests fails here.
+method does not count) by some module of ``src/fedpact``, or by a
+``perfbench`` script.  Its own ``class``/``def`` line or assignment does
+not count, uses elsewhere in its defining module do.  A name reached only
+from the tests fails here.  The package itself re-exports nothing: each
+name is imported from its module.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import src_env
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fedpact"
+MODULES = ("cli", "config", "contracts", "coverage", "learning", "seeding", "simulation")
 
 
-def exported_names() -> list[str]:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return [
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
+def public_names() -> list[str]:
+    names = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                names.append(node.name)
+            elif isinstance(node, ast.Assign):
+                names += [target.id for target in node.targets if isinstance(target, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
 
 
 def used_names() -> set[str]:
     modules = {"fedpact"} | {p.stem for p in PACKAGE.glob("*.py")}
-    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     used = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif (
                 isinstance(node, ast.Attribute)
@@ -48,6 +55,22 @@ def used_names() -> set[str]:
 USED = used_names()
 
 
-@pytest.mark.parametrize("name", exported_names())
+@pytest.mark.parametrize("name", public_names())
 def test_export_is_used(name):
-    assert name in USED, f"fedpact.{name} is exported but no module or benchmark script uses it"
+    assert name in USED, f"{name} is public but no module or benchmark script uses it"
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("fedpact", []),
+    ("fedpact.contracts", ["contracts"]),
+    ("fedpact.coverage", ["coverage"]),
+    ("fedpact.cli", list(MODULES)),
+], ids=["package", "contracts", "coverage", "cli"])
+def test_import_loads_only_its_dependencies(module, loaded):
+    script = (
+        f"import sys\nimport {module}\n"
+        "print(sorted(name for name in sys.modules if name.startswith('fedpact.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=src_env(), check=True)
+    assert proc.stdout == f"{[f'fedpact.{module}' for module in loaded]}\n"

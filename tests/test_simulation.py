@@ -36,6 +36,7 @@ from conftest import (
     random_benchmarks,
     random_increasing_convex_curve,
     random_profile,
+    rebated,
 )
 
 
@@ -43,12 +44,6 @@ def written_ledger(outcome: RoundOutcome, path) -> bytes:
     """The ledger as ``to_json`` writes it to ``path``."""
     outcome.to_json(path)
     return path.read_bytes()
-
-
-def rebated(menu: ContractMenu, delta: float = 1e-6) -> ContractMenu:
-    """Strictly incentive-compatible copy: fee of item i lowered by i*delta."""
-    index = np.arange(1, len(menu) + 1)
-    return ContractMenu(np.maximum(menu.fees - delta * index, 0.0), menu.rewards, menu.benchmarks)
 
 
 @pytest.fixture(scope="module")

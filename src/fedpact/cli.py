@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import MODES, ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .contracts import ContractMenu, solve_optimal_menu, verify_feasibility
 from .learning import run_scheme_comparison
 from .simulation import run_round
@@ -25,12 +26,13 @@ EXIT_RUNTIME = 4
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file with ``--seed-override`` and ``--out`` applied, checked again."""
     config = ExperimentConfig.from_json(args.config)
-    return config.with_overrides(
-        seed=getattr(args, "seed_override", None),
-        mode=getattr(args, "mode", None),
-        out_dir=getattr(args, "out", None),
-    )
+    if getattr(args, "seed_override", None) is not None:
+        config = replace(config, seeds=(args.seed_override,))
+    if args.out is not None:
+        config = replace(config, out_dir=args.out)
+    return config
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
@@ -131,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, fn, summary: str, *, seeds: bool = False, mode: bool = False):
+    def command(name: str, fn, summary: str, *, seeds: bool = False):
         """A subcommand with the flags its ``fn`` reads and no others."""
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="experiment config JSON")
@@ -139,16 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
         if seeds:
             p.add_argument("--seed-override", dest="seed_override", type=int, default=None,
                            help="replace the config's seed list with this single seed")
-        if mode:
-            p.add_argument("--mode", choices=MODES, default=None,
-                           help="override the config's mode")
         p.set_defaults(fn=fn)
         return p
 
     command("solve", cmd_solve, "solve the optimal menu for a config")
     command("audit", cmd_audit, "audit a menu file against a config's profile").add_argument(
         "menu", help="menu JSON to audit")
-    command("simulate", cmd_simulate, "run contracting rounds per seed", seeds=True, mode=True)
+    command("simulate", cmd_simulate, "run contracting rounds per seed", seeds=True)
     command("compare", cmd_compare, "run the aggregation-scheme comparison", seeds=True)
 
     return parser

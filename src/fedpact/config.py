@@ -211,9 +211,3 @@ class ExperimentConfig:
         with _config_errors():
             payload = _read_json(path)
         return cls.from_dict(payload)
-
-    def with_overrides(
-        self, seed: int | None = None, mode: str | None = None, out_dir: str | None = None
-    ) -> "ExperimentConfig":
-        changes = {"seeds": None if seed is None else (seed,), "mode": mode, "out_dir": out_dir}
-        return replace(self, **{key: value for key, value in changes.items() if value is not None})

@@ -74,18 +74,28 @@ def _write_json(payload, path: str | Path) -> None:
 # the input side, for the JSON files that come from outside (a config or an
 # audited menu): each raises ValueError naming the file or the field path
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a repeated key raises ValueError naming it."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path: str | Path):
-    """The JSON value in the UTF-8 file ``path``."""
+    """The JSON value in the UTF-8 file ``path``, whose objects repeat no key."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ValueError(f"{path}: no such file") from None
     except OSError as exc:
         raise ValueError(f"{path}: cannot read ({exc.strerror})") from None
     except (ValueError, RecursionError) as exc:
-        # a decode or UTF-8 error, an integer literal past the int
-        # conversion digit limit, or nesting deeper than the decoder's limit
+        # a decode or UTF-8 error, an integer literal past the int conversion
+        # digit limit, nesting deeper than the decoder's limit or a repeated key
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 
@@ -186,13 +196,16 @@ class ContractMenu:
         columns = [_column(getattr(self, name), name) for name in names]
         if len({len(column) for column in columns}) > 1:
             raise ValueError("fees, rewards and benchmarks must have equal length")
-        for fee, reward, benchmark in zip(*(column.tolist() for column in columns)):
+        rows = zip(*(column.tolist() for column in columns))
+        for k, (fee, reward, benchmark) in enumerate(rows):  # item k is items[k] of its file
             if not (math.isfinite(fee) and fee >= 0.0):
-                raise ValueError(f"fee must be finite and non-negative, got {fee}")
+                raise ValueError(f"items[{k}].f: fee must be finite and non-negative, got {fee}")
             if not (math.isfinite(reward) and reward >= 0.0):
-                raise ValueError(f"reward must be finite and non-negative, got {reward}")
+                raise ValueError(
+                    f"items[{k}].R: reward must be finite and non-negative, got {reward}"
+                )
             if not 0.0 <= benchmark <= 1.0:
-                raise ValueError(f"benchmark must lie in [0, 1], got {benchmark}")
+                raise ValueError(f"items[{k}].M: benchmark must lie in [0, 1], got {benchmark}")
         for name, column in zip(names, columns):
             object.__setattr__(self, name, column)
 
@@ -243,24 +256,20 @@ class RevenueCurve:
 
     Must be increasing and convex where it is used.  Two constructions:
     a closed-form exponential family a * exp(b * M) with finite a, b > 0,
-    or an explicit, non-empty per-benchmark table.
+    or an explicit, non-empty table, defined only at its own benchmarks.
     """
 
-    def __init__(self, fn: Callable[[float], float], description: str):
+    def __init__(self, fn: Callable[[float], float]):
         self._fn = fn
-        self.description = description
 
     def __call__(self, benchmark: float) -> float:
         return float(self._fn(benchmark))
-
-    def __repr__(self) -> str:
-        return f"RevenueCurve({self.description})"
 
     @classmethod
     def exponential(cls, a: float, b: float) -> "RevenueCurve":
         if not (0.0 < a < math.inf and 0.0 < b < math.inf):
             raise ValueError(f"exponential revenue curve needs finite a, b > 0, got {a}, {b}")
-        return cls(lambda m: a * math.exp(b * m), f"{a!r}*exp({b!r}*M)")
+        return cls(lambda m: a * math.exp(b * m))
 
     @classmethod
     def from_table(
@@ -278,15 +287,11 @@ class RevenueCurve:
         table = {float(m): float(g) for m, g in zip(ms, gs)}
 
         def lookup(m: float) -> float:
-            key = float(m)
-            if key in table:
-                return table[key]
-            near = ms[np.argmin(np.abs(ms - key))]
-            if abs(near - key) <= 1e-12:
-                return table[float(near)]
-            raise KeyError(f"benchmark {m} not in revenue table {sorted(table)}")
+            if float(m) not in table:
+                raise KeyError(f"benchmark {m} not in revenue table {sorted(table)}")
+            return table[float(m)]
 
-        curve = cls(lookup, f"table over {len(table)} benchmarks")
+        curve = cls(lookup)
         curve.check_increasing_convex(ms)
         return curve
 
@@ -562,14 +567,6 @@ class GridSpec:
             if hi <= lo:
                 raise ValueError(f"empty grid range ({lo}, {hi})")
 
-    def fee_axis(self, i: int) -> np.ndarray:
-        lo, hi = self.fee_ranges[i]
-        return np.linspace(lo, hi, self.fee_steps)
-
-    def reward_axis(self, i: int) -> np.ndarray:
-        lo, hi = self.reward_ranges[i]
-        return np.linspace(lo, hi, self.reward_steps)
-
 
 _OUTER_BLOCK = 1024  # outer menus per block of grid_search_menu; sets its peak memory
 
@@ -636,8 +633,8 @@ def grid_search_menu(
     theta_sq = np.float_power(thetas, 2.0)
     revenues = np.array([curve(m) for m in benchmarks], dtype=float)
     last = n - 1
-    fee_grid = np.array([grid.fee_axis(i) for i in range(n)])
-    reward_grid = np.array([grid.reward_axis(i) for i in range(n)])
+    fee_grid = np.array([np.linspace(*span, grid.fee_steps) for span in grid.fee_ranges])
+    reward_grid = np.array([np.linspace(*span, grid.reward_steps) for span in grid.reward_ranges])
     fL_axis, rL = fee_grid[last], reward_grid[last]
     fee_lo, fee_step, top = fL_axis[0], fL_axis[1] - fL_axis[0], len(fL_axis) - 1
     fee_rises = bool(betas[last] > 0.0)

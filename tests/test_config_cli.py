@@ -9,9 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fedpact.cli import main
+from fedpact import cli
+from fedpact.cli import _load_config, build_parser, main
 from fedpact.config import ConfigError, ExperimentConfig
-from fedpact.contracts import solve_optimal_menu, verify_feasibility
+from fedpact.contracts import ContractMenu, solve_optimal_menu, verify_feasibility
 from fedpact.learning import CalibrationError, run_scheme_comparison
 from fedpact.simulation import run_round
 from conftest import random_benchmarks, random_curve_section, random_profile, src_env
@@ -229,22 +230,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="benchmarks"):
             ExperimentConfig.from_dict(base_payload(benchmarks=[0.3]))
 
-    def test_with_overrides(self):
-        config = ExperimentConfig.from_dict(base_payload())
-        out = config.with_overrides(seed=99, out_dir="elsewhere")
+    def test_with_overrides(self, tmp_path):
+        path = str(write_config(tmp_path, base_payload()))
+        parse = build_parser().parse_args
+        config = _load_config(parse(["simulate", "--config", path]))
+        assert config.seeds == (3,) and config.out_dir == "out/test"
+        out = _load_config(parse(
+            ["simulate", "--config", path, "--seed-override", "99", "--out", "elsewhere"]
+        ))
         assert out.seeds == (99,)
         assert out.out_dir == "elsewhere"
-        assert config.seeds == (3,)
         with pytest.raises(ConfigError, match="^out_dir: must be a non-empty string"):
-            config.with_overrides(out_dir="")
+            _load_config(parse(["simulate", "--config", path, "--out", ""]))
 
-    def test_holds_its_profile_and_curve(self):
+    def test_holds_its_profile_and_curve(self, monkeypatch):
         config = ExperimentConfig.from_dict(base_payload())
         assert config.profile.thetas.tolist() == [0.5, 1.0]
         assert config.profile.unit_cost == 1.0
         assert config.curve(0.3) == 1.0
         # an override keeps what the config built
-        overridden = config.with_overrides(seed=9)
+        monkeypatch.setattr(ExperimentConfig, "from_json", lambda path: config)
+        overridden = _load_config(build_parser().parse_args(
+            ["simulate", "--config", "config.json", "--seed-override", "9"]
+        ))
+        assert overridden.seeds == (9,)
         assert overridden.profile is config.profile and overridden.curve is config.curve
 
     @pytest.mark.parametrize("faults, message", [
@@ -267,6 +276,9 @@ class TestConfigValidation:
         pytest.param({"benchmarks": [0.5], "curve": {"kind": "exponential", "a": -1.0, "b": 2.0}},
                      "curve: exponential revenue curve needs finite a, b > 0, got -1.0, 2.0",
                      id="benchmark-count-and-curve"),
+        # two benchmarks for no type
+        pytest.param({"profile": {"thetas": [], "betas": [], "c": 1.0}},
+                     "profile.thetas: at least one type required", id="no-type-and-benchmark-count"),
     ])
     def test_first_of_two_faults_is_reported(self, faults, message, tmp_path, capsys):
         payload = base_payload(out_dir=str(tmp_path / "out"), **faults)
@@ -389,6 +401,23 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "feasibility.json").read_text())
         assert report["feasible"] is True
 
+    def test_solve_reports_an_infeasible_menu(self, tmp_path, monkeypatch, capsys):
+        # the closed form is feasible, so only a tampered solver reaches exit 3;
+        # type 1's fee 0.2 breaks its IR, and type 2's 1.8 its IC against item 1
+        tampered = ContractMenu([0.2, 1.8], [1.0, 2.0], [0.3, 0.5])
+        monkeypatch.setattr(cli, "solve_optimal_menu", lambda profile, curve, benchmarks: tampered)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, base_payload(out_dir=str(out)))
+        assert main(["solve", "--config", str(config)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:] == [
+            "feasible: False; IR binding at types []",
+            "  violated: IR type 1: slack -0.075",
+            "  violated: IC type 2 vs item 1: slack -0.1",
+        ]
+        assert json.loads((out / "menu.json").read_text()) == tampered.to_dict()
+        assert json.loads((out / "feasibility.json").read_text())["feasible"] is False
+
     def test_solve_rejects_bad_config(self, tmp_path, capsys):
         payload = base_payload(
             profile={"thetas": [0.9, 0.5], "betas": [0.5, 0.5], "c": 1.0},
@@ -399,22 +428,33 @@ class TestCli:
         assert not (tmp_path / "out").exists()
         assert "profile.thetas" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["directory", "undecodable", "huge-integer"])
+    @pytest.mark.parametrize("kind", [
+        "directory", "undecodable", "huge-integer", "repeated-key", "repeated-nested-key",
+    ])
     def test_unreadable_config_exits_2(self, kind, tmp_path, capsys):
         # a path that is no file, or a file that is not UTF-8, is named by its
-        # path; a huge integer literal exited 4 naming neither file nor field
+        # path; a huge integer literal exited 4 naming neither file nor field,
+        # and json.load would keep the last of a repeated key
         config = tmp_path / "config.json"
-        named = config
+        named, detail = config, ""
+        text = json.dumps(base_payload())
         if kind == "directory":
             config.mkdir()
         elif kind == "undecodable":
             config.write_bytes(b'{"schema_version": 1,\xff}')
-        else:
-            config.write_text(json.dumps(base_payload()).replace('"c": 1.0', f'"c": {HUGE_INT}'))
+        elif kind == "huge-integer":
+            config.write_text(text.replace('"c": 1.0', f'"c": {HUGE_INT}'))
             named = config if DIGIT_LIMIT else "profile.c"
+        elif kind == "repeated-key":
+            config.write_text(text.replace('"population": 50', '"population": -5, "population": 50'))
+            detail = "repeated key 'population'"
+        else:
+            config.write_text(text.replace('"c": 1.0', '"c": 1.0, "c": 2.0'))
+            detail = "repeated key 'c'"
         assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"config error: {named}: "), lines
+        assert detail in lines[0]
         assert not (tmp_path / "out").exists()
 
     def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
@@ -529,6 +569,18 @@ class TestCli:
                      "items[0].fee: unknown key", id="unknown-item-key"),
         pytest.param({"items": [{"index": 1, "f": 0.1, "R": 1.0, "M": 0.3}], "note": "x"},
                      "menu.note: unknown key", id="unknown-menu-key"),
+        # a value error names its item, as a type error does
+        pytest.param({"items": [{"index": 1, "f": -1.0, "R": 1.0, "M": 0.3},
+                                {"index": 2, "f": 1.625, "R": 2.0, "M": 0.5}]},
+                     "items[0].f: fee must be finite and non-negative, got -1.0",
+                     id="negative-fee"),
+        pytest.param({"items": [{"index": 1, "f": 0.125, "R": 1.0, "M": 0.3},
+                                {"index": 2, "f": 1.625, "R": float("nan"), "M": 0.5}]},
+                     "items[1].R: reward must be finite and non-negative, got nan",
+                     id="nan-reward"),
+        pytest.param({"items": [{"index": 1, "f": 0.125, "R": 1.0, "M": 1.5},
+                                {"index": 2, "f": 1.625, "R": 2.0, "M": 0.5}]},
+                     "items[0].M: benchmark must lie in [0, 1], got 1.5", id="benchmark-above-1"),
     ])
     def test_audit_rejects_malformed_menu(self, payload, where, tmp_path, capsys):
         out = tmp_path / "out"
@@ -551,6 +603,9 @@ class TestCli:
                      id="huge-integer"),
         # was "[Errno 2] No such file or directory: ..."
         pytest.param(None, "{menu}: no such file", id="missing"),
+        # json.load would keep the second fee
+        pytest.param(b'{"items": [{"index": 1, "f": 9.0, "f": 0.125, "R": 1.0, "M": 0.3}]}',
+                     "{menu}: not valid JSON (repeated key 'f')", id="repeated-key"),
     ])
     def test_audit_names_an_undecodable_menu(self, text, message, tmp_path, capsys):
         out = tmp_path / "out"
@@ -672,17 +727,22 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["solve", "audit", "simulate"])
-    @pytest.mark.parametrize("curve", [
+    @pytest.mark.parametrize("curve, reason", [
         pytest.param({"kind": "table", "benchmarks": [0.3, 0.5], "values": [2.0, 1.0]},
-                     id="not-increasing"),
+                     "not increasing", id="not-increasing"),
         pytest.param({"kind": "table", "benchmarks": [0.3, 0.3, 0.5], "values": [1.0, 1.5, 2.0]},
-                     id="duplicate-benchmark"),
+                     "distinct", id="duplicate-benchmark"),
         pytest.param({"kind": "table", "benchmarks": [0.3, 0.4], "values": [1.0, 2.0]},
-                     id="benchmark-missing"),
-        pytest.param({"kind": "exponential", "a": float("inf"), "b": 1.0}, id="infinite-a"),
-        pytest.param({"kind": "table", "benchmarks": [], "values": []}, id="empty-table"),
+                     "benchmark 0.5 not in revenue table", id="benchmark-missing"),
+        pytest.param({"kind": "exponential", "a": float("inf"), "b": 1.0}, "finite a, b > 0",
+                     id="infinite-a"),
+        pytest.param({"kind": "table", "benchmarks": [], "values": []}, "non-empty",
+                     id="empty-table"),
+        # a * exp(b * M) is beyond the largest float, although exp(b * M) is not
+        pytest.param({"kind": "exponential", "a": 1e308, "b": 2.0},
+                     "revenue curve not finite on [0.3, 0.5]", id="overflowing-a"),
     ])
-    def test_broken_curve_exits_2(self, curve, command, tmp_path, capsys):
+    def test_broken_curve_exits_2(self, curve, reason, command, tmp_path, capsys):
         # each exited 4 from solve and simulate, and audit never looked at the curve
         out = tmp_path / "out"
         config = write_config(tmp_path, base_payload(curve=curve, out_dir=str(out)))
@@ -692,7 +752,7 @@ class TestCli:
         args = [command, *([str(menu)] if command == "audit" else []), "--config", str(config)]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: curve: "), err
+        assert err.startswith("config error: curve: ") and reason in err, err
         assert not out.exists()
 
     def test_simulate_deterministic_bytes(self, tmp_path):
@@ -729,11 +789,11 @@ class TestCli:
     @pytest.mark.parametrize("command, flag", [
         ("solve", ["--seed-override", "1"]), ("solve", ["--mode", "ml"]),
         ("audit", ["--seed-override", "1"]), ("audit", ["--mode", "analytic"]),
-        ("compare", ["--mode", "ml"]),
+        ("compare", ["--mode", "ml"]), ("simulate", ["--mode", "ml"]),
     ])
     def test_unread_flags_rejected(self, command, flag, tmp_path, capsys):
-        # solve and audit read neither flag, and compare's --mode could only
-        # repeat the ml it requires
+        # solve and audit read no seed, and no command takes --mode: a
+        # round's mode is the config's
         config = write_config(tmp_path, ml_payload(out_dir=str(tmp_path / "out")))
         menu = [str(tmp_path / "menu.json")] if command == "audit" else []
         with pytest.raises(SystemExit) as exc:

@@ -615,7 +615,8 @@ class TestGridSearch:
         result = grid_search_menu(profile, curve, benchmarks, grid)
 
         best = None
-        axes = [grid.fee_axis(i) for i in range(n)] + [grid.reward_axis(i) for i in range(n)]
+        axes = [np.linspace(lo, hi, grid.fee_steps) for lo, hi in grid.fee_ranges]
+        axes += [np.linspace(lo, hi, grid.reward_steps) for lo, hi in grid.reward_ranges]
         for key in itertools.product(*axes):
             menu = ContractMenu(key[:n], key[n:], benchmarks)
             if not verify_feasibility(profile, menu).feasible:
@@ -652,6 +653,25 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search_menu(profile, curve, [0.2, 0.3, 0.4, 0.5], grid)
 
+    @pytest.mark.parametrize("benchmarks, ranges, message", [
+        ([0.3], [(0.0, 1.0)] * 2, "1 benchmarks for 2 types"),
+        ([0.3, 0.5], [(0.0, 1.0)], "one fee and one reward range per type"),
+    ])
+    def test_mismatched_inputs_rejected(self, canonical_profile, canonical_curve, benchmarks,
+                                        ranges, message):
+        grid = GridSpec(fee_ranges=ranges, reward_ranges=ranges, fee_steps=3, reward_steps=3)
+        with pytest.raises(MenuMismatchError, match=message):
+            grid_search_menu(canonical_profile, canonical_curve, benchmarks, grid)
+
+    @pytest.mark.parametrize("ranges, steps, message", [
+        ([(0.0, 1.0)], 1, "at least 2 points"),
+        ([(1.0, 1.0)], 3, r"empty grid range \(1.0, 1.0\)"),
+    ])
+    def test_grid_spec_rejects_empty_axes(self, ranges, steps, message):
+        with pytest.raises(ValueError, match=message):
+            GridSpec(fee_ranges=[(0.0, 1.0)], reward_ranges=ranges, fee_steps=3,
+                     reward_steps=steps)
+
 
 class TestTypesAndSerialization:
     def test_client_type_validation(self):
@@ -680,6 +700,8 @@ class TestTypesAndSerialization:
             ContractMenu([0.1], [1.0], [1.5])
         with pytest.raises(ValueError, match="equal length"):
             ContractMenu([0.1, 0.2], [1.0], [0.5])
+        with pytest.raises(ValueError, match=r"^fees: must be one-dimensional, got shape \(1, 1\)"):
+            ContractMenu([[0.1]], [1.0], [0.5])
 
     @pytest.mark.parametrize("fee, reward", [(float("nan"), 1.0), (0.1, float("nan")),
                                              (float("inf"), 1.0), (0.1, float("inf"))])

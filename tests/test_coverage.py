@@ -239,6 +239,10 @@ class TestNearestDistances:
         with pytest.raises(ValueError, match="finite"):
             subcube_quality_ceiling(draws, 0.5)
 
+    def test_rejects_empty_cloud(self):
+        with pytest.raises(ValueError, match="empty cloud"):
+            PointCloud(2, []).nearest_distances([0.2, 0.7])
+
     def test_single_query_row(self):
         assert self.CLOUD.nearest_distances([0.2, 0.7]).tolist() == [0.0]
         far = PointCloud(2, self.CLOUD.points[1:]).nearest_distances([0.2, 0.7])

@@ -178,6 +178,15 @@ class TestGenerateClientDataset:
         ds = generate_client_dataset(task2d, 0.95, 400, seed=26)
         assert ds.measured_quality >= 0.93
 
+    @pytest.mark.parametrize("target, n_points, message", [
+        (0.0, 10, r"target_theta must lie in \(0, 1\], got 0.0"),
+        (1.5, 10, r"target_theta must lie in \(0, 1\], got 1.5"),
+        (0.5, 0, "n_points must be >= 1"),
+    ])
+    def test_rejects_bad_arguments(self, task2d, target, n_points, message):
+        with pytest.raises(ValueError, match=message):
+            generate_client_dataset(task2d, target, n_points, seed=1)
+
 
 def reference_calibration(
     task: SyntheticTask, target_theta: float, n_points: int, seed: int, calls: list[int]
@@ -438,6 +447,22 @@ class TestLocalTrain:
                 [model], np.zeros((1, 5, 3)), np.zeros((1, 5), dtype=int), 1.0, 10, [rng(18)],
                 0.8, 32,
             )
+        with pytest.raises(ArchitectureMismatchError, match="models of 2 shapes"):
+            local_train(
+                [model, ModelVector.random((2, 3), rng(22))], np.zeros((2, 5, 2)),
+                np.zeros((2, 5), dtype=int), 1.0, 10, [rng(23), rng(24)], 0.8, 32,
+            )
+
+    @pytest.mark.parametrize("effort, max_epochs, message", [
+        (-0.1, 10, r"effort must lie in \[0, 1\], got -0.1"),
+        (1.5, 10, r"effort must lie in \[0, 1\], got 1.5"),
+        (0.5, 0, "max_epochs must be >= 1"),
+    ])
+    def test_rejects_bad_effort_and_epochs(self, task2d, effort, max_epochs, message):
+        model = ModelVector.random(task2d.shape, rng(20))
+        with pytest.raises(ValueError, match=message):
+            local_train([model], np.zeros((1, 5, 2)), np.zeros((1, 5), dtype=int), effort,
+                        max_epochs, [rng(21)], 0.8, 32)
 
     def test_client_count_mismatch(self, task2d):
         model = ModelVector.random(task2d.shape, rng(19))

@@ -94,6 +94,8 @@ class TestSamplePopulation:
     def test_single_client(self):
         profile = TypeProfile.from_arrays([0.5], [1.0], 1.0)
         assert len(sample_population(profile, 1, np.random.default_rng(1))) == 1
+        with pytest.raises(ValueError, match="population size must be >= 1"):
+            sample_population(profile, 0, np.random.default_rng(1))
 
     def test_uniform_frequencies(self):
         n_types = 10
@@ -351,6 +353,10 @@ class TestRunRound:
             run_round(canonical_profile, canonical_menu, canonical_curve, 10, "exact", seed=0)
         with pytest.raises(ValueError, match="mode"):
             run_round(canonical_profile, canonical_menu, canonical_curve, 10, "stochastic", seed=0)
+
+    def test_empty_population_rejected(self, canonical_profile, canonical_curve, canonical_menu):
+        with pytest.raises(ValueError, match="population size must be >= 1"):
+            run_round(canonical_profile, canonical_menu, canonical_curve, 0, "ml", seed=0)
 
     def test_outputs_written(self, canonical_profile, canonical_curve, canonical_menu, tmp_path):
         outcome = run_round(canonical_profile, canonical_menu, canonical_curve, 50, "ml", seed=14)

@@ -74,38 +74,48 @@ def _write_json(payload, path: str | Path) -> None:
 # the input side, for the JSON files that come from outside (a config or an
 # audited menu): each raises ValueError naming the file or the field path
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's dict; a repeated key raises ValueError naming it."""
+class _RepeatingObject(dict):
+    """A JSON object that repeats its key ``repeated``; ``_object`` names it by its path."""
+
+
+def _mark_repeated_key(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict, a ``_RepeatingObject`` if it repeats a key: the
+    decoder builds an object before its parent, so it cannot know its path."""
     obj = {}
     for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"repeated key {key!r}")
+        if key in obj and not isinstance(obj, _RepeatingObject):
+            obj = _RepeatingObject(obj)
+            obj.repeated = key
         obj[key] = value
     return obj
 
 
 def _read_json(path: str | Path):
-    """The JSON value in the UTF-8 file ``path``, whose objects repeat no key."""
+    """The JSON value in the UTF-8 file ``path``; ``_object`` rejects an
+    object of it that repeats a key."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            return json.load(fh, object_pairs_hook=_mark_repeated_key)
     except FileNotFoundError:
         raise ValueError(f"{path}: no such file") from None
     except OSError as exc:
         raise ValueError(f"{path}: cannot read ({exc.strerror})") from None
     except (ValueError, RecursionError) as exc:
         # a decode or UTF-8 error, an integer literal past the int conversion
-        # digit limit, nesting deeper than the decoder's limit or a repeated key
+        # digit limit or nesting deeper than the decoder's limit
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 
 def _object(value, path: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
     """``value``, which must be a JSON object holding every ``required``
-    key and no key outside ``required`` and ``optional``.  A key is named
-    ``path.key``, or bare where ``path`` is empty (a file's top level)."""
+    key, no key outside ``required`` and ``optional`` and no key twice.  A
+    key is named ``path.key``, or bare where ``path`` is empty (a file's top
+    level)."""
     if not isinstance(value, dict):
         raise ValueError(f"{path or 'top level'}: must be an object, got {value!r}")
     where = f"{path}." if path else ""
+    if isinstance(value, _RepeatingObject):
+        raise ValueError(f"{where}{value.repeated}: repeated key")
     known = (*required, *optional)
     for key in value:
         if key not in known:
@@ -256,7 +266,8 @@ class RevenueCurve:
 
     Must be increasing and convex where it is used.  Two constructions:
     a closed-form exponential family a * exp(b * M) with finite a, b > 0,
-    or an explicit, non-empty table, defined only at its own benchmarks.
+    or an explicit, non-empty table of non-negative values, defined only at
+    its own benchmarks.
     """
 
     def __init__(self, fn: Callable[[float], float]):
@@ -282,6 +293,8 @@ class RevenueCurve:
         gs = np.asarray(values, dtype=float)[order]
         if not (np.all(np.isfinite(ms)) and np.all(np.isfinite(gs))):
             raise ValueError("table benchmarks and values must be finite")
+        if np.any(gs < 0.0):
+            raise ValueError(f"table values must be non-negative, got {list(values)}")
         if np.any(np.diff(ms) == 0.0):
             raise ValueError("table benchmarks must be distinct")
         table = {float(m): float(g) for m, g in zip(ms, gs)}
@@ -326,16 +339,14 @@ def envelope_utilities(thetas: Sequence[float], menu: ContractMenu, c: float) ->
     """Type-by-item envelope utilities u[i, j] = (theta_i R_j)^2 / (2c) - f_j
     at the raw (unclamped) best response.
 
-    Squared with libm ``pow``, as the scalar ``x ** 2`` is; an array ``** 2``
-    multiplies instead and can differ in the last bit.  A utility, or a
-    difference of two (an IC slack, a tie gap), beyond the float range
-    raises ValueError.
+    A utility, or a difference of two (an IC slack, a tie gap), beyond the
+    float range raises ValueError.
     """
     if c <= 0.0:
         raise ValueError(f"unit cost must be positive, got {c}")
     reach = np.multiply.outer(np.asarray(thetas, dtype=float), menu.rewards)
     with np.errstate(over="ignore", invalid="ignore"):
-        utilities = np.float_power(reach, 2.0) / (2.0 * c) - menu.fees
+        utilities = reach * reach / (2.0 * c) - menu.fees
         spread = utilities.max(initial=0.0) - utilities.min(initial=0.0)
     if not np.isfinite(spread):
         raise ValueError("menu utilities overflow: (theta R)^2 / (2c) - f is not a finite float")
@@ -352,7 +363,7 @@ def utility_tolerance(thetas: Sequence[float], menu: ContractMenu, c: float) -> 
     decisions do not depend on the units; at unit scale it is ``DEFAULT_TOLERANCE``.
     """
     top = float(np.max(thetas)) * float(np.max(menu.rewards))
-    scale = max(float(np.max(menu.fees)), top**2 / (2.0 * c))
+    scale = max(float(np.max(menu.fees)), top * top / (2.0 * c))
     return DEFAULT_TOLERANCE * max(1.0, scale)
 
 
@@ -483,17 +494,15 @@ def _fees_from_rewards(thetas: np.ndarray, rewards: np.ndarray, c: float) -> np.
     f_1 = (theta_1 R_1)^2 / 2c,
     f_i = f_{i-1} + theta_i^2 (R_i^2 - R_{i-1}^2) / 2c.
 
-    A fee beyond the float range raises ValueError.
+    The sum runs left to right, as the recursion does.  A fee beyond the
+    float range raises ValueError.
     """
-    fees = np.empty_like(rewards)
+    reach = thetas[0] * rewards[:1]
     with np.errstate(over="ignore", invalid="ignore"):
-        fees[0] = (thetas[0] * rewards[0]) ** 2 / (2.0 * c)
-        for i in range(1, len(rewards)):
-            fees[i] = fees[i - 1] + thetas[i] ** 2 * (
-                rewards[i] ** 2 - rewards[i - 1] ** 2
-            ) / (2.0 * c)
-    if not np.all(np.isfinite(fees)):
-        raise ValueError("menu fees overflow: (theta R)^2 / (2c) is not a finite float")
+        rises = thetas[1:] * thetas[1:] * np.diff(rewards * rewards)
+        fees = np.cumsum(np.concatenate((reach * reach, rises)) / (2.0 * c))
+        if not np.all(np.isfinite(fees)):
+            raise ValueError("menu fees overflow: (theta R)^2 / (2c) is not a finite float")
     return fees
 
 
@@ -612,11 +621,7 @@ def grid_search_menu(
     bounds, snapped fee, feasibility and objective are (block, |R_I|)
     arrays.  A block's best, the smallest key among its objective ties,
     merges into the running best, so the block size never changes the
-    result.  Squares are libm ``pow`` (``np.float_power``), as in
-    ``envelope_utilities``, except those of the last reward axis
-    (``rL**2``, ``(theta_I rL)**2``), which multiply: a last-bit change
-    in either can move a snapped fee across its bound and so the winner.
-    ``n_evaluated`` counts outer menus x |R_I| x |f_I|; ``n_feasible``
+    result.  ``n_evaluated`` counts outer menus x |R_I| x |f_I|; ``n_feasible``
     counts feasible candidates actually examined, one per reward column.
     Practical for I <= 3.
     """
@@ -630,7 +635,7 @@ def grid_search_menu(
 
     thetas, betas, c = profile.thetas, profile.betas, profile.unit_cost
     tol = DEFAULT_TOLERANCE
-    theta_sq = np.float_power(thetas, 2.0)
+    theta_sq = thetas * thetas
     revenues = np.array([curve(m) for m in benchmarks], dtype=float)
     last = n - 1
     fee_grid = np.array([np.linspace(*span, grid.fee_steps) for span in grid.fee_ranges])
@@ -638,7 +643,8 @@ def grid_search_menu(
     fL_axis, rL = fee_grid[last], reward_grid[last]
     fee_lo, fee_step, top = fL_axis[0], fL_axis[1] - fL_axis[0], len(fL_axis) - 1
     fee_rises = bool(betas[last] > 0.0)
-    envelope_last = (thetas[last] * rL) ** 2 / (2.0 * c)
+    reach_last = thetas[last] * rL
+    envelope_last = reach_last * reach_last / (2.0 * c)
     gain_last = theta_sq[last] * rL * (revenues[last] - rL) / c
     outer_shape = (grid.fee_steps, grid.reward_steps) * last
     n_outer = math.prod(outer_shape)
@@ -654,7 +660,8 @@ def grid_search_menu(
         F = fee_grid[outer_types, idx[1::2]]  # (I-1, block)
         R = reward_grid[outer_types, idx[2::2]]
         # IR and IC among the outer types: U[i, j] is type i's utility for item j
-        U = np.float_power(thetas[:last, None, None] * R, 2.0) / (2.0 * c) - F
+        reach = thetas[:last, None, None] * R
+        U = reach * reach / (2.0 * c) - F
         own = np.diagonal(U).T  # (I-1, block)
         ok = ~np.any(own < -tol, axis=0)
         ok &= ~np.any(own[:, None] - U < -tol, axis=(0, 1))
@@ -665,7 +672,7 @@ def grid_search_menu(
 
         # bounds on the last fee from the constraints involving the last item:
         # its IR and its IC against item j give ub, type j's IC against it lb
-        rise = rL**2 - np.float_power(R, 2.0)[..., None]  # (I-1, block, |R_I|)
+        rise = rL * rL - (R * R)[..., None]  # (I-1, block, |R_I|)
         ub = np.minimum(envelope_last + tol, np.min(
             theta_sq[last] * rise / (2.0 * c) + F[..., None] + tol, axis=0, initial=math.inf
         ))

@@ -61,11 +61,14 @@ def synthetic_config_path() -> Path:
 
 
 def fee_recursion(thetas: np.ndarray, rewards: np.ndarray, c: float) -> np.ndarray:
-    """Independent re-statement of the binding fee recursion used by tests."""
+    """Independent re-statement of the binding fee recursion used by tests,
+    one fee at a time; every square is a multiply, as in ``contracts``."""
     fees = np.empty_like(rewards, dtype=float)
-    fees[0] = (thetas[0] * rewards[0]) ** 2 / (2.0 * c)
+    reach = thetas[0] * rewards[0]
+    fees[0] = reach * reach / (2.0 * c)
     for i in range(1, len(rewards)):
-        fees[i] = fees[i - 1] + thetas[i] ** 2 * (rewards[i] ** 2 - rewards[i - 1] ** 2) / (2.0 * c)
+        rise = rewards[i] * rewards[i] - rewards[i - 1] * rewards[i - 1]
+        fees[i] = fees[i - 1] + thetas[i] * thetas[i] * rise / (2.0 * c)
     return fees
 
 
@@ -235,8 +238,8 @@ def random_feasible_menu(
     drop = np.zeros(n)
     drop[0] = rng.uniform(0.0, 0.9) * fees[0]
     for i in range(1, n):
-        upward = (thetas[i] ** 2 - thetas[i - 1] ** 2) * (
-            rewards[i] ** 2 - rewards[i - 1] ** 2
+        upward = (thetas[i] * thetas[i] - thetas[i - 1] * thetas[i - 1]) * (
+            rewards[i] * rewards[i] - rewards[i - 1] * rewards[i - 1]
         ) / (2.0 * c)
         headroom = fees[i] - drop[i - 1]
         delta = rng.uniform(0.0, 1.0) * min(upward, max(headroom, 0.0))

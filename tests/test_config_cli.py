@@ -434,7 +434,8 @@ class TestCli:
     def test_unreadable_config_exits_2(self, kind, tmp_path, capsys):
         # a path that is no file, or a file that is not UTF-8, is named by its
         # path; a huge integer literal exited 4 naming neither file nor field,
-        # and json.load would keep the last of a repeated key
+        # and json.load would keep the last of a repeated key, which is named
+        # by its field path
         config = tmp_path / "config.json"
         named, detail = config, ""
         text = json.dumps(base_payload())
@@ -447,10 +448,10 @@ class TestCli:
             named = config if DIGIT_LIMIT else "profile.c"
         elif kind == "repeated-key":
             config.write_text(text.replace('"population": 50', '"population": -5, "population": 50'))
-            detail = "repeated key 'population'"
+            named, detail = "population", "repeated key"
         else:
             config.write_text(text.replace('"c": 1.0', '"c": 1.0, "c": 2.0'))
-            detail = "repeated key 'c'"
+            named, detail = "profile.c", "repeated key"
         assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"config error: {named}: "), lines
@@ -605,7 +606,7 @@ class TestCli:
         pytest.param(None, "{menu}: no such file", id="missing"),
         # json.load would keep the second fee
         pytest.param(b'{"items": [{"index": 1, "f": 9.0, "f": 0.125, "R": 1.0, "M": 0.3}]}',
-                     "{menu}: not valid JSON (repeated key 'f')", id="repeated-key"),
+                     "items[0].f: repeated key", id="repeated-key"),
     ])
     def test_audit_names_an_undecodable_menu(self, text, message, tmp_path, capsys):
         out = tmp_path / "out"
@@ -738,6 +739,9 @@ class TestCli:
                      id="infinite-a"),
         pytest.param({"kind": "table", "benchmarks": [], "values": []}, "non-empty",
                      id="empty-table"),
+        # increasing and convex, but a negative reward is no reward
+        pytest.param({"kind": "table", "benchmarks": [0.3, 0.5], "values": [-2.0, -1.0]},
+                     "table values must be non-negative, got [-2.0, -1.0]", id="negative-values"),
         # a * exp(b * M) is beyond the largest float, although exp(b * M) is not
         pytest.param({"kind": "exponential", "a": 1e308, "b": 2.0},
                      "revenue curve not finite on [0.3, 0.5]", id="overflowing-a"),

@@ -275,7 +275,8 @@ def scalar_slacks(profile, menu):
 
     def u(theta, row):
         fee, reward, _ = row
-        return (theta * reward) ** 2 / (2.0 * c) - fee
+        reach = theta * reward
+        return reach * reach / (2.0 * c) - fee
 
     thetas, rows = profile.thetas.tolist(), menu_rows(menu)
     own = [u(theta, row) for theta, row in zip(thetas, rows)]
@@ -521,16 +522,15 @@ class TestPooling:
             curve = random_increasing_convex_curve(rng, benchmarks)
             menu = solve_optimal_menu(profile, curve, rng.permutation(benchmarks))
             assert np.all(np.diff(menu.rewards) >= 0)
-            np.testing.assert_allclose(
-                menu.fees, fee_recursion(profile.thetas, menu.rewards, profile.unit_cost)
-            )
+            expected_fees = fee_recursion(profile.thetas, menu.rewards, profile.unit_cost)
+            assert menu.fees.tolist() == expected_fees.tolist()
 
     def test_pooled_menu_fees_rebuilt_and_feasible(self):
         profile = TypeProfile.from_arrays([0.2, 0.5, 0.8], [1 / 3, 1 / 3, 1 / 3], 1.0)
         curve = RevenueCurve.from_table([0.2, 0.4, 0.6], [1.0, 2.0, 3.0])
         pooled = solve_optimal_menu(profile, curve, [0.2, 0.6, 0.4])
         expected_fees = fee_recursion(profile.thetas, pooled.rewards, 1.0)
-        np.testing.assert_allclose(pooled.fees, expected_fees)
+        assert pooled.fees.tolist() == expected_fees.tolist()
         assert verify_feasibility(profile, pooled).feasible
 
     def test_solver_pools_unsorted_benchmarks(self):

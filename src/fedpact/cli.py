@@ -108,7 +108,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     report.rounds_to_csv(out / "comparison.csv")
     report.clients_to_csv(out / "clients.csv")
     report.summary_to_json(out / "summary.json")
-    orderings = report.summary()["orderings"]  # what summary.json holds, None as null
+    orderings = report.orderings()  # what summary.json holds, None as null
     print(f"comparison: {out / 'comparison.csv'}")
     for c_key, entry in orderings["per_c"].items():
         means = ", ".join(f"{s}={_shown(v)}" for s, v in entry["means"].items())

@@ -18,11 +18,24 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .contracts import RevenueCurve, TypeProfile, _number, _object, _read_json
 
 SCHEMA_VERSION = 1
 MODES = ("analytic", "ml")
 SCHEMES = ("contract", "fedavg", "flat")
+
+
+def child_rng(root_seed: int, *path: int) -> np.random.Generator:
+    """Generator for the substream identified by (root_seed, *path).
+
+    A routine that draws from one stream takes it as a ``np.random.Generator``;
+    a routine that owns several (a round, a client dataset, a task) takes an
+    integer seed and derives each stream here, by ``SeedSequence`` from the
+    seed plus integer path keys instead of ad-hoc arithmetic on seeds.
+    """
+    return np.random.default_rng(np.random.SeedSequence([int(root_seed), *map(int, path)]))
 
 
 class ConfigError(ValueError):
@@ -45,6 +58,7 @@ CURVE_KINDS = {
     "exponential": (RevenueCurve.exponential, {"a": _number, "b": _number}),
     "table": (RevenueCurve.from_table, {"benchmarks": _numbers, "values": _numbers}),
 }
+CURVE_KEYS = [key for _, checks in CURVE_KINDS.values() for key in checks]  # any kind's
 
 
 @contextmanager
@@ -170,12 +184,12 @@ class ExperimentConfig:
                      "training"))
             types = _object(payload["profile"], "profile", ("thetas", "betas", "c"))
             section = payload["curve"]
-            # a curve's keys are those of its kind; any kind will do to reject a non-object
-            kind = section.get("kind") if isinstance(section, dict) else "table"
-            _require(isinstance(kind, str) and kind in CURVE_KINDS, "curve.kind",
-                     f"must be 'exponential' or 'table', got {kind!r}")
-            constructor, checks = CURVE_KINDS[kind]
-            _object(section, "curve", ("kind", *checks))
+            # a known kind takes its own keys; until the kind is known, any kind's will do
+            kind = section.get("kind") if isinstance(section, dict) else None
+            known = isinstance(kind, str) and kind in CURVE_KINDS
+            constructor, checks = CURVE_KINDS[kind] if known else (None, {})
+            _object(section, "curve", ("kind", *checks), () if known else CURVE_KEYS)
+            _require(known, "curve.kind", f"must be 'exponential' or 'table', got {kind!r}")
             curve_args = {key: check(section[key], f"curve.{key}", float)
                           for key, check in checks.items()}
             schemes = payload.get("schemes", list(SCHEMES))

@@ -51,10 +51,6 @@ import numpy as np
 DEFAULT_TOLERANCE = 1e-9
 
 
-class MenuMismatchError(ValueError):
-    """Menu and type profile disagree on shape."""
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -378,9 +374,7 @@ def server_expected_utility(
     objective the optimal menu maximizes.
     """
     if len(menu) != len(profile):
-        raise MenuMismatchError(
-            f"menu has {len(menu)} items for {len(profile)} types"
-        )
+        raise ValueError(f"menu has {len(menu)} items for {len(profile)} types")
     c = profile.unit_cost
     total = 0.0
     for theta, beta, fee, reward, benchmark in zip(
@@ -467,7 +461,7 @@ def verify_feasibility(profile: TypeProfile, menu: ContractMenu) -> FeasibilityR
     utilities; the report carries it.
     """
     if len(menu) != len(profile):
-        raise MenuMismatchError(f"menu has {len(menu)} items for {len(profile)} types")
+        raise ValueError(f"menu has {len(menu)} items for {len(profile)} types")
     thetas, c = profile.thetas, profile.unit_cost
     # first, so a utility overflow raises its ValueError before the tolerance does
     slacks = envelope_utilities(thetas, menu, c)
@@ -540,9 +534,7 @@ def solve_optimal_menu(
     are pooled to monotonicity before the fee recursion runs.
     """
     if len(benchmarks) != len(profile):
-        raise MenuMismatchError(
-            f"{len(benchmarks)} benchmarks for {len(profile)} types"
-        )
+        raise ValueError(f"{len(benchmarks)} benchmarks for {len(profile)} types")
     curve.check_increasing_convex(benchmarks)
     thetas = profile.thetas
     rewards = np.array([curve(m) for m in benchmarks], dtype=float)
@@ -629,9 +621,9 @@ def grid_search_menu(
     if n > 3:
         raise ValueError("grid search is combinatorial; supported for I <= 3")
     if len(benchmarks) != n:
-        raise MenuMismatchError(f"{len(benchmarks)} benchmarks for {n} types")
+        raise ValueError(f"{len(benchmarks)} benchmarks for {n} types")
     if len(grid.fee_ranges) != n or len(grid.reward_ranges) != n:
-        raise MenuMismatchError("grid spec must give one fee and one reward range per type")
+        raise ValueError("grid spec must give one fee and one reward range per type")
 
     thetas, betas, c = profile.thetas, profile.betas, profile.unit_cost
     tol = DEFAULT_TOLERANCE

@@ -31,15 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, TrainingSpec
+from .config import ConfigError, ExperimentConfig, TrainingSpec, child_rng
 from .contracts import ContractMenu, _write_json, solve_optimal_menu
 from .coverage import PointCloud, coverage_quality, quality_draws
-from .seeding import child_rng
 from .simulation import RoundOutcome, sample_population
-
-
-class ArchitectureMismatchError(ValueError):
-    """Models of different shapes cannot be combined."""
 
 
 class CalibrationError(ValueError):
@@ -86,7 +81,7 @@ class ModelVector:
         bias = np.array(self.bias, dtype=np.float64)
         d, k = weights.shape if weights.ndim == 2 else (0, 0)
         if d < 1 or k < 2 or bias.shape != (k,):
-            raise ArchitectureMismatchError(
+            raise ValueError(
                 f"need weights (d, k) with d >= 1, k >= 2 and bias (k,), "
                 f"got {weights.shape} and {bias.shape}"
             )
@@ -323,9 +318,9 @@ def local_train(
         )
     d, k = models[0].shape
     if any(model.shape != (d, k) for model in models):
-        raise ArchitectureMismatchError(f"models of {len({m.shape for m in models})} shapes")
+        raise ValueError(f"models of {len({m.shape for m in models})} shapes")
     if x.ndim != 3 or x.shape[2] != d:
-        raise ArchitectureMismatchError(f"data dimension {x.shape} does not match input dimension {d}")
+        raise ValueError(f"data dimension {x.shape} does not match input dimension {d}")
     epochs = _epochs(effort, max_epochs)
     if epochs == 0:
         return models
@@ -372,7 +367,7 @@ def aggregate(models: list[tuple[ModelVector, float]]) -> ModelVector:
     shape = models[0][0].shape
     for model, _ in models:
         if model.shape != shape:
-            raise ArchitectureMismatchError(f"model shape {model.shape} != {shape}")
+            raise ValueError(f"model shape {model.shape} != {shape}")
     weights = np.array([w for _, w in models])
     if not (weights >= 0).all():  # NaN fails it too
         raise ValueError(f"weights must be non-negative, got {weights.tolist()!r}")
@@ -427,16 +422,17 @@ class SchemeReport:
     schemes: tuple[str, ...]
     flat_items: dict[float, ContractMenu]  # one-row menus
 
-    def mean_accuracy(self, c: float, scheme: str) -> float:
+    def mean_accuracy(self, c: float, scheme: str) -> float | None:
+        """The scheme's mean finite accuracy at ``c``; ``None`` if it has none."""
         vals = [r.accuracy for r in self.rounds if r.c == c and r.scheme == scheme]
         finite = [v for v in vals if not math.isnan(v)]
-        return float(np.mean(finite)) if finite else float("nan")
+        return float(np.mean(finite)) if finite else None
 
     def orderings(self) -> dict:
         """The directional claims the comparison is designed to probe; a
-        claim on a scheme without a mean (no finite accuracy) is ``None``."""
-        def verdict(claim: Callable[[float, float], bool], a: float, b: float) -> bool | None:
-            return None if math.isnan(a) or math.isnan(b) else claim(a, b)
+        claim on a scheme without a mean is ``None``."""
+        def verdict(claim: Callable[[float, float], bool], a, b) -> bool | None:
+            return None if a is None or b is None else claim(a, b)
 
         per_c = {}
         for c in self.c_values:
@@ -459,15 +455,11 @@ class SchemeReport:
         return out
 
     def summary(self) -> dict:
-        orderings = self.orderings()
-        for entry in orderings["per_c"].values():
-            # a scheme without a finite accuracy has no mean, and JSON no NaN
-            entry["means"] = {s: None if math.isnan(v) else v for s, v in entry["means"].items()}
         return {
             "seeds": sorted({r.seed for r in self.rounds}),
             "c_values": list(self.c_values),
             "schemes": list(self.schemes),
-            "orderings": orderings,
+            "orderings": self.orderings(),
             "flat_items": {
                 _c_key(c): flat.to_dict()["items"][0] for c, flat in sorted(self.flat_items.items())
             },

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MODES
+from .config import MODES, child_rng
 from .contracts import (
     _JSON,
     ContractMenu,
@@ -42,7 +42,6 @@ from .contracts import (
     utility_tolerance,
     verify_feasibility,
 )
-from .seeding import child_rng
 
 
 def choose_contract(theta: float, menu: ContractMenu, c: float) -> tuple[int, float, bool]:
@@ -127,7 +126,6 @@ class RoundOutcome:
     ``realized_server_utility`` evaluates the revenue curve.
     """
 
-    profile: TypeProfile
     menu: ContractMenu
     curve: RevenueCurve
     client_type: np.ndarray  # 0-based type index of each client
@@ -149,7 +147,6 @@ class RoundOutcome:
         ))
         effort = np.array(efforts)
         return cls(
-            profile=profile,
             menu=menu,
             curve=curve,
             client_type=client_type,
@@ -247,14 +244,15 @@ class RoundOutcome:
         """Per type: the aggregation weight of each of its clients that gets
         one, 0.0 for a type with none.
 
-        A passer's weight is its reward over the total reward paid, the sum
-        over the passers in client order; equal rewards, or a total of zero,
-        give exactly 1/k for k passers, bit-identical to a uniform scheme.
+        A passer's weight is its reward over the passers' rewards summed by
+        ``np.sum``, pairwise, so not always to ``rewards_paid``'s left-to-right
+        bits; equal rewards, or a total of zero, give exactly 1/k for k
+        passers, bit-identical to a uniform scheme.
         In ``analytic`` mode a weight is the expected-reward share, over the
         exact (``math.fsum``) total of the positive expected rewards.
         """
         holder_types = self.client_type[self._weight_holders]
-        held = np.bincount(holder_types, minlength=len(self.profile)) > 0
+        held = np.bincount(holder_types, minlength=len(self.type_choice)) > 0
         shares = self._type_share[holder_types]
         if not len(shares):
             return np.zeros(len(held))

@@ -14,7 +14,7 @@ from fedpact.contracts import (
     utility_tolerance,
     verify_feasibility,
 )
-from fedpact.learning import ArchitectureMismatchError, ModelVector
+from fedpact.learning import ModelVector
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -96,7 +96,7 @@ def reference_local_train(
     y = np.asarray(labels, dtype=int)
     d, k = model.shape
     if x.ndim != 2 or x.shape[1] != d:
-        raise ArchitectureMismatchError(f"data dimension {x.shape} does not match input dimension {d}")
+        raise ValueError(f"data dimension {x.shape} does not match input dimension {d}")
     n = x.shape[0]
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0

@@ -147,6 +147,27 @@ class TestConfigValidation:
         assert main(["solve", "--config", str(write_config(tmp_path, payload))]) == 2
         assert f"config error: curve.{key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("curve, message", [
+        pytest.param('{"a": 0.1, "b": 4.0}', "curve.kind: missing required field",
+                     id="missing-kind"),
+        pytest.param('{"kind": "exponential", "kind": "bogus", "a": 0.1, "b": 4.0}',
+                     "curve.kind: repeated key", id="repeated-kind"),
+        pytest.param('{"kind": "bogus", "extra": 1, "a": 0.1, "b": 4.0}',
+                     "curve.extra: unknown key, valid: ['a', 'b', 'benchmarks', 'kind', 'values']",
+                     id="bad-kind-unknown-key"),
+        pytest.param('{"kind": "bogus", "a": 0.1, "b": 4.0}',
+                     "curve.kind: must be 'exponential' or 'table', got 'bogus'",
+                     id="bad-kind-known-keys"),
+    ])
+    def test_curve_keys_checked_before_kind(self, curve, message, tmp_path):
+        # until its kind is known, a curve may hold any kind's keys
+        payload = base_payload()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload).replace(json.dumps(payload["curve"]), curve))
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_json(path)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("schemes", [5, "contract", ["contract", 3], {"contract": 1}])
     def test_schemes_must_be_list_of_strings(self, schemes, tmp_path, capsys):
         # 5 was a TypeError traceback (exit 1), "contract" was split into letters

@@ -25,7 +25,6 @@ from fedpact.contracts import (
     ContractMenu,
     FeasibilityReport,
     GridSpec,
-    MenuMismatchError,
     RevenueCurve,
     TypeProfile,
     envelope_utilities,
@@ -135,7 +134,7 @@ class TestServerUtility:
 
     def test_length_mismatch(self, canonical_profile, canonical_curve):
         menu = menu_of(item(0.0, 1.0))
-        with pytest.raises(MenuMismatchError):
+        with pytest.raises(ValueError, match="menu has 1 items for 2 types"):
             server_expected_utility(canonical_profile, menu, canonical_curve)
 
     def test_clamped_variant_differs_when_raw_exceeds_one(self):
@@ -221,7 +220,7 @@ class TestSolver:
             TypeProfile.from_arrays([0.7, 0.5], [0.5, 0.5], 1.0)
 
     def test_benchmark_count_mismatch(self, canonical_profile, canonical_curve):
-        with pytest.raises(MenuMismatchError):
+        with pytest.raises(ValueError, match="1 benchmarks for 2 types"):
             solve_optimal_menu(canonical_profile, canonical_curve, [0.3])
 
 
@@ -249,7 +248,7 @@ class TestFeasibility:
         assert report.tight == ((1, 2, 0.0), (2, 1, 0.0))
 
     def test_length_mismatch(self, canonical_profile):
-        with pytest.raises(MenuMismatchError):
+        with pytest.raises(ValueError, match="menu has 0 items for 2 types"):
             verify_feasibility(canonical_profile, ContractMenu([], [], []))
 
     def test_report_serializable(self, canonical_profile, canonical_curve, canonical_benchmarks, tmp_path):
@@ -477,6 +476,34 @@ class TestMonotonicityLemmas:
             assert verify_feasibility(profile, menu).feasible
 
 
+class TestFeeRecursionBits:
+    """The solver's fees are ``fee_recursion``'s bit for bit at hundreds and
+    thousands of types, where a square by libm ``pow`` and one by a multiply
+    part in the last bits for some rewards."""
+
+    @staticmethod
+    def assert_exact(profile, curve, benchmarks):
+        menu = solve_optimal_menu(profile, curve, benchmarks)
+        expected = fee_recursion(profile.thetas, menu.rewards, profile.unit_cost)
+        assert menu.fees.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_menu_scale_profiles(self, seed):
+        # drawn as perfbench/workloads.py's menu_scale draws its 300 types
+        rng = np.random.default_rng([seed, 2])
+        profile = TypeProfile(
+            np.sort(rng.uniform(0.05, 1.0, 300)), rng.dirichlet(np.ones(300)),
+            float(rng.uniform(0.5, 2.0)),
+        )
+        curve = RevenueCurve.exponential(float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.5, 2.0)))
+        self.assert_exact(profile, curve, np.sort(rng.uniform(0.0, 1.0, 300)))
+
+    def test_three_thousand_types(self):
+        n = 3000
+        profile = TypeProfile(np.linspace(0.05, 1.0, n), np.full(n, 1.0 / n), 1.3)
+        self.assert_exact(profile, RevenueCurve.exponential(0.6, 1.2), np.linspace(0.05, 0.95, n))
+
+
 class TestPooling:
     """``solve_optimal_menu`` pools non-monotone rewards (unsorted benchmarks
     on a table curve) to their beta-weighted average and rebuilds the fees."""
@@ -660,7 +687,7 @@ class TestGridSearch:
     def test_mismatched_inputs_rejected(self, canonical_profile, canonical_curve, benchmarks,
                                         ranges, message):
         grid = GridSpec(fee_ranges=ranges, reward_ranges=ranges, fee_steps=3, reward_steps=3)
-        with pytest.raises(MenuMismatchError, match=message):
+        with pytest.raises(ValueError, match=message):
             grid_search_menu(canonical_profile, canonical_curve, benchmarks, grid)
 
     @pytest.mark.parametrize("ranges, steps, message", [

@@ -8,7 +8,9 @@ method does not count) by some module of ``src/fedpact``, or by a
 ``perfbench`` script.  Its own ``class``/``def`` line or assignment does
 not count, uses elsewhere in its defining module do.  A name reached only
 from the tests fails here.  The package itself re-exports nothing: each
-name is imported from its module.
+name is imported from its module.  An exception class of the package must
+be named by some ``except`` clause in it: one that no caller tells apart
+from its base would be that base under another name.
 """
 import ast
 import subprocess
@@ -21,7 +23,7 @@ from conftest import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fedpact"
-MODULES = ("cli", "config", "contracts", "coverage", "learning", "seeding", "simulation")
+MODULES = ("cli", "config", "contracts", "coverage", "learning", "simulation")
 
 
 def public_names() -> list[str]:
@@ -58,6 +60,36 @@ USED = used_names()
 @pytest.mark.parametrize("name", public_names())
 def test_export_is_used(name):
     assert name in USED, f"{name} is public but no module or benchmark script uses it"
+
+
+def _name(node: ast.expr) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def exception_classes() -> list[str]:
+    """The package's classes with a base named ``...Error`` or ``...Exception``."""
+    return [
+        node.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        and any(_name(base).endswith(("Error", "Exception")) for base in node.bases)
+    ]
+
+
+def caught_names() -> set[str]:
+    caught = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {_name(t) for t in types}
+    return caught
+
+
+@pytest.mark.parametrize("name", exception_classes())
+def test_exception_class_is_caught(name):
+    assert name in caught_names(), f"{name} is an exception class no except clause names"
 
 
 @pytest.mark.parametrize("module, loaded", [

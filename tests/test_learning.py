@@ -1,6 +1,7 @@
 """Synthetic task, coverage-calibrated data, local training, aggregation."""
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedpact import learning
-from fedpact.config import ConfigError, ExperimentConfig
+from fedpact.config import ConfigError, ExperimentConfig, child_rng
 from fedpact.contracts import solve_optimal_menu
 from fedpact.coverage import PointCloud, coverage_quality, quality_draws
 from fedpact.learning import (
@@ -17,7 +18,6 @@ from fedpact.learning import (
     CALIBRATION_TOLERANCE,
     MAX_BISECTIONS,
     QUALITY_SAMPLES,
-    ArchitectureMismatchError,
     CalibrationError,
     ClientDataset,
     ClientRecord,
@@ -33,7 +33,6 @@ from fedpact.learning import (
     run_scheme_comparison,
     server_test,
 )
-from fedpact.seeding import child_rng
 from fedpact.simulation import choose_contract, sample_population
 
 from conftest import CONFIGS, flat, menu_rows, reference_local_train
@@ -72,7 +71,8 @@ def tiny_ml_config(**overrides) -> ExperimentConfig:
 
 class TestModelVector:
     def test_wrong_size_rejected(self):
-        with pytest.raises(ArchitectureMismatchError):
+        message = "need weights (d, k) with d >= 1, k >= 2 and bias (k,), got (2, 2) and (3,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             ModelVector(np.zeros((2, 2)), np.zeros(3))
 
     def test_random_deterministic(self):
@@ -442,12 +442,13 @@ class TestLocalTrain:
 
     def test_dimension_mismatch(self, task2d):
         model = ModelVector.random(task2d.shape, rng(17))
-        with pytest.raises(ArchitectureMismatchError):
+        message = "data dimension (1, 5, 3) does not match input dimension 2"
+        with pytest.raises(ValueError, match=re.escape(message)):
             local_train(
                 [model], np.zeros((1, 5, 3)), np.zeros((1, 5), dtype=int), 1.0, 10, [rng(18)],
                 0.8, 32,
             )
-        with pytest.raises(ArchitectureMismatchError, match="models of 2 shapes"):
+        with pytest.raises(ValueError, match="models of 2 shapes"):
             local_train(
                 [model, ModelVector.random((2, 3), rng(22))], np.zeros((2, 5, 2)),
                 np.zeros((2, 5), dtype=int), 1.0, 10, [rng(23), rng(24)], 0.8, 32,
@@ -558,7 +559,7 @@ class TestAggregate:
     def test_architecture_mismatch(self):
         a = ModelVector(np.zeros((2, 2)), np.zeros(2))
         b = ModelVector(np.zeros((3, 2)), np.zeros(2))
-        with pytest.raises(ArchitectureMismatchError):
+        with pytest.raises(ValueError, match=re.escape("model shape (3, 2) != (2, 2)")):
             aggregate([(a, 0.5), (b, 0.5)])
 
     def test_permutation_invariant(self, task2d):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedpact.config import child_rng
 from fedpact.contracts import (
     _JSON,
     ContractMenu,
@@ -19,7 +20,6 @@ from fedpact.contracts import (
     solve_optimal_menu,
     utility_tolerance,
 )
-from fedpact.seeding import child_rng
 from fedpact.simulation import (
     _ROWS_PER_WRITE,
     RoundOutcome,

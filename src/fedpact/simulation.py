@@ -17,8 +17,9 @@ A client's choice, effort and pass probability depend only on its type:
 ``RoundOutcome.sign_up`` takes each type's ``(row, effort, tied)`` column
 entries from one ``choose_contract`` call, computes the pass probability
 min(1, theta * effort) once per type, and books clients as arrays indexed
-by their type; the ledger is derived from those columns, and its files
-are written from per-type text.
+by their type.  The ledger is derived from those columns: its JSON holds
+one aggregation share per type, and its CSV rows are streamed from
+per-type text.
 ``learning.run_scheme_comparison`` settles its rounds with the same
 engine, deciding passes by a trained model's server test.
 """
@@ -34,10 +35,10 @@ import numpy as np
 
 from .config import MODES, child_rng
 from .contracts import (
-    _JSON,
     ContractMenu,
     RevenueCurve,
     TypeProfile,
+    _write_json,
     envelope_utilities,
     utility_tolerance,
     verify_feasibility,
@@ -92,20 +93,7 @@ def realize_success(p: float | np.ndarray, rng: np.random.Generator) -> np.ndarr
     return rng.random(p.shape) < p
 
 
-_ROWS_PER_WRITE = 1024  # clients formatted per write when streaming the ledger files
-
-
-def _decimal_order(ids: np.ndarray) -> np.ndarray:
-    """The permutation sorting non-negative integers by their decimal text,
-    the order of JSON's sorted keys ("10" before "9").
-
-    Right-padding every id with zeros to the widest one's digit count and
-    breaking ties by digit count puts a prefix before its extensions.
-    """
-    digits = np.ones_like(ids)
-    for k in range(1, len(str(int(ids.max())))):
-        digits += ids >= 10**k
-    return np.lexsort((digits, ids * 10 ** (digits.max() - digits)))
+_ROWS_PER_WRITE = 1024  # clients formatted per write when streaming the round's CSV
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,17 +258,15 @@ class RoundOutcome:
         return dict(zip(ids.tolist(), self.type_weight[self.client_type[ids]].tolist()))
 
     def to_json(self, path: str | Path) -> None:
-        """The ledger in the ``_JSON`` layout, the encoder of every JSON output.
+        """The ledger, written by ``_write_json`` like every JSON output.
 
-        One ``_JSON.encode`` call lays out the fields, ``aggregation_weights``
-        encoded empty; the weight holders' ``"<id>": <weight>`` members are
-        streamed into that object from per-type text, each type's weight
-        encoded once, in the decimal text order of the ids that sorted keys
-        give ("10" before "9").
+        ``aggregation_weights`` maps each 1-based type with a weight holder
+        to its share of the aggregate, ``type_weight[t] * k_t`` for its k_t
+        holders.  The shares are computed after the sums, so their per-holder
+        temporaries do not add to the sums' peak memory.
         """
         n = len(self.client_type)
-        empty = _JSON.encode("aggregation_weights") + _JSON.key_separator + "{}"
-        head, tail = _JSON.encode({
+        ledger = {
             "mode": self.mode,
             "n_clients": n,
             "participants": self.participants,
@@ -290,24 +276,15 @@ class RoundOutcome:
             "fees_forfeited": self.fees_forfeited,
             "realized_server_utility": self.realized_server_utility,
             "mean_server_utility_per_client": self.realized_server_utility / n,
-            "aggregation_weights": {},
             "tied_types": (np.flatnonzero(self.type_tied) + 1).tolist(),
-        }).split(empty)
-        ids = self._weight_holders
-        with open(path, "w") as fh:
-            fh.write(head + empty[:-1])  # up to the weights' closing brace
-            if len(ids):
-                ids = ids[_decimal_order(ids)]
-                # a digit string needs no escaping, so a key is its digits in quotes
-                member = "\n" + " " * 2 * _JSON.indent + '"'
-                fh.write(member)
-                _write_rows(
-                    fh, ids, self.client_type[ids],
-                    [f'"{_JSON.key_separator}{_JSON.encode(w)}' for w in self.type_weight.tolist()],
-                    _JSON.item_separator + member,
-                )
-                fh.write("\n" + " " * _JSON.indent)
-            fh.write("}" + tail + "\n")
+        }
+        k = np.bincount(self.client_type[self._weight_holders], minlength=len(self.type_choice))
+        held = np.flatnonzero(k)
+        ledger["aggregation_weights"] = {
+            str(t + 1): w * k_t
+            for t, w, k_t in zip(held.tolist(), self.type_weight[held].tolist(), k[held].tolist())
+        }
+        _write_json(ledger, path)
 
     def clients_to_csv(self, path: str | Path) -> None:
         """Per-client rows: id, type, choice, effort, succeeded, fee, reward, success_prob.
@@ -334,17 +311,9 @@ class RoundOutcome:
         with open(path, "w", newline="") as fh:
             fh.write("id,type,choice,effort,succeeded,fee,reward,success_prob\r\n")
             keys = 2 * self.client_type + self.succeeded
-            _write_rows(fh, np.arange(len(keys)), keys, tails, "")
-
-
-def _write_rows(fh, ids: np.ndarray, keys: np.ndarray, texts: list[str], sep: str) -> None:
-    """``fh.write(sep.join(f"{id}{texts[key]}" for id, key in zip(ids, keys)))``,
-    ``_ROWS_PER_WRITE`` rows per write, so no per-row list of a file is built."""
-    for start in range(0, len(keys), _ROWS_PER_WRITE):
-        stop = start + _ROWS_PER_WRITE
-        fh.write(sep * bool(start) + sep.join([
-            f"{i}{texts[k]}" for i, k in zip(ids[start:stop].tolist(), keys[start:stop].tolist())
-        ]))
+            for start in range(0, len(keys), _ROWS_PER_WRITE):
+                chunk = keys[start:start + _ROWS_PER_WRITE].tolist()
+                fh.write("".join([f"{i}{tails[k]}" for i, k in enumerate(chunk, start)]))
 
 
 def _running_total(terms: np.ndarray) -> float:

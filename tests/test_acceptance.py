@@ -358,7 +358,8 @@ LARGE_ROUND = "simulate_ml_200k"
 
 def test_criterion_9_large_round_bytes(tmp_path, mnist_config_path):
     """The 2e5-client ``ml`` round of the mnist profile writes the pinned
-    ledger and CSV: one ledger entry per passer, one CSV row per client."""
+    ledger and CSV: one ledger weight per type with a passer, one CSV row
+    per client."""
     payload = json.loads(mnist_config_path.read_text())
     out = tmp_path / "out"
     payload.update(population=200_000, mode="ml", out_dir=str(out))

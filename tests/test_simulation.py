@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -425,8 +426,9 @@ class TestRunRound:
         silent=st.booleans(),
     )
     def test_ledger_has_the_json_layout(self, seed, n, mode, silent, tmp_path_factory):
-        # the streamed ledger is _JSON's encoding of what it decodes to; a
-        # zero menu (every type takes effort 0) leaves no weight holder
+        # the ledger is _JSON's encoding of what it decodes to, one weight
+        # entry per holder type; a zero menu (every type takes effort 0)
+        # leaves no weight holder
         rng = np.random.default_rng(seed)
         profile = random_profile(rng)
         benchmarks = random_benchmarks(rng, len(profile))
@@ -439,7 +441,8 @@ class TestRunRound:
         text = written_ledger(outcome, tmp_path_factory.mktemp("ledger") / "round.json").decode()
         ledger = json.loads(text)
         assert text == _JSON.encode(ledger) + "\n"
-        assert len(ledger["aggregation_weights"]) == len(outcome.aggregation_weights)
+        holder_types = outcome.client_type[list(outcome.aggregation_weights)]
+        assert len(ledger["aggregation_weights"]) == len(set(holder_types.tolist()))
         if silent:
             assert ledger["aggregation_weights"] == {}
 
@@ -537,8 +540,12 @@ def reference_round(profile, menu, curve, n, mode, seed):
 
 
 def reference_files(clients, ledger, mode, tmp_path):
-    """The ledger JSON and per-client CSV as the per-client loop wrote them."""
+    """The ledger JSON and per-client CSV as the per-client loop wrote them,
+    the ledger's weights as one share per type: a holder's weight times the
+    type's holder count, one multiply."""
     fees, rewards, forfeits, utility, weights, _, tied_types = ledger
+    holder_type = {cid: clients[cid].type_index for cid in weights}
+    counts = Counter(holder_type.values())
     payload = {
         "mode": mode,
         "n_clients": len(clients),
@@ -549,7 +556,9 @@ def reference_files(clients, ledger, mode, tmp_path):
         "fees_forfeited": forfeits,
         "realized_server_utility": utility,
         "mean_server_utility_per_client": utility / len(clients),
-        "aggregation_weights": {str(k): v for k, v in weights.items()},
+        "aggregation_weights": {
+            str(holder_type[cid]): w * counts[holder_type[cid]] for cid, w in weights.items()
+        },
         "tied_types": tied_types,
     }
     with open(tmp_path / "ref.json", "w") as fh:
@@ -588,7 +597,7 @@ def equivalence_cases():
          menu_of((0.0, 0.0, 0.3), (0.0, 0.0, 0.6)),
          RevenueCurve.from_table([0.3, 0.6], [1.0, 2.0]), 100),
         ("single-client", profile, tight, curve, 1),
-        # ids of 1 to 5 digits: sorted keys put "10" before "9"
+        # 12,000 clients of two types: at most two ledger weights
         ("12k-clients", profile, tight, curve, 12_000),
         # pass probabilities near 5e-5: participants, but no ml passer
         ("no-passers", TypeProfile.from_arrays([0.01, 0.02], [0.5, 0.5], 1.0),
@@ -597,8 +606,7 @@ def equivalence_cases():
         ("equal-rewards", profile,
          menu_of((0.01, 0.3, 0.3), (0.01, 0.3, 0.5)), curve, 300),
     ]
-    # one type: in analytic mode every client holds a weight, so both files
-    # fill exactly one write, or spill one row past it
+    # one type: the CSV fills exactly one write, or spills one row past it
     single = TypeProfile.from_arrays([0.8], [1.0], 1.0)
     single_curve = RevenueCurve.from_table([0.4], [1.0])
     single_menu = solve_optimal_menu(single, single_curve, [0.4])
@@ -644,12 +652,6 @@ class TestPerTypeEngine:
 
     def test_edge_cases_take_their_path(self, tmp_path):
         cases = {case[0]: case[1:] for case in equivalence_cases()}
-        run_round(*cases["12k-clients"], "ml", 31).to_json(tmp_path / "round.json")
-        ledger = dict(json.loads(
-            (tmp_path / "round.json").read_text(), object_pairs_hook=lambda pairs: pairs
-        ))
-        keys = [key for key, _ in ledger["aggregation_weights"]]
-        assert keys == sorted(keys) and {len(k) for k in keys} == {1, 2, 3, 4, 5}
         silent = run_round(*cases["no-passers"], "ml", 31)
         assert silent.participants == 200
         assert json.loads(written_ledger(silent, tmp_path / "silent.json"))["aggregation_weights"] == {}
@@ -658,3 +660,26 @@ class TestPerTypeEngine:
         k = equal.successes
         assert set(equal.aggregation_weights.values()) == {1.0 / k}
         assert 0.3 / float(np.full(k, 0.3).sum()) != 1.0 / k  # the reward share differs
+
+    @pytest.mark.parametrize("mode", ["ml", "analytic"], ids=["stochastic", "analytic"])
+    @pytest.mark.parametrize("name", ["12k-clients", "random-0"])
+    def test_ledger_holds_one_share_per_type(self, name, mode, tmp_path):
+        # keys are 1-based types, each value the type's weight times its
+        # holder count; the key set does not grow with the population
+        _, profile, menu, curve, _ = next(case for case in equivalence_cases() if case[0] == name)
+        key_sets = []
+        for n in (1_000, 12_000):
+            outcome = run_round(profile, menu, curve, n, mode, 31)
+            shares = json.loads(written_ledger(outcome, tmp_path / f"round{n}.json"))[
+                "aggregation_weights"
+            ]
+            holder_types = outcome.client_type[list(outcome.aggregation_weights)]
+            assert set(shares) <= {str(t + 1) for t in range(len(profile))}
+            assert set(shares) == {str(t + 1) for t in holder_types.tolist()}
+            for key, share in shares.items():
+                t = int(key) - 1
+                assert share == outcome.type_weight[t] * np.count_nonzero(holder_types == t)
+            if len(holder_types):
+                assert abs(math.fsum(shares.values()) - 1.0) <= 1e-9
+            key_sets.append(set(shares))
+        assert key_sets[0] == key_sets[1] != set()

@@ -15,7 +15,10 @@ union-of-balls volume is intractable beyond d = 3), and on those samples
 the integral is exact.  A sample at nearest-point distance r is covered
 for every eps > r; since r <= sqrt(d) on the unit cube, it contributes
 sqrt(d) - r to the integral, so theta = 1 - mean(r) / sqrt(d), with each
-r from one pass over the points (squares summed in coordinate order).
+r^2 the least, over the points, of the squared gaps summed in coordinate
+order.  One pass finds them, a block of points per numpy step: each block
+gives a (points, samples) array of squared distances whose column minima
+update a running minimum, exactly, so the bits do not depend on the blocks.
 The samples are the R_d sequence (Roberts 2018) under a random shift
 drawn from the seed (a Cranley-Patterson rotation), so each seed gives an
 unbiased estimate; r is Lipschitz in the sample, and such a sequence
@@ -23,16 +26,17 @@ integrates it with far fewer samples than independent uniform draws.
 
 A cloud inside the sub-cube [0, s]^d is no nearer to a sample than the
 sub-cube itself, so ``subcube_quality_ceiling`` bounds its quality from
-above on the same samples; it runs the same pass over each sample's gaps
-beyond the sub-cube, so it bounds the computed quality, rounding included.
-A cloud is no farther from a sample than any subset of its points, so each
-prefix of the cloud bounds its quality from below.  ``coverage_quality``
-makes one pass, a running minimum of squared distances, and checks both
-bounds against its band, the floor at the prefix ends ``QUALITY_PREFIXES``;
-the square root is correctly rounded, hence monotone, so each floor and the
-quality have the bits of a pass over just those points.  The draws are the
-caller's: ``quality_draws`` makes them from an integer seed, and a caller that
-measures many clouds, as calibration does, makes them once and passes them in.
+above on the same samples; it sums the squares of each sample's gaps beyond
+the sub-cube in the same order, so it bounds the computed quality, rounding
+included.  A cloud is no farther from a sample than any subset of its
+points, so each prefix of the cloud bounds its quality from below.
+``coverage_quality`` checks both bounds against its band: the ceiling before
+its pass, and the floor at each prefix end in ``QUALITY_PREFIXES``, where the
+pass ends a block (later blocks hold ``_BLOCK`` points).  The square root is
+correctly rounded, hence monotone, so each floor and the quality have the
+bits of a pass over just those points.  The draws are the caller's:
+``quality_draws`` makes them from an integer seed, and a caller that measures
+many clouds, as calibration does, makes them once and passes them in.
 """
 from __future__ import annotations
 
@@ -43,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 QUALITY_PREFIXES = (8, 16, 32, 64)  # prefix ends at which coverage_quality may stop early
+_BLOCK = 32  # cloud points per numpy step of the nearest-distance pass, past the prefixes
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,13 +84,24 @@ class PointCloud:
         """Euclidean distance from each query point to its nearest cloud point."""
         if self.is_empty:
             raise ValueError("empty cloud has no nearest distances")
-        *_, nearest = _running_nearest(queries, self.points)
+        *_, (_, nearest) = _running_nearest(queries, self.points)
         return np.sqrt(nearest)
 
 
-def _running_nearest(queries: np.ndarray, points: np.ndarray) -> Iterator[np.ndarray]:
-    """After each row of ``points``, yield (in one array, updated in place) each
-    query row's squared distance to its nearest row so far, summed in order."""
+def _block_ends(n: int) -> list[int]:
+    """Where the blocks of ``_running_nearest`` over ``n`` points end: at each
+    prefix end below ``n``, then every ``_BLOCK`` points, then at ``n``."""
+    ends = [end for end in QUALITY_PREFIXES if end < n]
+    return [*ends, *range(ends[-1] + _BLOCK if ends else _BLOCK, n, _BLOCK), n]
+
+
+def _running_nearest(
+    queries: np.ndarray, points: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(count, nearest)`` at each prefix end below ``len(points)`` and
+    at ``len(points)``: ``nearest`` (one array, updated in place) holds each
+    query row's squared distance to its nearest of the first ``count`` rows,
+    summed in coordinate order.  The rows are taken a block at a time."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     points = np.asarray(points, dtype=float)
     if queries.ndim != 2 or queries.shape[1:] != points.shape[1:]:
@@ -94,20 +110,28 @@ def _running_nearest(queries: np.ndarray, points: np.ndarray) -> Iterator[np.nda
         raise ValueError("queries must be finite")
     first, *rest = np.ascontiguousarray(queries.T)
     nearest = np.full(len(queries), np.inf)
-    squared, gap = np.empty(len(queries)), np.empty(len(queries))
-    for head, *tail in points.tolist():
+    ends = _block_ends(len(points))
+    rows = max(end - start for start, end in zip([0, *ends], ends))
+    squared_rows, gap_rows = np.empty((2, rows, len(queries)))
+    start = 0
+    for end in ends:
+        squared, gap = squared_rows[: end - start], gap_rows[: end - start]
+        head, *tail = points[start:end].T[:, :, None]  # each coordinate as (b, 1)
         np.subtract(first, head, out=squared)
         squared *= squared
         for column, coordinate in zip(rest, tail):
             np.subtract(column, coordinate, out=gap)
             squared += np.multiply(gap, gap, out=gap)
-        np.minimum(nearest, squared, out=nearest)
-        yield nearest
+        np.minimum(nearest, squared.min(axis=0), out=nearest)
+        if end in QUALITY_PREFIXES or end == len(points):
+            yield end, nearest
+        start = end
 
 
 def _quality(nearest: np.ndarray, dimension: int) -> float:
-    """1 - mean nearest distance / sqrt(d), from the squared distances."""
-    return 1.0 - float(np.mean(np.sqrt(nearest))) / math.sqrt(dimension)
+    """1 - mean nearest distance / sqrt(d), from the squared distances; the
+    mean is ``np.mean``'s own sum and divide."""
+    return 1.0 - float(np.sqrt(nearest).sum()) / len(nearest) / math.sqrt(dimension)
 
 
 def quality_draws(dimension: int, samples: int, seed: int) -> np.ndarray:
@@ -146,10 +170,14 @@ def _rd_alpha(dimension: int) -> np.ndarray:
 def subcube_quality_ceiling(draws: np.ndarray, side: float) -> float:
     """Upper bound on ``coverage_quality`` over ``draws`` of any nonempty
     cloud inside [0, side]^d: 1 - mean distance to the sub-cube / sqrt(d)."""
+    if not np.isfinite(draws).all():
+        raise ValueError("draws must be finite")
     # a draw's distance to the sub-cube is that of its gaps beyond it to the origin
-    gaps = np.maximum(draws - side, 0.0)
-    *_, nearest = _running_nearest(gaps, np.zeros((1, draws.shape[1])))
-    return _quality(nearest, draws.shape[1])
+    first, *rest = np.maximum(draws - side, 0.0).T
+    squared = first * first
+    for gap in rest:
+        squared += gap * gap
+    return _quality(squared, draws.shape[1])
 
 
 def coverage_quality(
@@ -174,7 +202,7 @@ def coverage_quality(
     if below > -math.inf and subcube_quality_ceiling(draws, float(cloud.points.max())) < below:
         return -math.inf
     d = cloud.dimension
-    for count, nearest in enumerate(_running_nearest(draws, cloud.points), 1):
-        if count in QUALITY_PREFIXES and count < len(cloud) and _quality(nearest, d) > above:
+    for count, nearest in _running_nearest(draws, cloud.points):
+        if count < len(cloud) and _quality(nearest, d) > above:
             return math.inf
     return _quality(nearest, d)

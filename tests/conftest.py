@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,29 @@ def fee_recursion(thetas: np.ndarray, rewards: np.ndarray, c: float) -> np.ndarr
         rise = rewards[i] * rewards[i] - rewards[i - 1] * rewards[i - 1]
         fees[i] = fees[i - 1] + thetas[i] * thetas[i] * rise / (2.0 * c)
     return fees
+
+
+def reference_running_nearest(queries: np.ndarray, points: np.ndarray) -> Iterator[np.ndarray]:
+    """After each row of ``points``, yield (in one array, updated in place) each
+    query row's squared distance to its nearest row so far, summed in order:
+    the per-point reference for the blocked ``coverage._running_nearest``."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    points = np.asarray(points, dtype=float)
+    if queries.ndim != 2 or queries.shape[1:] != points.shape[1:]:
+        raise ValueError(f"queries {queries.shape} do not match points {points.shape}")
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite")
+    first, *rest = np.ascontiguousarray(queries.T)
+    nearest = np.full(len(queries), np.inf)
+    squared, gap = np.empty(len(queries)), np.empty(len(queries))
+    for head, *tail in points.tolist():
+        np.subtract(first, head, out=squared)
+        squared *= squared
+        for column, coordinate in zip(rest, tail):
+            np.subtract(column, coordinate, out=gap)
+            squared += np.multiply(gap, gap, out=gap)
+        np.minimum(nearest, squared, out=nearest)
+        yield nearest
 
 
 def reference_local_train(

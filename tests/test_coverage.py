@@ -24,7 +24,7 @@ from fedpact.coverage import (
 )
 from fedpact.learning import QUALITY_SAMPLES
 
-from conftest import src_env
+from conftest import reference_running_nearest, src_env
 
 
 def cloud1d(*xs: float) -> PointCloud:
@@ -198,6 +198,50 @@ class TestQualityBounds:
         assert coverage_quality(cloud, draws) == expected
 
 
+def mean_quality(nearest: np.ndarray, dimension: int) -> float:
+    """1 - np.mean of the nearest distances / sqrt(d), from their squares."""
+    return 1.0 - float(np.mean(np.sqrt(nearest))) / math.sqrt(dimension)
+
+
+class TestBlockedPass:
+    """The blocked nearest-distance pass has the bits of the per-point one."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(dimension=st.integers(1, 5), n_points=st.integers(1, 300),
+           samples=st.sampled_from([1, 33, QUALITY_SAMPLES]),
+           side=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2**31 - 1))
+    # at, one below and one above each block end
+    @example(dimension=1, n_points=1, samples=QUALITY_SAMPLES, side=1.0, seed=0)
+    @example(dimension=2, n_points=7, samples=QUALITY_SAMPLES, side=0.3, seed=1)
+    @example(dimension=3, n_points=8, samples=QUALITY_SAMPLES, side=0.7, seed=2)
+    @example(dimension=4, n_points=9, samples=33, side=1.0, seed=3)
+    @example(dimension=5, n_points=63, samples=QUALITY_SAMPLES, side=0.5, seed=4)
+    @example(dimension=1, n_points=64, samples=QUALITY_SAMPLES, side=0.9, seed=5)
+    @example(dimension=2, n_points=65, samples=1, side=0.2, seed=6)
+    @example(dimension=3, n_points=96, samples=QUALITY_SAMPLES, side=1.0, seed=7)
+    @example(dimension=2, n_points=97, samples=QUALITY_SAMPLES, side=0.4, seed=8)
+    @example(dimension=5, n_points=129, samples=33, side=0.8, seed=9)
+    def test_matches_the_per_point_pass(self, dimension, n_points, samples, side, seed):
+        cloud = PointCloud(dimension, np.random.default_rng(seed).random((n_points, dimension)) * side)
+        draws = quality_draws(dimension, samples, seed)
+        floors, nearest = [], None
+        for count, nearest in enumerate(reference_running_nearest(draws, cloud.points), 1):
+            if count in QUALITY_PREFIXES and count < n_points:
+                floors.append(mean_quality(nearest, dimension))
+        q = mean_quality(nearest, dimension)
+        assert coverage_quality(cloud, draws).hex() == q.hex()
+        assert cloud.nearest_distances(draws).tobytes() == np.sqrt(nearest).tobytes()
+        # one ulp either side of each floor: the pass stops there exactly when
+        # some floor lies above the bound
+        for above in (math.nextafter(f, toward) for f in floors for toward in (-math.inf, math.inf)):
+            expected = math.inf if any(f > above for f in floors) else q
+            assert coverage_quality(cloud, draws, above=above).hex() == expected.hex()
+        *_, gaps = reference_running_nearest(
+            np.maximum(draws - side, 0.0), np.zeros((1, dimension))
+        )
+        assert subcube_quality_ceiling(draws, side).hex() == mean_quality(gaps, dimension).hex()
+
+
 class TestPointCloud:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -230,7 +274,7 @@ class TestNearestDistances:
         with pytest.raises(ValueError, match="do not match"):
             self.CLOUD.nearest_distances(queries)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_queries(self, bad):
         draws = quality_draws(2, 50, 1).copy()
         draws[7, 1] = bad

@@ -551,7 +551,7 @@ def solve_optimal_menu(
 class GridSpec:
     """Per-type fee and reward axes for the exhaustive search.
 
-    Each axis is ``steps`` equally spaced points over its closed range.
+    Each axis is ``steps`` equally spaced points over its closed, finite range.
     """
 
     fee_ranges: tuple[tuple[float, float], ...]
@@ -565,6 +565,8 @@ class GridSpec:
         if self.fee_steps < 2 or self.reward_steps < 2:
             raise ValueError("grid axes need at least 2 points")
         for lo, hi in (*self.fee_ranges, *self.reward_ranges):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"grid range ({lo}, {hi}) is not finite")
             if hi <= lo:
                 raise ValueError(f"empty grid range ({lo}, {hi})")
 

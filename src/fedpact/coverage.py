@@ -16,7 +16,7 @@ the integral is exact.  A sample at nearest-point distance r is covered
 for every eps > r; since r <= sqrt(d) on the unit cube, it contributes
 sqrt(d) - r to the integral, so theta = 1 - mean(r) / sqrt(d), with each
 r^2 the least, over the points, of the squared gaps summed in coordinate
-order.  One pass finds them, a block of points per numpy step: each block
+order.  One pass finds them, ``_BLOCK`` points per numpy step: each block
 gives a (points, samples) array of squared distances whose column minima
 update a running minimum, exactly, so the bits do not depend on the blocks.
 The samples are the R_d sequence (Roberts 2018) under a random shift
@@ -29,10 +29,9 @@ sub-cube itself, so ``subcube_quality_ceiling`` bounds its quality from
 above on the same samples; it sums the squares of each sample's gaps beyond
 the sub-cube in the same order, so it bounds the computed quality, rounding
 included.  A cloud is no farther from a sample than any subset of its
-points, so each prefix of the cloud bounds its quality from below.
+points, so the points before each block end bound its quality from below.
 ``coverage_quality`` checks both bounds against its band: the ceiling before
-its pass, and the floor at each prefix end in ``QUALITY_PREFIXES``, where the
-pass ends a block (later blocks hold ``_BLOCK`` points).  The square root is
+its pass, and the floor at every block end but the last.  The square root is
 correctly rounded, hence monotone, so each floor and the quality have the
 bits of a pass over just those points.  The draws are the caller's:
 ``quality_draws`` makes them from an integer seed, and a caller that measures
@@ -41,13 +40,13 @@ many clouds, as calibration does, makes them once and passes them in.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-QUALITY_PREFIXES = (8, 16, 32, 64)  # prefix ends at which coverage_quality may stop early
-_BLOCK = 32  # cloud points per numpy step of the nearest-distance pass, past the prefixes
+_BLOCK = 32  # cloud points per numpy step of the nearest-distance pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,20 +87,12 @@ class PointCloud:
         return np.sqrt(nearest)
 
 
-def _block_ends(n: int) -> list[int]:
-    """Where the blocks of ``_running_nearest`` over ``n`` points end: at each
-    prefix end below ``n``, then every ``_BLOCK`` points, then at ``n``."""
-    ends = [end for end in QUALITY_PREFIXES if end < n]
-    return [*ends, *range(ends[-1] + _BLOCK if ends else _BLOCK, n, _BLOCK), n]
-
-
 def _running_nearest(
     queries: np.ndarray, points: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(count, nearest)`` at each prefix end below ``len(points)`` and
-    at ``len(points)``: ``nearest`` (one array, updated in place) holds each
-    query row's squared distance to its nearest of the first ``count`` rows,
-    summed in coordinate order.  The rows are taken a block at a time."""
+    """Yield ``(count, nearest)`` after every ``_BLOCK`` rows of ``points``
+    and after the last: each query row's squared distance (summed in coordinate
+    order) to its nearest of the first ``count`` rows, one array updated in place."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     points = np.asarray(points, dtype=float)
     if queries.ndim != 2 or queries.shape[1:] != points.shape[1:]:
@@ -110,22 +101,18 @@ def _running_nearest(
         raise ValueError("queries must be finite")
     first, *rest = np.ascontiguousarray(queries.T)
     nearest = np.full(len(queries), np.inf)
-    ends = _block_ends(len(points))
-    rows = max(end - start for start, end in zip([0, *ends], ends))
-    squared_rows, gap_rows = np.empty((2, rows, len(queries)))
-    start = 0
-    for end in ends:
-        squared, gap = squared_rows[: end - start], gap_rows[: end - start]
-        head, *tail = points[start:end].T[:, :, None]  # each coordinate as (b, 1)
+    squared_rows, gap_rows = np.empty((2, min(_BLOCK, len(points)), len(queries)))
+    for start in range(0, len(points), _BLOCK):
+        block = points[start : start + _BLOCK]
+        squared, gap = squared_rows[: len(block)], gap_rows[: len(block)]
+        head, *tail = block.T[:, :, None]  # each coordinate as (b, 1)
         np.subtract(first, head, out=squared)
         squared *= squared
         for column, coordinate in zip(rest, tail):
             np.subtract(column, coordinate, out=gap)
             squared += np.multiply(gap, gap, out=gap)
         np.minimum(nearest, squared.min(axis=0), out=nearest)
-        if end in QUALITY_PREFIXES or end == len(points):
-            yield end, nearest
-        start = end
+        yield start + len(block), nearest
 
 
 def _quality(nearest: np.ndarray, dimension: int) -> float:
@@ -135,10 +122,13 @@ def _quality(nearest: np.ndarray, dimension: int) -> float:
 
 
 def quality_draws(dimension: int, samples: int, seed: int) -> np.ndarray:
-    """``samples`` read-only draws from [0, 1)^d for ``coverage_quality`` to
-    integrate over: the R_d sequence ``(shift + n * alpha) mod 1`` for
-    n = 1..samples, shifted by a uniform ``shift`` drawn from the integer
-    ``seed``; any other seed raises ``TypeError``."""
+    """``samples`` read-only draws from [0, 1)^d for ``coverage_quality``:
+    the R_d sequence ``(shift + n * alpha) mod 1`` for n = 1..samples,
+    shifted by a uniform ``shift`` drawn from ``seed``.  An argument that is
+    not an integer raises ``TypeError``, a size below 1 ``ValueError``."""
+    for name, size in (("dimension", dimension), ("samples", samples)):
+        if operator.index(size) < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
     shift = np.random.default_rng(np.random.SeedSequence(seed)).random(dimension)
     steps = np.arange(1.0, samples + 1.0)[:, None]
     draws = (steps * _rd_alpha(dimension) + shift) % 1.0
@@ -192,16 +182,16 @@ def coverage_quality(
     Exact on ``draws``, the (n, d) samples of ``quality_draws``:
     1 - mean nearest-point distance / sqrt(d).  Returns a value in [0, 1];
     0 for the empty cloud.  ``-inf`` instead when the ceiling at the
-    cloud's largest coordinate is below ``below``, ``inf`` when a shorter
-    prefix's quality (see ``QUALITY_PREFIXES``) exceeds ``above``.
+    cloud's largest coordinate is below ``below``, ``inf`` when the floor at
+    a block end of the pass, short of the last, exceeds ``above``.
     """
-    if draws.shape[1:] != (cloud.dimension,):
-        raise ValueError(f"draws {draws.shape} do not match dimension {cloud.dimension}")
+    d = cloud.dimension
+    if draws.shape[1:] != (d,) or not len(draws):
+        raise ValueError(f"draws {draws.shape} have no rows or do not match dimension {d}")
     if cloud.is_empty:
         return 0.0
     if below > -math.inf and subcube_quality_ceiling(draws, float(cloud.points.max())) < below:
         return -math.inf
-    d = cloud.dimension
     for count, nearest in _running_nearest(draws, cloud.points):
         if count < len(cloud) and _quality(nearest, d) > above:
             return math.inf

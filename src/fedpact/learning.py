@@ -201,7 +201,7 @@ def generate_client_dataset(
     around the target, side ``1e-3`` against its bottom, and the sides
     between against both: ``coverage_quality`` returns ``-inf`` below the
     band (the ceiling at the cloud's largest coordinate, no larger than s)
-    and ``inf`` above it (a prefix of the cloud, a floor).  Such a side
+    and ``inf`` above it (a floor at a block end of its pass).  Such a side
     moves its end as its quality would, and can neither end the search nor
     win it.  If the bisections run out first, those sides are measured and
     the first closest side in bisection order wins, bit for bit the result

@@ -271,8 +271,9 @@ SYNTHETIC_DIGESTS = Path(__file__).parent / "fixtures" / "synthetic_default_dige
 
 def test_criterion_7_pinned_bytes(default_comparison, tmp_path):
     """Criterion 7's run writes the pinned ``compare`` outputs of the shipped
-    synthetic config: 120-point clouds, whose calibration runs every prefix
-    of the quality pass (criterion 9's 60-point compare stops short of 64)."""
+    synthetic config: 120-point clouds, whose calibration tests a floor at
+    every block end of the quality pass, at 32, 64 and 96 points (criterion
+    9's 60-point clouds test one, at 32)."""
     default_comparison.rounds_to_csv(tmp_path / "comparison.csv")
     default_comparison.clients_to_csv(tmp_path / "clients.csv")
     default_comparison.summary_to_json(tmp_path / "summary.json")

@@ -11,6 +11,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -693,6 +694,8 @@ class TestGridSearch:
     @pytest.mark.parametrize("ranges, steps, message", [
         ([(0.0, 1.0)], 1, "at least 2 points"),
         ([(1.0, 1.0)], 3, r"empty grid range \(1.0, 1.0\)"),
+        ([(math.nan, 1.0)], 3, r"grid range \(nan, 1.0\) is not finite"),
+        ([(0.0, math.inf)], 3, r"grid range \(0.0, inf\) is not finite"),
     ])
     def test_grid_spec_rejects_empty_axes(self, ranges, steps, message):
         with pytest.raises(ValueError, match=message):

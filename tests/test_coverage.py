@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from fedpact import coverage
 from fedpact.coverage import (
-    QUALITY_PREFIXES,
     PointCloud,
     coverage_quality,
     quality_draws,
@@ -46,6 +46,12 @@ def reference_quality(cloud: PointCloud, samples: int, seed: int, steps: int = 2
 def seeded_quality(cloud: PointCloud, samples: int, seed: int) -> float:
     """``coverage_quality`` on the ``samples`` draws of ``seed``."""
     return coverage_quality(cloud, quality_draws(cloud.dimension, samples, seed))
+
+
+def floor_counts(n_points: int) -> range:
+    """The point counts at which ``coverage_quality`` tests its floor: every
+    block end of the pass short of the last."""
+    return range(coverage._BLOCK, n_points, coverage._BLOCK)
 
 
 class TestCoverageQuality:
@@ -103,6 +109,12 @@ class TestCoverageQuality:
         with pytest.raises(ValueError, match="do not match dimension 2"):
             coverage_quality(cloud, quality_draws(dimension, 50, 1), below=0.5)
 
+    @pytest.mark.parametrize("cloud", [PointCloud(2, []), PointCloud(2, [[0.2, 0.7]])],
+                             ids=["empty", "one-point"])
+    def test_draws_must_have_rows(self, cloud):
+        with pytest.raises(ValueError, match="no rows"):
+            coverage_quality(cloud, np.empty((0, 2)))
+
 
 # sides from the calibration's lower end 1e-3 up to the full cube
 SIDES = st.one_of(st.floats(1e-3, 2e-3), st.floats(1e-3, 1.0))
@@ -117,10 +129,19 @@ class TestQualityBounds:
            side=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2**31 - 1),
            below=st.one_of(st.floats(-0.5, 1.5), st.just(-math.inf)),
            above=st.one_of(st.floats(-0.5, 1.5), st.just(math.inf)))
-    @example(dimension=2, n_points=200, side=0.5, seed=1, below=-math.inf, above=1.5)  # every prefix runs
-    @example(dimension=3, n_points=9, side=1.0, seed=2, below=-math.inf, above=-1.0)  # stops at the first
-    @example(dimension=3, n_points=8, side=1.0, seed=2, below=-math.inf, above=-1.0)  # no shorter prefix
-    @example(dimension=2, n_points=9, side=0.1, seed=3, below=0.9, above=math.inf)  # the ceiling rejects
+    # at, one below and one above each block end
+    @example(dimension=3, n_points=31, side=1.0, seed=2, below=-math.inf, above=-1.0)  # no floor
+    @example(dimension=3, n_points=32, side=1.0, seed=2, below=-math.inf, above=-1.0)  # one block
+    @example(dimension=3, n_points=33, side=1.0, seed=2, below=-math.inf, above=-1.0)  # stops at 32
+    @example(dimension=2, n_points=33, side=0.1, seed=3, below=0.9, above=math.inf)  # the ceiling rejects
+    @example(dimension=1, n_points=63, side=0.4, seed=4, below=-math.inf, above=math.inf)
+    @example(dimension=4, n_points=64, side=0.8, seed=5, below=0.2, above=0.9)
+    @example(dimension=2, n_points=65, side=0.6, seed=6, below=-math.inf, above=math.inf)
+    @example(dimension=5, n_points=95, side=1.0, seed=7, below=-math.inf, above=math.inf)
+    @example(dimension=2, n_points=96, side=0.3, seed=8, below=-math.inf, above=math.inf)
+    @example(dimension=3, n_points=97, side=0.7, seed=9, below=-math.inf, above=math.inf)
+    @example(dimension=10, n_points=128, side=0.9, seed=10, below=-math.inf, above=math.inf)
+    @example(dimension=2, n_points=129, side=0.5, seed=1, below=-math.inf, above=1.5)  # every block runs
     def test_bounded_quality_is_exact_or_stops_on_a_prefix_floor(
         self, dimension, n_points, side, seed, below, above
     ):
@@ -135,25 +156,26 @@ class TestQualityBounds:
 
         q = coverage_quality(cloud, draws)
         assert q.hex() == one_pass(n_points).hex()
-        # every prefix is a subset of the cloud, so its quality is a floor;
-        # every point lies in [0, m]^d, so that sub-cube's ceiling caps it
-        prefixes = {end: one_pass(end) for end in QUALITY_PREFIXES if end < n_points}
-        assert all(floor <= q for floor in prefixes.values())
+        # the points before a block end are a subset of the cloud, so their
+        # quality is a floor; every point lies in [0, m]^d, so that
+        # sub-cube's ceiling caps it
+        floors = [one_pass(end) for end in floor_counts(n_points)]
+        assert all(floor <= q for floor in floors)
         ceiling = subcube_quality_ceiling(draws, float(cloud.points.max()))
         assert q <= ceiling <= subcube_quality_ceiling(draws, side)
         bounded = coverage_quality(cloud, draws, below=below, above=above)
         if ceiling < below:
             assert bounded == -math.inf and q < below
-        elif any(floor > above for floor in prefixes.values()):
+        elif any(floor > above for floor in floors):
             assert bounded == math.inf and q > above
         else:
             assert bounded.hex() == q.hex()
         # a ceiling one ulp below ``below`` rejects the cloud; one at it does not
         assert coverage_quality(cloud, draws, below=math.nextafter(ceiling, math.inf)) == -math.inf
         assert coverage_quality(cloud, draws, below=ceiling).hex() == q.hex()
-        if prefixes:
+        if floors:
             # a floor one ulp above ``above`` stops the pass; none above it does not
-            highest = max(prefixes.values())
+            highest = max(floors)
             assert coverage_quality(cloud, draws, above=math.nextafter(highest, -math.inf)) == math.inf
             assert coverage_quality(cloud, draws, above=highest).hex() == q.hex()
         # distances are a KD-tree's, bit for bit while it sums the squares in
@@ -211,22 +233,23 @@ class TestBlockedPass:
            samples=st.sampled_from([1, 33, QUALITY_SAMPLES]),
            side=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2**31 - 1))
     # at, one below and one above each block end
-    @example(dimension=1, n_points=1, samples=QUALITY_SAMPLES, side=1.0, seed=0)
-    @example(dimension=2, n_points=7, samples=QUALITY_SAMPLES, side=0.3, seed=1)
-    @example(dimension=3, n_points=8, samples=QUALITY_SAMPLES, side=0.7, seed=2)
-    @example(dimension=4, n_points=9, samples=33, side=1.0, seed=3)
-    @example(dimension=5, n_points=63, samples=QUALITY_SAMPLES, side=0.5, seed=4)
-    @example(dimension=1, n_points=64, samples=QUALITY_SAMPLES, side=0.9, seed=5)
-    @example(dimension=2, n_points=65, samples=1, side=0.2, seed=6)
+    @example(dimension=1, n_points=31, samples=QUALITY_SAMPLES, side=1.0, seed=0)
+    @example(dimension=2, n_points=32, samples=QUALITY_SAMPLES, side=0.3, seed=1)
+    @example(dimension=3, n_points=33, samples=QUALITY_SAMPLES, side=0.7, seed=2)
+    @example(dimension=4, n_points=63, samples=33, side=1.0, seed=3)
+    @example(dimension=5, n_points=64, samples=QUALITY_SAMPLES, side=0.5, seed=4)
+    @example(dimension=1, n_points=65, samples=QUALITY_SAMPLES, side=0.9, seed=5)
+    @example(dimension=2, n_points=95, samples=1, side=0.2, seed=6)
     @example(dimension=3, n_points=96, samples=QUALITY_SAMPLES, side=1.0, seed=7)
     @example(dimension=2, n_points=97, samples=QUALITY_SAMPLES, side=0.4, seed=8)
+    @example(dimension=4, n_points=128, samples=QUALITY_SAMPLES, side=0.6, seed=10)
     @example(dimension=5, n_points=129, samples=33, side=0.8, seed=9)
     def test_matches_the_per_point_pass(self, dimension, n_points, samples, side, seed):
         cloud = PointCloud(dimension, np.random.default_rng(seed).random((n_points, dimension)) * side)
         draws = quality_draws(dimension, samples, seed)
         floors, nearest = [], None
         for count, nearest in enumerate(reference_running_nearest(draws, cloud.points), 1):
-            if count in QUALITY_PREFIXES and count < n_points:
+            if count in floor_counts(n_points):
                 floors.append(mean_quality(nearest, dimension))
         q = mean_quality(nearest, dimension)
         assert coverage_quality(cloud, draws).hex() == q.hex()
@@ -334,6 +357,18 @@ class TestQualityDraws:
         quality_draws(2, 50, 3)
         with pytest.raises(TypeError):
             quality_draws(2, 50, seed)
+
+    @pytest.mark.parametrize("dimension, samples, name", [
+        (0, 5, "dimension"), (-1, 5, "dimension"), (2, 0, "samples"), (2, -3, "samples"),
+    ])
+    def test_sizes_below_one(self, dimension, samples, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            quality_draws(dimension, samples, 1)
+
+    @pytest.mark.parametrize("samples", [2.5, 2.0, np.float64(3.0)], ids=["2.5", "2.0", "float64"])
+    def test_only_integer_samples(self, samples):
+        with pytest.raises(TypeError):
+            quality_draws(2, samples, 1)
 
 
 def test_coverage_does_not_load_scipy():

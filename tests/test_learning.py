@@ -325,7 +325,7 @@ class TestCalibrationSkips:
                              [(1, 1, 1), (2, 3, 2), (3, 8, 4), (1, 12, 1), (2, 40, 3)])
     def test_side_one_within_the_stop_width_is_measured(self, dimension, n_points, seed):
         # side 1 within the stop width above the target is measured in full
-        # (its prefix floors lie below its quality) and settles the search
+        # (its floors at the block ends lie below its quality) and settles the search
         task = TASKS[dimension]
         target = quality_at_side(task, n_points, seed, 1.0) - 0.004
         assert_matches_reference(task, target, n_points, seed)
@@ -343,10 +343,10 @@ class TestCalibrationSkips:
         assert generate_client_dataset(task, target, 1, seed).subcube_side == 1.0
 
     def test_stopped_side_wins_the_fallback(self):
-        # a calibrated cloud of more than 8 points seldom lets a stopped side
-        # win, so a quality function stands in: side 1 stops above the
-        # target, every other side lies far below, nothing settles, and the
-        # fallback measures side 1 in full
+        # a calibrated cloud of more than 32 points (one block of the pass)
+        # seldom lets a stopped side win, so a quality function stands in:
+        # side 1 stops above the target, every other side lies far below,
+        # nothing settles, and the fallback measures side 1 in full
         target = 0.6
         calls = []
 
@@ -369,7 +369,7 @@ class TestCalibrationSkips:
         assert calls <= 0.7 * ref_calls
 
     def test_shipped_seed_needs_few_evaluations_per_dataset(self):
-        # the prefix floors stop side 1 and most sides above the target early
+        # the floors at the block ends stop side 1 and most sides above the target early
         task, datasets = shipped_seed_datasets()
         calls = [0]
         with pytest.MonkeyPatch.context() as mp:
@@ -377,6 +377,24 @@ class TestCalibrationSkips:
             for dataset in datasets:
                 generate_client_dataset(task, *dataset)
         assert calls[0] <= 2.0 * len(datasets)
+
+    def test_shipped_seed_calibration_counts(self):
+        # ceiling rejections (-inf), floor stops (inf) and completed
+        # evaluations of the 30 datasets, pinned: a change to calibration's
+        # work shows here whatever the timing noise
+        task, datasets = shipped_seed_datasets()
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(coverage_quality(*args, **kwargs))
+            return results[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learning, "coverage_quality", recorded)
+            for dataset in datasets:
+                generate_client_dataset(task, *dataset)
+        rejected, stopped = results.count(-math.inf), results.count(math.inf)
+        assert (rejected, stopped, len(results) - rejected - stopped) == (64, 91, 40)
 
 
 def shipped_seed_datasets() -> tuple[SyntheticTask, list[tuple[float, int, int]]]:
